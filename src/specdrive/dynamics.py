@@ -11,14 +11,17 @@ import math
 import numbers
 import warnings
 from collections import namedtuple
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 import scipy.linalg
 
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
+    step_node_times,
 )
 from .system import commutator_H0_O, dense_h0, dense_mu, h0_norm_estimate
 
@@ -131,13 +134,22 @@ def _sample_interp(samples, grid, t):
 
 
 class _CosineEval:
-    """Evaluate a spectrum's cosine series at arbitrary times (support bins
-    only; matches eval_cosine_series)."""
+    """Evaluate a spectrum's cosine series (support bins only; matches
+    eval_cosine_series).
+
+    on_lattice() serves the propagator's node times t = h(k + s_i),
+    h = T/n_steps.  With omega_j = j pi/T the phase is pi j (k + s_i)/n_steps,
+    so for each fraction s_i the series over k is one inverse FFT of length
+    2 n_steps of the coefficients c_j exp(i pi j s_i/n_steps); the result is
+    exact, not interpolated.  Calling the evaluator sums the series directly
+    and serves the off-lattice times (bisected half-steps, spot checks).
+    """
 
     def __init__(self, spectrum):
         grid = spectrum.grid
         h = endpoint_factors(grid.n_t)
         idx = np.flatnonzero(spectrum.values != 0.0)
+        self._bins = idx
         self._omega = grid.nodes[idx]
         self._coef = spectrum.values[idx] / h[idx]
         self._scale = math.sqrt(2.0 * math.pi) / grid.T
@@ -155,13 +167,26 @@ class _CosineEval:
             out[k:k + block] = np.cos(np.multiply.outer(part, self._omega)) @ self._coef
         return self._scale * out.reshape(t.shape)
 
+    def on_lattice(self, n_steps, fractions):
+        """Series at h(k + s_i) for k < n_steps, shape (n_steps, len(s))."""
+        s = np.atleast_1d(np.asarray(fractions, dtype=float))
+        if self._bins.size == 0:
+            return np.zeros((n_steps, s.size))
+        # a propagation has n_steps >= n_t - 1: every bin lies below 2*n_steps
+        coef = np.zeros((s.size, 2 * n_steps), dtype=complex)
+        coef[:, self._bins] = self._coef * np.exp(
+            (1j * math.pi / n_steps) * np.multiply.outer(s, self._bins))
+        vals = scipy.fft.ifft(coef, axis=-1, norm="forward")[:, :n_steps]
+        return self._scale * vals.real.T
+
 
 class _FieldEval:
     """Uniform field evaluator: zero, constant, sampled, or cosine series.
 
     Fields that carry a spectrum (Spectrum objects and two-view drive
     fields) are evaluated exactly through their cosine series; bare sample
-    arrays through local polynomial interpolation.
+    arrays through local polynomial interpolation.  on_lattice() gives the
+    values at every node time of a propagation, __call__ at any times.
     """
 
     def __init__(self, field, grid=None):
@@ -196,6 +221,17 @@ class _FieldEval:
         if self._mode == "series":
             return self._cos(t)
         return _sample_interp(self._samples, self.grid, t)
+
+    def on_lattice(self, n_steps, fractions):
+        """Field at h(k + s_i), h = T/n_steps, k < n_steps: (n_steps, len(s))."""
+        s = np.atleast_1d(np.asarray(fractions, dtype=float))
+        if self._mode == "const":
+            return np.full((n_steps, s.size), self._const)
+        if self._mode == "series":
+            return self._cos.on_lattice(n_steps, s)
+        h = self.grid.T / n_steps
+        return _sample_interp(self._samples, self.grid,
+                              h * (np.arange(n_steps)[:, None] + s[None, :]))
 
 
 class StepSolver:
@@ -236,11 +272,15 @@ class StepSolver:
                 return u
         return None
 
-    def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None, depth=0):
+    def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
+              src_vals=None, depth=0):
+        """f_vals/src_vals, when given, are the field and source at this
+        step's own nodes; f_eval and src_frac serve bisected halves."""
         if f_vals is None:
             f_vals = f_eval(t0 + dt * self.s)
-        src = None if src_frac is None else src_frac(self.s)
-        u = self.picard(u0, f_vals, src, dt)
+        if src_vals is None and src_frac is not None:
+            src_vals = src_frac(self.s)
+        u = self.picard(u0, f_vals, src_vals, dt)
         if u is not None:
             return u
         if depth >= self.max_halvings:
@@ -351,16 +391,23 @@ def _should_store(config, n_steps, n_c, dim):
 
 def _run(system, f_eval, u_init, t_init, dt, n_steps, config, source_for_step,
          observables, store, guard_norm):
-    """Shared stepping loop; arrays come back in execution order."""
+    """Shared stepping loop; arrays come back in execution order.
+
+    A forward run starts at t_init = 0, a backward one at t_init = T, so
+    execution step k covers forward step k or n_steps - 1 - k of the same
+    node lattice.  source_for_step(k) gives (values at the step's nodes,
+    fraction function for bisected halves).
+    """
     rule = config.rule
     zeta_step = max(config.zeta / n_steps, 100.0 * _EPS)
     solver = StepSolver(system, rule, zeta_step, config.max_picard,
                         config.max_halvings)
     dim = len(u_init)
     n_c = rule.n_c
-    times_all = (t_init + dt * np.arange(n_steps)[:, None]
-                 + dt * solver.s[None, :])
-    f_all = f_eval(times_all.ravel()).reshape(n_steps, n_c)
+    if dt > 0:
+        f_all = f_eval.on_lattice(n_steps, solver.s)
+    else:  # T - h(k + s) = h((n_steps - 1 - k) + (1 - s))
+        f_all = f_eval.on_lattice(n_steps, 1.0 - solver.s)[::-1]
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
     nodes_out = np.empty((n_steps, n_c, dim), dtype=complex) if store else None
@@ -373,9 +420,10 @@ def _run(system, f_eval, u_init, t_init, dt, n_steps, config, source_for_step,
     norms[0] = ref
     guard = guard_norm and ref > 0.0
     for k in range(n_steps):
-        src = source_for_step(k) if source_for_step is not None else None
-        nodes = solver.solve(u, t_init + dt * k, dt, f_eval, src,
-                             f_vals=f_all[k])
+        src_vals, src_frac = (source_for_step(k) if source_for_step is not None
+                              else (None, None))
+        nodes = solver.solve(u, t_init + dt * k, dt, f_eval, src_frac,
+                             f_vals=f_all[k], src_vals=src_vals)
         boundaries[k + 1] = nodes[-1]
         u = boundaries[k + 1]
         nn = float(np.linalg.norm(u))
@@ -426,8 +474,10 @@ def propagate_backward(system, field, source, chi_T, config, grid=None,
     """Propagate chi from T down to 0: dchi/dt = -iH(t)chi - S(t).
 
     source supplies the inhomogeneous term S(t) per forward step through
-    step_values(k, s) (None means the homogeneous equation).  The returned
-    trajectory is stored in absolute-time order like a forward one.
+    step_values(k, s) (None means the homogeneous equation); sources read
+    off a stored forward trajectory (HGSource, TDTargetSource) also give
+    step_values(k) at the step's own nodes without interpolation.  The
+    returned trajectory is stored in absolute-time order like a forward one.
     """
     f_eval = _FieldEval(field, grid)
     grid = f_eval.grid if f_eval.grid is not None else grid
@@ -440,11 +490,19 @@ def propagate_backward(system, field, source, chi_T, config, grid=None,
     store = _should_store(config, n_steps, config.rule.n_c, system.dim)
     h = grid.T / n_steps
 
+    own_nodes = isinstance(source, _ForwardSource)
+
     def source_for_step(k_exec):
         if source is None:
-            return None
+            return None, None
         i = n_steps - 1 - k_exec
-        return lambda s: -source.step_values(i, 1.0 - np.asarray(s))
+
+        def frac(s):
+            return -source.step_values(i, 1.0 - np.asarray(s))
+
+        # the backward step's nodes are the forward step's nodes reversed
+        vals = -source.step_values(i)[::-1] if own_nodes else None
+        return vals, frac
 
     boundaries, norms, f_all, nodes, obs, solver = _run(
         system, f_eval, chi_T, grid.T, -h, n_steps, config, source_for_step,
@@ -456,9 +514,9 @@ def propagate_backward(system, field, source, chi_T, config, grid=None,
     fw_nodes = nodes[::-1, ::-1, :].copy() if store else None
 
     def regen(k):
-        src = source_for_step(n_steps - 1 - k)
-        out = solver.solve(fw_boundaries[k + 1], (k + 1) * h, -h, f_eval, src,
-                           f_vals=fw_f[k][::-1])
+        src_vals, src_frac = source_for_step(n_steps - 1 - k)
+        out = solver.solve(fw_boundaries[k + 1], (k + 1) * h, -h, f_eval,
+                           src_frac, f_vals=fw_f[k][::-1], src_vals=src_vals)
         return out[::-1]
 
     return Trajectory(grid, config.rule, m, fw_boundaries, fw_norms, fw_f,
@@ -486,9 +544,18 @@ class FilteredSignal:
 
     spectrum: Spectrum
     signal: RealSignal
+    _eval: _CosineEval = dataclasses.field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_eval", _CosineEval(self.spectrum))
 
     def at(self, times):
-        return _CosineEval(self.spectrum)(times)
+        return self._eval(times)
+
+    def on_lattice(self, n_steps, fractions):
+        """Values at the node times h(k + s_i), h = T/n_steps."""
+        return self._eval.on_lattice(n_steps, fractions)
 
 
 def hg_source_signal(traj, o_a, filt):
@@ -515,40 +582,57 @@ def terminal_chi(kappa, system, psi_T):
     return (kappa * np.vdot(psi_T, c_psi)) * c_psi
 
 
-def _nodes_at(traj, k, s):
-    """Forward-step node states at fractional positions s within step k."""
-    s = np.asarray(s, dtype=float)
-    base = traj.s_nodes
-    nodes = traj.step_nodes(k)
-    if s.shape == base.shape and np.allclose(s, base, atol=1e-12):
-        return nodes
-    if s.shape == base.shape and np.allclose(s, base[::-1], atol=1e-12):
-        return nodes[::-1]
-    return _barycentric_interp(base, nodes, s)
+class _ForwardSource:
+    """A backward source read off a stored forward trajectory.
+
+    step_values(k, s) gives the source at fractions s of forward step k;
+    step_values(k) gives it at the step's own nodes, read straight from the
+    stored node states.
+    """
+
+    def _states(self, k, s):
+        nodes = self.forward.step_nodes(k)
+        if s is None:
+            return nodes
+        return _barycentric_interp(self.forward.s_nodes, nodes, s)
 
 
-class HGSource:
+class HGSource(_ForwardSource):
     """Backward-equation source {s(t) O_a - P_f^gamma} psi(t) built from the
-    stored forward trajectory and the filtered dipole signal."""
+    stored forward trajectory and the filtered dipole signal.
+
+    filtered is a FilteredSignal or a plain function of time; s(t) is
+    evaluated once on the whole node lattice of the forward run.
+    """
 
     def __init__(self, forward, filtered, o_a, p_f=None):
         self.forward = forward
-        self._s_at = filtered.at if hasattr(filtered, "at") else filtered
+        if hasattr(filtered, "at"):
+            self._s_at = filtered.at
+            self._s_lattice = filtered.on_lattice(forward.n_steps,
+                                                  forward.s_nodes)
+        else:
+            self._s_at = filtered
+            self._s_lattice = np.asarray(filtered(step_node_times(
+                forward.grid.T, forward.n_steps, forward.rule)), dtype=float)
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 
-    def step_values(self, k, s):
-        s = np.asarray(s, dtype=float)
-        psi = _nodes_at(self.forward, k, s)
-        h = self.forward.dt_step
-        sval = np.asarray(self._s_at(k * h + h * s), dtype=float)
+    def step_values(self, k, s=None):
+        psi = self._states(k, s)
+        if s is None:
+            sval = self._s_lattice[k]
+        else:
+            h = self.forward.dt_step
+            sval = np.asarray(self._s_at(k * h + h * np.asarray(s, dtype=float)),
+                              dtype=float)
         out = sval[:, None] * self._oa(psi)
         if self._pf is not None:
             out -= self._pf(psi)
         return out
 
 
-class TDTargetSource:
+class TDTargetSource(_ForwardSource):
     """Source w(t) O(t) psi(t) for a time-dependent expectation target."""
 
     def __init__(self, w, op_of_t, forward):
@@ -559,11 +643,11 @@ class TDTargetSource:
         else:
             self._op_of_t, self._const = None, state_map(op_of_t)
 
-    def step_values(self, k, s):
-        s = np.asarray(s, dtype=float)
-        psi = _nodes_at(self.forward, k, s)
+    def step_values(self, k, s=None):
+        psi = self._states(k, s)
         h = self.forward.dt_step
-        times = k * h + h * s
+        frac = self.forward.s_nodes if s is None else np.asarray(s, dtype=float)
+        times = k * h + h * frac
         if self._const is not None:
             out = self._const(psi)
         else:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .spectral import (
     FilterSpec, RealSignal, Spectrum, endpoint_factors, dct1, idct1,
@@ -308,19 +309,19 @@ def node_cosine_transform(node_values, traj, bins=None):
 
     This is the propagation-grade counterpart of dct1: it integrates the
     internal-node samples with the per-step quadrature, so gradients built
-    from it are the exact adjoints of the discrete propagation.
+    from it are the exact adjoints of the discrete propagation.  The nodes
+    sit at h(k + s_i) with h = T/n_steps, so the sum over steps k is one FFT
+    of length 2 n_steps per node i, read at the bins and rotated by the
+    node's phase exp(-i pi j s_i/n_steps).
     """
     fgrid = traj.grid.frequency_grid()
-    h = traj.dt_step
-    times = ((np.arange(traj.n_steps)[:, None] + traj.s_nodes[None, :]) * h).ravel()
-    weights = (h * np.broadcast_to(traj.rule.w, (traj.n_steps, traj.rule.n_c))).ravel()
-    wg = weights * np.asarray(node_values, dtype=float).ravel()
-    omegas = fgrid.nodes if bins is None else fgrid.nodes[bins]
-    vals = np.empty(omegas.size)
-    block = max(1, (1 << 22) // max(times.size, 1))
-    for k in range(0, omegas.size, block):
-        part = omegas[k:k + block]
-        vals[k:k + block] = wg @ np.cos(np.multiply.outer(times, part))
+    n = traj.n_steps
+    g = np.asarray(node_values, dtype=float).reshape(n, traj.rule.n_c)
+    wg = (traj.dt_step * traj.rule.w) * g
+    spec = scipy.fft.fft(wg, n=2 * n, axis=0)
+    idx = np.arange(fgrid.n_t) if bins is None else np.asarray(bins)
+    phase = np.exp((-1j * math.pi / n) * np.multiply.outer(idx, traj.s_nodes))
+    vals = np.einsum("ji,ji->j", phase, spec[idx]).real
     vals *= math.sqrt(2.0 / math.pi)
     if bins is None:
         return Spectrum(fgrid, vals)
@@ -447,8 +448,7 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
     cfg = ctx.config
     if cfg.target == "spectral" and s_signal is not None:
         h = traj.dt_step
-        times = (np.arange(traj.n_steps)[:, None] + traj.s_nodes[None, :]) * h
-        svals = s_signal.at(times)
+        svals = s_signal.on_lattice(traj.n_steps, traj.s_nodes)
         oa = _node_expect(traj, ctx.o_a, OBS_TARGET)
         inner = svals * oa
         if ctx.p_f is not None:

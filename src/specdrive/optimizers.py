@@ -175,7 +175,9 @@ class OptimizationTrace:
 
     rows[0] echoes the guess; field/trajectory/breakdown describe the
     field the run settled on (for the filtered scheme that is the best
-    iterate seen, which may precede the last row).
+    iterate seen, which may precede the last row).  propagations counts
+    every propagation the run started, including the work of a failed last
+    iteration that no row records; it defaults to the last row's count.
     """
 
     method: str
@@ -184,10 +186,11 @@ class OptimizationTrace:
     field: object
     trajectory: object
     breakdown: object
+    propagations: int = None
 
-    @property
-    def propagations(self):
-        return self.rows[-1].propagations if self.rows else 0
+    def __post_init__(self):
+        if self.propagations is None:
+            self.propagations = self.rows[-1].propagations if self.rows else 0
 
     def js(self):
         return np.array([row.breakdown.j for row in self.rows])
@@ -283,8 +286,9 @@ def _emit(rows, on_row, row):
         on_row(row)
 
 
-def _finish(method, status, rows, field, traj, breakdown):
-    return OptimizationTrace(method, status, rows, field, traj, breakdown)
+def _finish(method, status, rows, field, traj, breakdown, props):
+    return OptimizationTrace(method, status, rows, field, traj, breakdown,
+                             props)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,7 @@ def _relaxation_engine(problem, config, on_row, method, accept):
     try:
         traj, br = _forward_eval(problem, ctx, prop, field)
     except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None)
+        return _finish(method, INSTABILITY, rows, field, None, None, 1)
     props = 1
     _emit(rows, on_row, TraceRow(0, br, k, props, math.nan))
 
@@ -350,7 +354,8 @@ def _relaxation_engine(problem, config, on_row, method, accept):
                     break
                 k *= 0.5
                 if k < config.k_floor:
-                    return _finish(method, K_UNDERFLOW, rows, field, traj, br)
+                    return _finish(method, K_UNDERFLOW, rows, field, traj, br,
+                                   props)
             if stationary:
                 status = CONVERGED
                 break
@@ -363,7 +368,7 @@ def _relaxation_engine(problem, config, on_row, method, accept):
                                                        formulation, config.tau):
             status = CONVERGED
             break
-    return _finish(method, status, rows, field, traj, br)
+    return _finish(method, status, rows, field, traj, br, props)
 
 
 def optimize_naive(problem, config=None, on_row=None):
@@ -458,7 +463,7 @@ def _immediate_sweep(system, grid, prop, u_start, partner_mu, direction,
                 a_nodes = a_nodes[::-1]
         src = None
         if source is not None and direction < 0:
-            src = -source.step_values(i, 1.0 - s_nodes)
+            src = -source.step_values(i)[::-1]
 
         u0 = u
         un = np.repeat(u0[None, :], n_c, axis=0)
@@ -522,13 +527,14 @@ def _immediate_sweep(system, grid, prop, u_start, partner_mu, direction,
                                 None, f_vals=eps_nodes[kk])
     else:
         def regen(kk):
-            src_frac = None
+            src_frac = src_vals = None
             if source is not None:
                 src_frac = lambda s: -source.step_values(
                     kk, 1.0 - np.asarray(s))
+                src_vals = -source.step_values(kk)[::-1]
             out = solver.solve(boundaries[kk + 1], (kk + 1) * h, -h,
                                make_f_eval(kk), src_frac,
-                               f_vals=eps_nodes[kk][::-1])
+                               f_vals=eps_nodes[kk][::-1], src_vals=src_vals)
             return out[::-1]
 
     traj = Trajectory(grid, rule, m, boundaries, norms, eps_nodes,
@@ -566,7 +572,7 @@ def _krotov_engine(problem, config, on_row, method, filt_values):
     try:
         traj, br = _forward_eval(problem, ctx, prop, field)
     except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None)
+        return _finish(method, INSTABILITY, rows, field, None, None, 1)
     props = 1
     _emit(rows, on_row, TraceRow(0, br, 1.0, props, math.nan))
     best = (br.j, field, traj, br)
@@ -636,8 +642,9 @@ def _krotov_engine(problem, config, on_row, method, filt_values):
     if filt_values is not None:
         # spectral projection breaks the monotonicity guarantee; hand back
         # the best iterate seen rather than the last one
-        return _finish(method, status, rows, best[1], best[2], best[3])
-    return _finish(method, status, rows, field, traj, br)
+        return _finish(method, status, rows, best[1], best[2], best[3],
+                       props)
+    return _finish(method, status, rows, field, traj, br, props)
 
 
 def optimize_krotov(problem, config=None, on_row=None):
@@ -775,7 +782,7 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
         traj = propagate_forward(system, eps, problem.psi0, prop, grid=grid)
     except (InstabilityError, PropagationError):
         return _finish("degani", INSTABILITY, rows,
-                       ControlField.from_time(grid, eps), None, None)
+                       ControlField.from_time(grid, eps), None, None, 1)
     props = 1
     br = breakdown_for(traj.final_state, eps)
     _emit(rows, on_row, TraceRow(0, br, 1.0, props, math.nan))
@@ -855,13 +862,13 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
             break
 
     field = ControlField.from_time(grid, eps)
+    props += 1
     try:
         traj = propagate_forward(system, field, problem.psi0, prop, grid=grid)
-        props += 1
         br = breakdown_for(traj.final_state, eps)
     except (InstabilityError, PropagationError):
-        return _finish("degani", INSTABILITY, rows, field, None, br)
-    return _finish("degani", status, rows, field, traj, br)
+        return _finish("degani", INSTABILITY, rows, field, None, br, props)
+    return _finish("degani", status, rows, field, traj, br, props)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1007,7 @@ def _ls_engine(problem, config, on_row, method):
     try:
         traj, br = _forward_eval(problem, ctx, prop, field)
     except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None)
+        return _finish(method, INSTABILITY, rows, field, None, None, 1)
     props = 1
     _emit(rows, on_row, TraceRow(0, br, config.k_init, props, math.nan))
 
@@ -1082,7 +1089,7 @@ def _ls_engine(problem, config, on_row, method):
                                                        config.tau):
             status = CONVERGED
             break
-    return _finish(method, status, rows, field, traj, br)
+    return _finish(method, status, rows, field, traj, br, props)
 
 
 def optimize_gradient(problem, config=None, on_row=None):

@@ -1,0 +1,170 @@
+"""Field synthesis and node transforms on the propagator's node lattice.
+
+The propagator's node times are t = h(k + s_i), h = T/n_steps, so cosine
+series over the bins omega_j = j*pi/T are evaluated and transformed there by
+FFT.  These tests hold the FFT forms to the direct cosine sums:
+eval_cosine_series for synthesis and an explicit weighted sum for the
+transform.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from specdrive.spectral import (
+    FilterSpec, TimeGrid, chebyshev_rule, eval_cosine_series, make_filter,
+    step_node_times,
+)
+from specdrive.system import build_level_system
+from specdrive.dynamics import (
+    HGSource, PropagatorConfig, StepSolver, _CosineEval, hg_source_signal,
+    propagate_backward, propagate_forward,
+)
+from specdrive.functionals import ControlField, node_cosine_transform
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+T, N_T = 10.0, 129
+
+
+def sparse_frequency_field(grid):
+    # a few support bins, the shape of a filtered HG field
+    bar = np.zeros(grid.n_t)
+    bar[[3, 4, 5, 11]] = [0.02, -0.03, 0.015, 0.004]
+    return ControlField.from_spectrum(grid, bar)
+
+
+def dense_time_field(grid):
+    rng = np.random.default_rng(7)
+    t = grid.nodes
+    vals = (0.03 * np.sin(1.3 * t) * np.sin(math.pi * t / grid.T) ** 2
+            + 1e-3 * rng.standard_normal(grid.n_t))
+    return ControlField.from_time(grid, vals)
+
+
+FIELDS = {"sparse-frequency": sparse_frequency_field,
+          "dense-time": dense_time_field}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_c", [5, 9])
+def test_propagation_node_fields_match_direct_sum(kind, m, n_c):
+    grid = TimeGrid(T, N_T)
+    field = FIELDS[kind](grid)
+    system = build_level_system([1.0, 2.0], SX)
+    rule = chebyshev_rule(n_c)
+    n_steps = (N_T - 1) * m
+    config = PropagatorConfig(steps=n_steps, rule=rule, zeta=1e-8)
+    times = step_node_times(T, n_steps, rule)
+    oracle = eval_cosine_series(field.spectrum(), times.ravel()).reshape(
+        times.shape)
+    tol = 1e-12 * np.abs(oracle).max()
+
+    fwd = propagate_forward(system, field, [1.0, 0.0], config)
+    bwd = propagate_backward(system, field, None,
+                             np.array([0.0, 1.0], dtype=complex), config)
+    assert np.abs(fwd.field_nodes - oracle).max() < tol
+    assert np.abs(bwd.field_nodes - oracle).max() < tol
+
+
+@pytest.mark.parametrize("n_steps", [65, 128, 512])
+def test_lattice_matches_direct_sum_for_each_step_count(n_steps):
+    # exact whenever every bin j < n_t lies below 2*n_steps
+    grid = TimeGrid(T, N_T)
+    spectrum = dense_time_field(grid).spectrum()
+    s = 0.5 * (1.0 - chebyshev_rule(5).y)
+    for fractions in (s, 1.0 - s):
+        h = T / n_steps
+        times = h * (np.arange(n_steps)[:, None] + fractions[None, :])
+        oracle = eval_cosine_series(spectrum, times.ravel()).reshape(
+            times.shape)
+        got = _CosineEval(spectrum).on_lattice(n_steps, fractions)
+        assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
+
+
+def direct_node_transform(node_values, traj, bins):
+    omegas = traj.grid.frequency_grid().nodes[bins]
+    times = step_node_times(traj.grid.T, traj.n_steps, traj.rule)
+    wg = traj.dt_step * traj.rule.w * node_values
+    return math.sqrt(2.0 / math.pi) * np.array(
+        [np.sum(wg * np.cos(w * times)) for w in omegas])
+
+
+@pytest.mark.parametrize("n_c", [5, 9])
+def test_node_cosine_transform_matches_direct_sum(n_c):
+    grid = TimeGrid(T, N_T)
+    system = build_level_system([1.0, 2.0], SX)
+    config = PropagatorConfig(steps=2 * (N_T - 1), rule=chebyshev_rule(n_c),
+                              zeta=1e-8)
+    traj = propagate_forward(system, None, [1.0, 0.0], config, grid=grid)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((traj.n_steps, n_c))
+    scale = traj.dt_step * np.abs(g).sum()
+
+    every = np.arange(N_T)
+    full = node_cosine_transform(g, traj)
+    assert full.grid == grid.frequency_grid()
+    assert np.abs(full.values - direct_node_transform(g, traj, every)).max() \
+        < 1e-13 * scale
+
+    bins = np.array([0, 4, 17, 64, 128])
+    part = node_cosine_transform(g, traj, bins)
+    assert np.abs(part.values[bins] - direct_node_transform(g, traj, bins)).max() \
+        < 1e-13 * scale
+    others = np.setdiff1d(every, bins)
+    assert np.all(part.values[others] == 0.0)
+
+
+def hg_setup():
+    system = build_level_system([1.0, 1.0 + 7 * math.pi / T], SX)
+    grid = TimeGrid(T, 65)
+    field = ControlField.from_spectrum(grid, np.r_[0.0, 0.0, 0.3,
+                                                   np.zeros(62)])
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    filt = make_filter(FilterSpec.rectangular(1.5, 2.5, 2.0),
+                       grid.frequency_grid())
+    return system, grid, field, psi0, filt
+
+
+def test_hg_source_node_rows_match_fraction_path():
+    system, grid, field, psi0, filt = hg_setup()
+    config = PropagatorConfig(steps=64, rule=chebyshev_rule(9), zeta=1e-10)
+    traj = propagate_forward(system, field, psi0, config)
+    src = HGSource(traj, hg_source_signal(traj, SX, filt), SX,
+                   p_f=np.diag([0.0, 0.5]))
+    for k in (0, 21, 63):
+        assert np.abs(src.step_values(k)
+                      - src.step_values(k, traj.s_nodes)).max() < 1e-13
+
+
+def test_bisected_hg_backward_matches_tight_run(monkeypatch):
+    system, grid, field, psi0, filt = hg_setup()
+    rule = chebyshev_rule(9)
+    chi_T = np.array([0.2, -0.4j])
+
+    def backward(steps, zeta, max_picard):
+        traj = propagate_forward(system, field, psi0, PropagatorConfig(
+            steps=steps, rule=rule, zeta=zeta))
+        src = HGSource(traj, hg_source_signal(traj, SX, filt), SX,
+                       p_f=np.diag([0.0, 0.5]))
+        return propagate_backward(system, field, src, chi_T, PropagatorConfig(
+            steps=steps, rule=rule, zeta=zeta, max_picard=max_picard))
+
+    stalls = []
+    picard = StepSolver.picard
+
+    def counting(self, *args):
+        out = picard(self, *args)
+        if out is None:
+            stalls.append(1)
+        return out
+
+    monkeypatch.setattr(StepSolver, "picard", counting)
+    bisected = backward(64, 1e-10, 10)
+    assert stalls, "max_picard=10 should force bisected steps"
+    stalls.clear()
+    tight = backward(512, 1e-12, 40)
+    assert not stalls
+    assert np.abs(bisected.boundary_states[::8]
+                  - tight.boundary_states[::64]).max() < 1e-7

@@ -440,3 +440,24 @@ def test_dispatcher_routes_and_validates():
     td = optimize(p, OptimizerConfig(method="degani", budget=1),
                   alpha_omega=np.full(p.grid.n_t, 0.1))
     assert td.method == "degani"
+
+
+def test_failed_last_iteration_counts_its_propagations(monkeypatch):
+    import specdrive.optimizers as optimizers
+
+    calls = []
+    for name in ("propagate_forward", "propagate_backward"):
+        original = getattr(optimizers, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, name, counted)
+    # forward, backward, then trials at K = 1 and K = 0.5 both lose
+    tr = optimize_relaxation(s2s_problem(alpha=1e-10),
+                             OptimizerConfig(k_floor=0.5))
+    assert tr.status == K_UNDERFLOW
+    assert len(calls) == 4
+    assert tr.propagations == 4
+    assert [row.propagations for row in tr.rows] == [1]
