@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import RealSignal, Spectrum, dct1, integrate_freq
-from .system import SpectralBasis, diagonalize
-
-_HERM_TOL = 1e-12
+from .system import _HERM_TOL, SpectralBasis, diagonalize
 
 
 def _as_basis(basis):

@@ -233,6 +233,15 @@ class _FieldEval:
         return _sample_interp(self._samples, self.grid,
                               h * (np.arange(n_steps)[:, None] + s[None, :]))
 
+    def steps(self, n_steps, s, backward):
+        """Execution step k -> (field at its nodes, evaluator for bisected
+        halves); a backward run executes the lattice from T down."""
+        if backward:  # T - h(k + s) = h((n_steps - 1 - k) + (1 - s))
+            f_all = self.on_lattice(n_steps, 1.0 - s)[::-1]
+        else:
+            f_all = self.on_lattice(n_steps, s)
+        return lambda k: (f_all[k], self)
+
 
 class StepSolver:
     """Per-step fixed-point solver on the internal Chebyshev nodes.
@@ -250,12 +259,19 @@ class StepSolver:
         self.max_halvings = max_halvings
 
     def picard(self, u0, f_vals, src, dt):
-        """Fixed-point iteration at this step's nodes; None if stalled."""
+        """Fixed-point iteration at this step's nodes; None if stalled.
+
+        f_vals is the field at the nodes, or a function of the node iterate
+        that gives it (an immediate update, recomputed every iterate).
+        """
         q = dt * self.rule.qmat
         u = np.repeat(u0[None, :], len(self.s), axis=0)
         end_prev = u0
         h_apply = self.system.h_apply
+        update = f_vals if callable(f_vals) else None
         for _ in range(self.max_picard):
+            if update is not None:
+                f_vals = update(u)
             rhs = h_apply(u, f_vals)
             rhs *= -1j
             if src is not None:
@@ -275,7 +291,9 @@ class StepSolver:
     def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
               src_vals=None, depth=0):
         """f_vals/src_vals, when given, are the field and source at this
-        step's own nodes; f_eval and src_frac serve bisected halves."""
+        step's own nodes; f_eval and src_frac serve bisected halves.  The
+        field may be a function of the node iterate (see picard), and so
+        may what f_eval returns."""
         if f_vals is None:
             f_vals = f_eval(t0 + dt * self.s)
         if src_vals is None and src_frac is not None:
@@ -389,53 +407,103 @@ def _should_store(config, n_steps, n_c, dim):
     return n_steps * n_c * dim * 16 < _NODE_STORAGE_CAP
 
 
-def _run(system, f_eval, u_init, t_init, dt, n_steps, config, source_for_step,
-         observables, store, guard_norm):
-    """Shared stepping loop; arrays come back in execution order.
+def _run(system, field, u_init, grid, config, backward=False, source=None,
+         observables=None, guard_norm=True):
+    """The stepping loop of every propagation; returns its Trajectory.
 
-    A forward run starts at t_init = 0, a backward one at t_init = T, so
-    execution step k covers forward step k or n_steps - 1 - k of the same
-    node lattice.  source_for_step(k) gives (values at the step's nodes,
-    fraction function for bisected halves).
+    field.steps() gives, for execution step k, the field at the step's
+    nodes (values, or a function of the node iterate for an immediate
+    update) and an evaluator for bisected halves.  A forward run starts at
+    0; a backward one starts at T and carries the source, so execution step
+    k covers forward step n_steps - 1 - k of the same node lattice, and the
+    arrays are filled from the end to keep absolute-time order.
+    observables are recorded on forward runs only.
     """
+    m, n_steps = _steps_for(config, grid)
     rule = config.rule
     zeta_step = max(config.zeta / n_steps, 100.0 * _EPS)
     solver = StepSolver(system, rule, zeta_step, config.max_picard,
                         config.max_halvings)
-    dim = len(u_init)
-    n_c = rule.n_c
-    if dt > 0:
-        f_all = f_eval.on_lattice(n_steps, solver.s)
-    else:  # T - h(k + s) = h((n_steps - 1 - k) + (1 - s))
-        f_all = f_eval.on_lattice(n_steps, 1.0 - solver.s)[::-1]
+    dim, n_c = len(u_init), rule.n_c
+    h = grid.T / n_steps
+    dt, t_init = (-h, grid.T) if backward else (h, 0.0)
+    step_field = field.steps(n_steps, solver.s, backward)
+    own_nodes = isinstance(source, _ForwardSource)
+
+    def step_source(k):
+        if source is None:
+            return None, None
+        i = n_steps - 1 - k
+
+        def frac(s):
+            return -source.step_values(i, 1.0 - np.asarray(s))
+
+        # the backward step's nodes are the forward step's nodes reversed
+        vals = -source.step_values(i)[::-1] if own_nodes else None
+        return vals, frac
+
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
-    nodes_out = np.empty((n_steps, n_c, dim), dtype=complex) if store else None
+    f_nodes = np.empty((n_steps, n_c))
+    store = _should_store(config, n_steps, n_c, dim)
+    node_states = np.empty((n_steps, n_c, dim), dtype=complex) if store else None
     obs_maps = {name: state_map(op) for name, op in (observables or {}).items()}
     obs_out = {name: np.empty((n_steps, n_c)) for name in obs_maps}
+    # execution-order views of the absolute-order arrays
+    ex = slice(None, None, -1) if backward else slice(None)
+    b_x, norms_x, f_x = boundaries[ex], norms[ex], f_nodes[ex, ex]
+    nodes_x = node_states[ex, ex] if store else None
 
     u = np.array(u_init, dtype=complex)
-    boundaries[0] = u
+    b_x[0] = u
     ref = float(np.linalg.norm(u))
-    norms[0] = ref
+    norms_x[0] = ref
     guard = guard_norm and ref > 0.0
-    for k in range(n_steps):
-        src_vals, src_frac = (source_for_step(k) if source_for_step is not None
-                              else (None, None))
-        nodes = solver.solve(u, t_init + dt * k, dt, f_eval, src_frac,
-                             f_vals=f_all[k], src_vals=src_vals)
-        boundaries[k + 1] = nodes[-1]
-        u = boundaries[k + 1]
-        nn = float(np.linalg.norm(u))
-        norms[k + 1] = nn
-        if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
-            raise InstabilityError(
-                f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
-        if store:
-            nodes_out[k] = nodes
-        for name, amap in obs_maps.items():
-            obs_out[name][k] = _block_expectation(nodes, amap)
-    return boundaries, norms, f_all, nodes_out, obs_out, solver
+    # a diverging iterate overflows the norm; picard's finiteness test
+    # rejects the step, so the overflow itself needs no warning
+    with np.errstate(over="ignore"):
+        for k in range(n_steps):
+            f_vals, f_at = step_field(k)
+            src_vals, src_frac = step_source(k)
+            nodes = solver.solve(u, t_init + dt * k, dt, f_at, src_frac,
+                                 f_vals=f_vals, src_vals=src_vals)
+            f_x[k] = f_vals(nodes) if callable(f_vals) else f_vals
+            b_x[k + 1] = nodes[-1]
+            u = b_x[k + 1]
+            nn = float(np.linalg.norm(u))
+            norms_x[k + 1] = nn
+            if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
+                raise InstabilityError(
+                    f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
+            if store:
+                nodes_x[k] = nodes
+            for name, amap in obs_maps.items():
+                obs_out[name][k] = _block_expectation(nodes, amap)
+
+    # a step is re-solved with the field values it settled on; an immediate
+    # update's halves interpolate them, so its partner need not be kept
+    f_half = None if callable(f_vals) else field
+
+    def regen(k):
+        kx = n_steps - 1 - k if backward else k
+        t0, vals = t_init + dt * kx, f_x[kx]
+        f_at = f_half if f_half is not None else (
+            lambda t: _barycentric_interp(
+                solver.s, vals, (np.asarray(t, dtype=float) - t0) / dt))
+        src_vals, src_frac = step_source(kx)
+        out = solver.solve(b_x[kx], t0, dt, f_at, src_frac, f_vals=vals,
+                           src_vals=src_vals)
+        return out[::-1] if backward else out
+
+    return Trajectory(grid, rule, m, boundaries, norms, f_nodes, node_states,
+                      obs_out, regen)
+
+
+def _grid_for(f_eval, grid):
+    grid = f_eval.grid if f_eval.grid is not None else grid
+    if grid is None:
+        raise ValueError("no time grid: pass grid= or a grid-carrying field")
+    return grid
 
 
 def propagate_forward(system, field, psi0, config, grid=None, observables=None,
@@ -448,25 +516,12 @@ def propagate_forward(system, field, psi0, config, grid=None, observables=None,
     recorded during the run (kept on trajectory.observations).
     """
     f_eval = _FieldEval(field, grid)
-    grid = f_eval.grid if f_eval.grid is not None else grid
-    if grid is None:
-        raise ValueError("no time grid: pass grid= or a grid-carrying field")
-    m, n_steps = _steps_for(config, grid)
+    grid = _grid_for(f_eval, grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (system.dim,):
         raise ValueError("initial state does not match the system dimension")
-    store = _should_store(config, n_steps, config.rule.n_c, system.dim)
-    h = grid.T / n_steps
-    boundaries, norms, f_all, nodes, obs, solver = _run(
-        system, f_eval, psi0, 0.0, h, n_steps, config, None, observables,
-        store, guard_norm)
-
-    def regen(k):
-        return solver.solve(boundaries[k], k * h, h, f_eval, None,
-                            f_vals=f_all[k])
-
-    return Trajectory(grid, config.rule, m, boundaries, norms, f_all,
-                      nodes, obs, regen)
+    return _run(system, f_eval, psi0, grid, config, observables=observables,
+                guard_norm=guard_norm)
 
 
 def propagate_backward(system, field, source, chi_T, config, grid=None,
@@ -480,47 +535,12 @@ def propagate_backward(system, field, source, chi_T, config, grid=None,
     returned trajectory is stored in absolute-time order like a forward one.
     """
     f_eval = _FieldEval(field, grid)
-    grid = f_eval.grid if f_eval.grid is not None else grid
-    if grid is None:
-        raise ValueError("no time grid: pass grid= or a grid-carrying field")
-    m, n_steps = _steps_for(config, grid)
+    grid = _grid_for(f_eval, grid)
     chi_T = np.asarray(chi_T, dtype=complex)
     if chi_T.shape != (system.dim,):
         raise ValueError("terminal state does not match the system dimension")
-    store = _should_store(config, n_steps, config.rule.n_c, system.dim)
-    h = grid.T / n_steps
-
-    own_nodes = isinstance(source, _ForwardSource)
-
-    def source_for_step(k_exec):
-        if source is None:
-            return None, None
-        i = n_steps - 1 - k_exec
-
-        def frac(s):
-            return -source.step_values(i, 1.0 - np.asarray(s))
-
-        # the backward step's nodes are the forward step's nodes reversed
-        vals = -source.step_values(i)[::-1] if own_nodes else None
-        return vals, frac
-
-    boundaries, norms, f_all, nodes, obs, solver = _run(
-        system, f_eval, chi_T, grid.T, -h, n_steps, config, source_for_step,
-        None, store, guard_norm and source is None)
-
-    fw_boundaries = boundaries[::-1].copy()
-    fw_norms = norms[::-1].copy()
-    fw_f = f_all[::-1, ::-1].copy()
-    fw_nodes = nodes[::-1, ::-1, :].copy() if store else None
-
-    def regen(k):
-        src_vals, src_frac = source_for_step(n_steps - 1 - k)
-        out = solver.solve(fw_boundaries[k + 1], (k + 1) * h, -h, f_eval,
-                           src_frac, f_vals=fw_f[k][::-1], src_vals=src_vals)
-        return out[::-1]
-
-    return Trajectory(grid, config.rule, m, fw_boundaries, fw_norms, fw_f,
-                      fw_nodes, None, regen)
+    return _run(system, f_eval, chi_T, grid, config, backward=True,
+                source=source, guard_norm=guard_norm and source is None)
 
 
 ExpectationSignal = namedtuple("ExpectationSignal", "signal nodes")

@@ -16,10 +16,10 @@ from .spectral import (
     integrate_freq, integrate_time, make_filter,
 )
 from .system import (
-    StateRestriction, apply_mu, commutator_H0_O, dense_target, diagonalize,
-    projectors,
+    GridSystem, StateRestriction, apply_mu, commutator_H0_O, dense_target,
+    diagonalize, projectors,
 )
-from .dynamics import state_map
+from .dynamics import _grid_expectation, _sample_interp, state_map
 
 OBS_TARGET = "target"        # <O_a> recorded at internal nodes
 OBS_FORBIDDEN = "forbidden"  # <P_f^gamma> recorded at internal nodes
@@ -162,14 +162,6 @@ def _as_hermitian_operator(op):
     return arr
 
 
-def _grid_expect(traj, op):
-    states = traj.grid_states()
-    out = state_map(op)(states)
-    if out.shape != states.shape:
-        raise ValueError("operator/state dimension mismatch")
-    return np.real(np.einsum("ij,ij->i", states.conj(), out))
-
-
 def _node_expect(traj, op, obs_key=None):
     if obs_key is not None and obs_key in traj.observations:
         return traj.observations[obs_key]
@@ -188,7 +180,7 @@ def j_max_spectral(traj, o_a, f_o):
     """Half the filter-weighted power of the transformed <O_a>(t)."""
     if (f_o.values < 0).any():
         raise ValueError("spectral target filter must be nonnegative")
-    sig = RealSignal(traj.grid, _grid_expect(traj, o_a))
+    sig = RealSignal(traj.grid, _grid_expectation(traj, state_map(o_a)))
     bar = dct1(sig)
     power = Spectrum(bar.grid, bar.values * bar.values)
     return 0.5 * integrate_freq(power, f_o)
@@ -209,7 +201,6 @@ def j_max_td(traj, weight, op_of_t):
     else:
         vals = _node_expect(traj, _as_hermitian_operator(op_of_t), OBS_TARGET)
     times = (np.arange(traj.n_steps)[:, None] + s[None, :]) * h
-    from .dynamics import _sample_interp
     wvals = _sample_interp(weight.values, weight.grid, times)
     return integrate_time(wvals * vals, rule, h)
 
@@ -421,7 +412,6 @@ class EvalContext:
 def prepare_context(system, grid, config):
     """Resolve the config against a system: projected operators, sampled
     filters, and the commutator needed for the boundary term."""
-    from .system import GridSystem
     o_full = system.target if isinstance(system, GridSystem) else dense_target(system)
     if config.restriction is not None:
         basis = diagonalize(system)

@@ -17,9 +17,11 @@ The schemes differ in the update rule:
                   spectral projection of each updated field
 * degani       -- immediate update against a time-domain penalty kernel
 
-All runs produce an OptimizationTrace whose rows carry the functional
-breakdown, the mixing parameter, the cumulative propagation count and the
-relative field change, so convergence curves can be reconstructed exactly.
+Every scheme but degani is a step function run by one shared loop,
+_drive.  All runs produce an OptimizationTrace whose rows carry the
+functional breakdown, the mixing parameter, the cumulative propagation
+count and the relative field change, so convergence curves can be
+reconstructed exactly.
 """
 
 import math
@@ -27,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import RealSignal, Spectrum, dct1, endpoint_factors
+from .spectral import (
+    FilterSpec, RealSignal, Spectrum, dct1, endpoint_factors, make_filter,
+)
 from .system import apply_mu
 from .dynamics import (
     InstabilityError,
     PropagationError,
     StepSolver,
-    Trajectory,
     HGSource,
     TDTargetSource,
     default_propagator_config,
@@ -44,8 +47,8 @@ from .dynamics import (
     hg_source_signal,
     _EPS,
     _barycentric_interp,
+    _run,
     _sample_interp,
-    _should_store,
     _steps_for,
 )
 from .functionals import (
@@ -268,12 +271,6 @@ def _chi_setup(ctx, traj):
     return chi_t, TDTargetSource(cfg.weight, cfg.op_of_t, traj)
 
 
-def _forward_eval(problem, ctx, prop, field):
-    traj = propagate_forward(problem.system, field, problem.psi0, prop,
-                             grid=problem.grid, observables=ctx.observables)
-    return traj, evaluate(ctx, traj, field)
-
-
 def _el_field(ctx, traj, chi_traj):
     if ctx.config.formulation == "frequency":
         return field_from_el_freq(ctx.system, traj, chi_traj, ctx.f_eps)
@@ -286,89 +283,134 @@ def _emit(rows, on_row, row):
         on_row(row)
 
 
-def _finish(method, status, rows, field, traj, breakdown, props):
-    return OptimizationTrace(method, status, rows, field, traj, breakdown,
-                             props)
-
-
 # ---------------------------------------------------------------------------
-# naive replacement and relaxation
+# the loop every scheme but the kernel one runs
 
 
-def _relaxation_engine(problem, config, on_row, method, accept):
-    ctx = prepare_context(problem.system, problem.grid, problem.functional)
-    formulation = ctx.config.formulation
-    prop = problem.propagator_for(config)
-    field = problem.guess
-    rows = []
-    # the naive scheme replaces the field outright, i.e. mixes with K = 1
-    k = 1.0 if not accept else config.k_init
+class _Run:
+    """What one run shares with its step function: the resolved functional,
+    the propagator, and the count of propagations started (a propagation
+    that fails still counts)."""
+
+    def __init__(self, problem, config):
+        self.problem = problem
+        self.ctx = prepare_context(problem.system, problem.grid,
+                                   problem.functional)
+        self.prop = problem.propagator_for(config)
+        self.propagations = 0
+
+    def forward(self, field):
+        """Trajectory of psi0 under field and the functional it scores."""
+        p = self.problem
+        self.propagations += 1
+        traj = propagate_forward(p.system, field, p.psi0, self.prop,
+                                 grid=p.grid, observables=self.ctx.observables)
+        return traj, evaluate(self.ctx, traj, field)
+
+    def backward(self, field, traj):
+        """Costate of the forward trajectory traj under field."""
+        p = self.problem
+        chi_t, source = _chi_setup(self.ctx, traj)
+        self.propagations += 1
+        return propagate_backward(p.system, field, source, chi_t, self.prop,
+                                  grid=p.grid)
+
+    def sweep(self, *args, **kwargs):
+        """One immediate-update sweep (see _immediate_sweep)."""
+        self.propagations += 1
+        return _immediate_sweep(*args, **kwargs)
+
+
+def _drive(problem, config, on_row, method, make_step, k0=1.0,
+           keep_best=False):
+    """Run one scheme to convergence, budget or failure.
+
+    make_step(run, config) builds the scheme's step function once per run;
+    step(field, traj, breakdown) returns the accepted (field, trajectory,
+    breakdown, K) or a terminal status (CONVERGED, K_UNDERFLOW).  A failed
+    propagation ends the run as INSTABILITY.  Row 0 echoes the guess with
+    K = k0; keep_best hands back the best iterate instead of the last.
+    """
+    run = _Run(problem, config)
+    step = make_step(run, config)
+    formulation = run.ctx.config.formulation
+    field, rows = problem.guess, []
     try:
-        traj, br = _forward_eval(problem, ctx, prop, field)
+        traj, br = run.forward(field)
     except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None, 1)
-    props = 1
-    _emit(rows, on_row, TraceRow(0, br, k, props, math.nan))
+        return OptimizationTrace(method, INSTABILITY, rows, field, None, None,
+                                 run.propagations)
+    _emit(rows, on_row, TraceRow(0, br, k0, run.propagations, math.nan))
+    best = (field, traj, br) if keep_best else None
 
     limit = config.budget if config.budget is not None else config.max_iterations
     status = BUDGET_EXHAUSTED
     for it in range(1, limit + 1):
         try:
-            chi_t, source = _chi_setup(ctx, traj)
-            chi_traj = propagate_backward(problem.system, field, source,
-                                          chi_t, prop, grid=problem.grid)
+            out = step(field, traj, br)
         except (InstabilityError, PropagationError):
-            props += 1
             status = INSTABILITY
             break
-        props += 1
-        el = _el_field(ctx, traj, chi_traj)
-
-        if not accept:
-            trial = el
-            props += 1
-            try:
-                traj_t, br_t = _forward_eval(problem, ctx, prop, trial)
-            except (InstabilityError, PropagationError):
-                status = INSTABILITY
-                break
-        else:
-            stationary = False
-            while True:
-                trial = el.blended_with(field, k)
-                props += 1
-                try:
-                    traj_t, br_t = _forward_eval(problem, ctx, prop, trial)
-                    j_t = br_t.j
-                except (InstabilityError, PropagationError):
-                    traj_t, br_t, j_t = None, None, -math.inf
-                if j_t > br.j:
-                    break
-                # a rejected step that moves nothing and loses nothing
-                # means the field already solves its own update equation
-                if (math.isfinite(j_t)
-                        and j_t >= br.j - 1e-12 * max(1.0, abs(br.j))
-                        and convergence_check(field, trial, formulation,
-                                              config.tau)):
-                    stationary = True
-                    break
-                k *= 0.5
-                if k < config.k_floor:
-                    return _finish(method, K_UNDERFLOW, rows, field, traj, br,
-                                   props)
-            if stationary:
-                status = CONVERGED
-                break
-
+        if isinstance(out, str):
+            status = out
+            break
+        trial, traj_t, br_t, k = out
         change = _rel_change(field, trial, formulation)
-        _emit(rows, on_row, TraceRow(it, br_t, k, props, change))
+        _emit(rows, on_row, TraceRow(it, br_t, k, run.propagations, change))
+        if keep_best and br_t.j > best[2].j:
+            best = (trial, traj_t, br_t)
         prev = field
         field, traj, br = trial, traj_t, br_t
         if config.budget is None and convergence_check(prev, field,
                                                        formulation, config.tau):
             status = CONVERGED
             break
-    return _finish(method, status, rows, field, traj, br, props)
+    if keep_best:
+        field, traj, br = best
+    return OptimizationTrace(method, status, rows, field, traj, br,
+                             run.propagations)
+
+
+# ---------------------------------------------------------------------------
+# naive replacement and relaxation
+
+
+def _naive_step(run, config):
+    def step(field, traj, br):
+        el = _el_field(run.ctx, traj, run.backward(field, traj))
+        return (el, *run.forward(el), 1.0)
+
+    return step
+
+
+def _relaxation_step(run, config):
+    formulation = run.ctx.config.formulation
+    k = config.k_init
+
+    def step(field, traj, br):
+        nonlocal k
+        el = _el_field(run.ctx, traj, run.backward(field, traj))
+        while True:
+            trial = el.blended_with(field, k)
+            try:
+                traj_t, br_t = run.forward(trial)
+                j_t = br_t.j
+            except (InstabilityError, PropagationError):
+                traj_t, br_t, j_t = None, None, -math.inf
+            if j_t > br.j:
+                return trial, traj_t, br_t, k
+            # a rejected step that moves nothing and loses nothing
+            # means the field already solves its own update equation
+            if (math.isfinite(j_t)
+                    and j_t >= br.j - 1e-12 * max(1.0, abs(br.j))
+                    and convergence_check(field, trial, formulation,
+                                          config.tau)):
+                return CONVERGED
+            k *= 0.5
+            if k < config.k_floor:
+                return K_UNDERFLOW
+
+    return step
 
 
 def optimize_naive(problem, config=None, on_row=None):
@@ -379,7 +421,7 @@ def optimize_naive(problem, config=None, on_row=None):
     as a budget-exhausted or instability status, not an exception.
     """
     config = config or OptimizerConfig(method="naive")
-    return _relaxation_engine(problem, config, on_row, "naive", accept=False)
+    return _drive(problem, config, on_row, "naive", _naive_step)
 
 
 def optimize_relaxation(problem, config=None, on_row=None):
@@ -390,8 +432,8 @@ def optimize_relaxation(problem, config=None, on_row=None):
     never raised again.
     """
     config = config or OptimizerConfig(method="relaxation")
-    return _relaxation_engine(problem, config, on_row, "relaxation",
-                              accept=True)
+    return _drive(problem, config, on_row, "relaxation", _relaxation_step,
+                  k0=config.k_init)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +441,13 @@ def optimize_relaxation(problem, config=None, on_row=None):
 
 
 def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
-    """Penalty weight at the internal node times: (array, None) for sampled
-    alpha, (None, scalar) for a constant."""
+    """Penalty weight as (alpha, alpha at the internal node times): two
+    floats for a constant, the samples and an (n_steps, n_c) array else."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:
         if not a > 0.0:
             raise ValueError("alpha must be positive")
-        return None, float(a)
+        return float(a), float(a)
     if a.shape != (grid.n_t,):
         raise ValueError("alpha samples do not match the grid")
     if not np.all(a > 0.0):
@@ -413,133 +455,64 @@ def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
     h = grid.T / n_steps
     times = ((np.arange(n_steps)[:, None] + s_nodes[None, :]) * h).ravel()
     vals = _sample_interp(a, grid, times).reshape(n_steps, len(s_nodes))
-    return vals, None
+    return a, vals
 
 
-def _immediate_sweep(system, grid, prop, u_start, partner_mu, direction,
-                     alpha_nodes, alpha_scalar, source=None, guard=True):
+def _node_update(sign, mu_partner, alpha):
+    """The field sign * Im<u|mu|partner>/alpha at each node of the iterate u."""
+    return lambda u: sign * np.einsum(
+        "ij,ij->i", u.conj(), mu_partner).imag / alpha
+
+
+class _ImmediateField:
+    """Krotov's field for _run: recomputed at every node from the iterate u
+    of the step being solved, eps = sign * Im<u|mu|partner>/alpha, where u
+    is the state (sign +1) or the costate (sign -1) and the partner, the
+    other one, is read off its trajectory."""
+
+    def __init__(self, system, partner, sign, alpha):
+        self.system = system
+        self.partner = partner
+        self.sign = sign
+        self.alpha, self.alpha_nodes = alpha
+
+    def steps(self, n_steps, s, backward):
+        partner, sign, alpha = self.partner, self.sign, self.alpha
+        grid = partner.grid
+        h = grid.T / n_steps
+        scalar = isinstance(alpha, float)
+
+        def step(k):
+            i = n_steps - 1 - k if backward else k
+            mu_nodes = apply_mu(self.system, partner.step_nodes(i))
+            a = self.alpha_nodes if scalar else self.alpha_nodes[i]
+
+            def halves(t):
+                t = np.asarray(t, dtype=float)
+                mu_t = _barycentric_interp(s, mu_nodes, (t - i * h) / h)
+                a_t = alpha if scalar else _sample_interp(alpha, grid, t)
+                return _node_update(sign, mu_t, a_t)
+
+            if backward:
+                return _node_update(sign, mu_nodes[::-1],
+                                    a if scalar else a[::-1]), halves
+            return _node_update(sign, mu_nodes, a), halves
+
+        return step
+
+
+def _immediate_sweep(system, grid, prop, u_start, partner, direction, alpha,
+                     source=None):
     """Propagate u while the field is recomputed at every node.
 
-    partner_mu(i) supplies the dipole-applied partner states for forward
-    step i in absolute order; the field at each node is
-    -Im<chi|mu|psi>/alpha with u playing whichever role the direction
-    dictates (+1: u is psi, -1: u is chi).  Returns (Trajectory, eps_nodes)
-    in absolute order.
+    direction +1 runs the state forward against the costate trajectory
+    partner, -1 the costate backward (with the source) against the state.
+    alpha is _alpha_at_nodes' pair.  The field the sweep settled on is the
+    returned trajectory's field_nodes.
     """
-    m, n_steps = _steps_for(prop, grid)
-    rule = prop.rule
-    n_c = rule.n_c
-    s_nodes = 0.5 * (1.0 - rule.y)
-    h = grid.T / n_steps
-    zeta_step = max(prop.zeta / n_steps, 100.0 * _EPS)
-    dt = direction * h
-    q = dt * rule.qmat
-    dim = len(u_start)
-    store = _should_store(prop, n_steps, n_c, dim)
-    boundaries = np.empty((n_steps + 1, dim), dtype=complex)
-    norms = np.empty(n_steps + 1)
-    eps_nodes = np.empty((n_steps, n_c))
-    nodes_out = np.empty((n_steps, n_c, dim), dtype=complex) if store else None
-    h_apply = system.h_apply
-    f_sign = float(direction)
-
-    u = np.array(u_start, dtype=complex)
-    ref = float(np.linalg.norm(u))
-    guard = guard and ref > 0.0
-    if direction > 0:
-        boundaries[0] = u
-        norms[0] = ref
-    else:
-        boundaries[n_steps] = u
-        norms[n_steps] = ref
-
-    for k in range(n_steps):
-        i = k if direction > 0 else n_steps - 1 - k
-        mu_part = partner_mu(i)
-        a_nodes = alpha_scalar if alpha_nodes is None else alpha_nodes[i]
-        if direction < 0:
-            mu_part = mu_part[::-1]
-            if alpha_nodes is not None:
-                a_nodes = a_nodes[::-1]
-        src = None
-        if source is not None and direction < 0:
-            src = -source.step_values(i)[::-1]
-
-        u0 = u
-        un = np.repeat(u0[None, :], n_c, axis=0)
-        end_prev = u0
-        ok = False
-        for _ in range(prop.max_picard):
-            f_vals = f_sign * np.einsum(
-                "ij,ij->i", un.conj(), mu_part).imag / a_nodes
-            rhs = h_apply(un, f_vals)
-            rhs *= -1j
-            if src is not None:
-                rhs += src
-            un = q @ rhs
-            un += u0
-            end = un[-1]
-            delta = float(np.linalg.norm(end - end_prev))
-            end_prev = end
-            if not math.isfinite(delta):
-                break
-            if delta <= zeta_step * max(float(np.linalg.norm(end)), 1e-300):
-                ok = True
-                break
-        if not ok:
-            raise PropagationError(
-                f"immediate-update step at t={i * h:.6g} stalled")
-        f_vals = f_sign * np.einsum(
-            "ij,ij->i", un.conj(), mu_part).imag / a_nodes
-        u = un[-1]
-        nn = float(np.linalg.norm(u))
-        if guard and abs(nn - ref) > 1e3 * prop.zeta * ref:
-            raise InstabilityError(
-                f"norm drifted to {nn:.6g} during the immediate sweep")
-        if direction > 0:
-            boundaries[i + 1] = u
-            norms[i + 1] = nn
-            eps_nodes[i] = f_vals
-            if store:
-                nodes_out[i] = un
-        else:
-            boundaries[i] = u
-            norms[i] = nn
-            eps_nodes[i] = f_vals[::-1]
-            if store:
-                nodes_out[i] = un[::-1]
-
-    solver = StepSolver(system, rule, zeta_step, prop.max_picard,
-                        prop.max_halvings)
-
-    def make_f_eval(kk):
-        fv = eps_nodes[kk]
-
-        def f_eval(t):
-            s = (np.asarray(t, dtype=float) - kk * h) / h
-            return _barycentric_interp(s_nodes, fv, s)
-
-        return f_eval
-
-    if direction > 0:
-        def regen(kk):
-            return solver.solve(boundaries[kk], kk * h, h, make_f_eval(kk),
-                                None, f_vals=eps_nodes[kk])
-    else:
-        def regen(kk):
-            src_frac = src_vals = None
-            if source is not None:
-                src_frac = lambda s: -source.step_values(
-                    kk, 1.0 - np.asarray(s))
-                src_vals = -source.step_values(kk)[::-1]
-            out = solver.solve(boundaries[kk + 1], (kk + 1) * h, -h,
-                               make_f_eval(kk), src_frac,
-                               f_vals=eps_nodes[kk][::-1], src_vals=src_vals)
-            return out[::-1]
-
-    traj = Trajectory(grid, rule, m, boundaries, norms, eps_nodes,
-                      nodes_out, None, regen)
-    return traj, eps_nodes
+    field = _ImmediateField(system, partner, float(direction), alpha)
+    return _run(system, field, u_start, grid, prop, backward=direction < 0,
+                source=source, guard_norm=source is None)
 
 
 def _node_grid_samples(eps_nodes, m, n_t):
@@ -549,8 +522,8 @@ def _node_grid_samples(eps_nodes, m, n_t):
     return out
 
 
-def _krotov_engine(problem, config, on_row, method, filt_values):
-    ctx = prepare_context(problem.system, problem.grid, problem.functional)
+def _krotov_step(run, config, filt_values=None):
+    ctx = run.ctx
     cfg = ctx.config
     if cfg.formulation != "time":
         raise ValueError("immediate-update schemes need the time-domain "
@@ -559,92 +532,28 @@ def _krotov_engine(problem, config, on_row, method, filt_values):
     if cfg.target == "spectral":
         raise ValueError("immediate-update schemes support final-time and "
                          "time-dependent targets only")
-    grid = problem.grid
-    prop = problem.propagator_for(config)
+    system, grid, prop = run.problem.system, run.problem.grid, run.prop
     m, n_steps = _steps_for(prop, grid)
-    s_nodes = 0.5 * (1.0 - prop.rule.y)
-    alpha_nodes, alpha_scalar = _alpha_at_nodes(cfg.alpha, grid, n_steps,
-                                                s_nodes)
-    system = problem.system
+    alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps,
+                            0.5 * (1.0 - prop.rule.y))
 
-    field = problem.guess
-    rows = []
-    try:
-        traj, br = _forward_eval(problem, ctx, prop, field)
-    except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None, 1)
-    props = 1
-    _emit(rows, on_row, TraceRow(0, br, 1.0, props, math.nan))
-    best = (br.j, field, traj, br)
-
-    limit = config.budget if config.budget is not None else config.max_iterations
-    status = BUDGET_EXHAUSTED
-    for it in range(1, limit + 1):
+    def step(field, traj, br):
         chi_t, source = _chi_setup(ctx, traj)
-        psi_ref = traj
-
-        def psi_mu(i):
-            return apply_mu(system, psi_ref.step_nodes(i))
-
-        try:
-            chi_traj, _ = _immediate_sweep(
-                system, grid, prop, chi_t, psi_mu, -1, alpha_nodes,
-                alpha_scalar, source=source, guard=source is None)
-        except (InstabilityError, PropagationError):
-            props += 1
-            status = INSTABILITY
-            break
-        props += 1
-
-        chi_ref = chi_traj
-
-        def chi_mu(i):
-            return apply_mu(system, chi_ref.step_nodes(i))
-
-        try:
-            traj_t, new_nodes = _immediate_sweep(
-                system, grid, prop, problem.psi0, chi_mu, +1,
-                alpha_nodes, alpha_scalar)
-        except (InstabilityError, PropagationError):
-            props += 1
-            status = INSTABILITY
-            break
-        props += 1
-        samples = _node_grid_samples(new_nodes, m, grid.n_t)
-
+        chi_traj = run.sweep(system, grid, prop, chi_t, traj, -1, alpha,
+                             source=source)
+        traj_t = run.sweep(system, grid, prop, run.problem.psi0, chi_traj,
+                           +1, alpha)
+        samples = _node_grid_samples(traj_t.field_nodes, m, grid.n_t)
         if filt_values is None:
             new_field = ControlField.from_time(grid, samples)
-            br_t = evaluate(ctx, traj_t, new_field)
-        else:
-            # project the updated field onto the filter, then re-propagate
-            # plainly: the swept trajectory belongs to the unfiltered field
-            bar = dct1(RealSignal(grid, samples))
-            new_field = ControlField.from_spectrum(
-                grid, filt_values * bar.values)
-            try:
-                traj_t, br_t = _forward_eval(problem, ctx, prop, new_field)
-            except (InstabilityError, PropagationError):
-                props += 1
-                status = INSTABILITY
-                break
-            props += 1
-        change = _rel_change(field, new_field, "time")
-        _emit(rows, on_row, TraceRow(it, br_t, 1.0, props, change))
-        if br_t.j > best[0]:
-            best = (br_t.j, new_field, traj_t, br_t)
-        prev = field
-        field, traj, br = new_field, traj_t, br_t
-        if config.budget is None and convergence_check(prev, field, "time",
-                                                       config.tau):
-            status = CONVERGED
-            break
+            return new_field, traj_t, evaluate(ctx, traj_t, new_field), 1.0
+        # project the updated field onto the filter, then re-propagate
+        # plainly: the swept trajectory belongs to the unfiltered field
+        bar = dct1(RealSignal(grid, samples))
+        new_field = ControlField.from_spectrum(grid, filt_values * bar.values)
+        return (new_field, *run.forward(new_field), 1.0)
 
-    if filt_values is not None:
-        # spectral projection breaks the monotonicity guarantee; hand back
-        # the best iterate seen rather than the last one
-        return _finish(method, status, rows, best[1], best[2], best[3],
-                       props)
-    return _finish(method, status, rows, field, traj, br, props)
+    return step
 
 
 def optimize_krotov(problem, config=None, on_row=None):
@@ -654,7 +563,7 @@ def optimize_krotov(problem, config=None, on_row=None):
     Monotonic in exact arithmetic for final-time and time-dependent targets.
     """
     config = config or OptimizerConfig(method="krotov")
-    return _krotov_engine(problem, config, on_row, "krotov", None)
+    return _drive(problem, config, on_row, "krotov", _krotov_step)
 
 
 def optimize_krotov_filtered(problem, filt, config=None, on_row=None):
@@ -665,14 +574,13 @@ def optimize_krotov_filtered(problem, filt, config=None, on_row=None):
     FilterSpec or a sampled filter on the problem's frequency grid.
     """
     config = config or OptimizerConfig(method="krotov-filtered")
-    fgrid = problem.grid.frequency_grid()
-    filt_values = _filter_values(filt, fgrid)
-    return _krotov_engine(problem, config, on_row, "krotov-filtered",
-                          filt_values)
+    filt_values = _filter_values(filt, problem.grid.frequency_grid())
+    return _drive(problem, config, on_row, "krotov-filtered",
+                  lambda run, cfg: _krotov_step(run, cfg, filt_values),
+                  keep_best=True)
 
 
 def _filter_values(filt, fgrid):
-    from .spectral import FilterSpec, make_filter
     if isinstance(filt, FilterSpec):
         return make_filter(filt, fgrid).values
     if isinstance(filt, Spectrum):
@@ -781,8 +689,9 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
     try:
         traj = propagate_forward(system, eps, problem.psi0, prop, grid=grid)
     except (InstabilityError, PropagationError):
-        return _finish("degani", INSTABILITY, rows,
-                       ControlField.from_time(grid, eps), None, None, 1)
+        return OptimizationTrace("degani", INSTABILITY, rows,
+                                 ControlField.from_time(grid, eps), None,
+                                 None, 1)
     props = 1
     br = breakdown_for(traj.final_state, eps)
     _emit(rows, on_row, TraceRow(0, br, 1.0, props, math.nan))
@@ -867,8 +776,9 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
         traj = propagate_forward(system, field, problem.psi0, prop, grid=grid)
         br = breakdown_for(traj.final_state, eps)
     except (InstabilityError, PropagationError):
-        return _finish("degani", INSTABILITY, rows, field, None, br, props)
-    return _finish("degani", status, rows, field, traj, br, props)
+        return OptimizationTrace("degani", INSTABILITY, rows, field, None,
+                                 br, props)
+    return OptimizationTrace("degani", status, rows, field, traj, br, props)
 
 
 # ---------------------------------------------------------------------------
@@ -930,21 +840,17 @@ def _line_search(probe, j0, k_seed, k_cap, k_floor, n_refine):
 class _ProbeCache:
     """Evaluates trial fields once per K and remembers the best."""
 
-    def __init__(self, problem, ctx, prop, make_field):
-        self.problem = problem
-        self.ctx = ctx
-        self.prop = prop
+    def __init__(self, run, make_field):
+        self.run = run
         self.make_field = make_field
         self.seen = {}
-        self.count = 0
 
     def __call__(self, k):
         if k in self.seen:
             return self.seen[k][0]
         trial = self.make_field(k)
-        self.count += 1
         try:
-            traj, br = _forward_eval(self.problem, self.ctx, self.prop, trial)
+            traj, br = self.run.forward(trial)
             j = br.j
         except (InstabilityError, PropagationError):
             traj, br, j = None, None, -math.inf
@@ -958,16 +864,11 @@ class _ProbeCache:
                 k_best, payload = k, entry
         return k_best, payload
 
-    def smallest_k(self):
-        return min(self.seen)
 
-
-def _ls_engine(problem, config, on_row, method):
-    ctx = prepare_context(problem.system, problem.grid, problem.functional)
+def _line_search_step(run, config, quasi):
+    ctx = run.ctx
     formulation = ctx.config.formulation
-    grid = problem.grid
-    prop = problem.propagator_for(config)
-    system = problem.system
+    system, grid = run.problem.system, run.problem.grid
 
     if formulation == "frequency":
         support = np.flatnonzero(np.isfinite(ctx.alpha_omega))
@@ -1002,36 +903,15 @@ def _ls_engine(problem, config, on_row, method):
             g = gradient_time(system, fld, traj, chi, ctx.config.alpha)
             return g.values
 
-    field = problem.guess
-    rows = []
-    try:
-        traj, br = _forward_eval(problem, ctx, prop, field)
-    except (InstabilityError, PropagationError):
-        return _finish(method, INSTABILITY, rows, field, None, None, 1)
-    props = 1
-    _emit(rows, on_row, TraceRow(0, br, config.k_init, props, math.nan))
-
-    quasi = method == "quasi-newton"
     b0 = 1.0 / (2.0 * alpha_red * wq) if quasi else None
     hmat = np.diag(b0) if quasi else None
     x_prev = gamma_prev = None
-
     k_cap = config.k_max
     k_seed = min(config.k_init, k_cap)
-    limit = config.budget if config.budget is not None else config.max_iterations
-    status = BUDGET_EXHAUSTED
-    for it in range(1, limit + 1):
-        try:
-            chi_t, source = _chi_setup(ctx, traj)
-            chi_traj = propagate_backward(system, field, source, chi_t, prop,
-                                          grid=grid)
-        except (InstabilityError, PropagationError):
-            props += 1
-            status = INSTABILITY
-            break
-        props += 1
 
-        grad = raw_gradient(field, traj, chi_traj)
+    def step(field, traj, br):
+        nonlocal hmat, x_prev, gamma_prev, k_cap, k_seed
+        grad = raw_gradient(field, traj, run.backward(field, traj))
         if quasi:
             gamma = wq * grad  # functional gradient w.r.t. the bin values
             if x_prev is not None:
@@ -1049,8 +929,7 @@ def _ls_engine(problem, config, on_row, method):
                             + rho * np.outer(s_vec, s_vec))
             x_prev, gamma_prev = extract(field), gamma
             if float(np.linalg.norm(gamma)) == 0.0:
-                status = CONVERGED
-                break
+                return CONVERGED
             direction = hmat @ gamma
             if float(direction @ gamma) <= 0.0:
                 hmat = np.diag(b0)
@@ -1058,38 +937,25 @@ def _ls_engine(problem, config, on_row, method):
         else:
             direction = grad
             if float(np.linalg.norm(direction)) == 0.0:
-                status = CONVERGED
-                break
+                return CONVERGED
 
         base = extract(field)
-        cache = _ProbeCache(problem, ctx, prop,
-                            lambda k: insert(base + k * direction))
+        cache = _ProbeCache(run, lambda k: insert(base + k * direction))
         k_acc = _line_search(cache, br.j, k_seed, k_cap, config.k_floor,
                              config.ls_refine)
-        props += cache.count
         if k_acc is None:
-            j_small, trial, _, _ = cache.seen[cache.smallest_k()]
+            j_small, trial, _, _ = cache.seen[min(cache.seen)]
             if (math.isfinite(j_small) and trial is not None
                     and j_small >= br.j - 1e-12 * max(1.0, abs(br.j))
                     and convergence_check(field, trial, formulation,
                                           config.tau)):
-                status = CONVERGED
-            else:
-                status = K_UNDERFLOW
-            break
-        k_best, (j_t, trial, traj_t, br_t) = cache.best()
-        change = _rel_change(field, trial, formulation)
-        _emit(rows, on_row, TraceRow(it, br_t, k_best, props, change))
-        prev = field
-        field, traj, br = trial, traj_t, br_t
-        k_cap = k_best  # accepted K never increases
-        k_seed = k_best
-        if config.budget is None and convergence_check(prev, field,
-                                                       formulation,
-                                                       config.tau):
-            status = CONVERGED
-            break
-    return _finish(method, status, rows, field, traj, br, props)
+                return CONVERGED
+            return K_UNDERFLOW
+        k_best, (_, trial, traj_t, br_t) = cache.best()
+        k_cap = k_seed = k_best  # accepted K never increases
+        return trial, traj_t, br_t, k_best
+
+    return step
 
 
 def optimize_gradient(problem, config=None, on_row=None):
@@ -1098,7 +964,9 @@ def optimize_gradient(problem, config=None, on_row=None):
     converges immediately; accepted steps strictly increase J.
     """
     config = config or OptimizerConfig(method="gradient")
-    return _ls_engine(problem, config, on_row, "gradient")
+    return _drive(problem, config, on_row, "gradient",
+                  lambda run, cfg: _line_search_step(run, cfg, False),
+                  k0=config.k_init)
 
 
 def optimize_quasi_newton(problem, config=None, on_row=None):
@@ -1109,7 +977,9 @@ def optimize_quasi_newton(problem, config=None, on_row=None):
     resets the memory to that diagonal.
     """
     config = config or OptimizerConfig(method="quasi-newton")
-    return _ls_engine(problem, config, on_row, "quasi-newton")
+    return _drive(problem, config, on_row, "quasi-newton",
+                  lambda run, cfg: _line_search_step(run, cfg, True),
+                  k0=config.k_init)
 
 
 def optimize(problem, config, on_row=None, **kwargs):

@@ -199,18 +199,6 @@ class FilterSpec:
     def explicit(cls, samples, amplitude=1.0):
         return cls("explicit", amplitude, samples=tuple(float(v) for v in samples))
 
-    def to_dict(self):
-        d = {"kind": self.kind, "amplitude": self.amplitude}
-        for key in ("omega_min", "omega_max", "center", "coefficient", "steepness"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        if self.comb is not None:
-            d["comb"] = [list(p) for p in self.comb]
-        if self.samples is not None:
-            d["samples"] = list(self.samples)
-        return d
-
 
 def make_filter(spec, grid):
     """Sample a FilterSpec onto a frequency grid.

@@ -15,11 +15,11 @@ from scipy.optimize import brentq, minimize_scalar
 __all__ = [
     "LevelSystem", "GridSystem", "SpectralBasis", "StateRestriction",
     "build_level_system", "build_grid_system", "apply_grid_hamiltonian",
-    "apply_hamiltonian", "apply_mu", "apply_target", "dense_h0", "dense_mu",
-    "dense_target", "diagonalize", "morse_potential", "toda_potential",
-    "harmonic_potential", "hcl_dipole", "hcl_fictitious_dipole", "toda_dipole",
-    "linear_dipole", "choose_x_domain", "projectors", "bohr_frequencies",
-    "commutator_H0_O", "h0_norm_estimate",
+    "apply_mu", "apply_target", "dense_h0", "dense_mu", "dense_target",
+    "diagonalize", "morse_potential", "toda_potential", "harmonic_potential",
+    "hcl_dipole", "hcl_fictitious_dipole", "toda_dipole", "linear_dipole",
+    "choose_x_domain", "projectors", "bohr_frequencies", "commutator_H0_O",
+    "h0_norm_estimate",
 ]
 
 _HERM_TOL = 1e-12
@@ -134,11 +134,6 @@ def apply_grid_hamiltonian(system, state, field_value):
         raise ValueError("state length does not match the grid")
     return system.h_apply(np.atleast_2d(state), float(field_value))[0] \
         if state.ndim == 1 else system.h_apply(state, field_value)
-
-
-def apply_hamiltonian(system, states, field_values):
-    """Uniform H(t) application for both system kinds; states is (k, dim)."""
-    return system.h_apply(states, field_values)
 
 
 def apply_mu(system, states):

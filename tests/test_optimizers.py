@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from specdrive.spectral import FilterSpec, TimeGrid, make_filter
+from specdrive.spectral import FilterSpec, TimeGrid, chebyshev_rule, make_filter
 from specdrive.system import build_level_system
 from specdrive.functionals import (
     FunctionalBreakdown, FunctionalConfig, field_from_el_time,
     prepare_context,
 )
-from specdrive.dynamics import propagate_backward, propagate_forward
+from specdrive.dynamics import (
+    PropagatorConfig, propagate_backward, propagate_forward,
+)
 from specdrive.optimizers import (
-    BUDGET_EXHAUSTED, CONVERGED, INSTABILITY, K_UNDERFLOW, OptimizationTrace,
-    OptimizerConfig, Problem, TraceRow, convergence_check, optimize,
-    optimize_degani, optimize_gradient, optimize_krotov,
+    _METHODS, BUDGET_EXHAUSTED, CONVERGED, INSTABILITY, K_UNDERFLOW,
+    OptimizationTrace, OptimizerConfig, Problem, TraceRow, convergence_check,
+    optimize, optimize_degani, optimize_gradient, optimize_krotov,
     optimize_krotov_filtered, optimize_naive, optimize_quasi_newton,
     optimize_relaxation,
 )
@@ -461,3 +463,32 @@ def test_failed_last_iteration_counts_its_propagations(monkeypatch):
     assert len(calls) == 4
     assert tr.propagations == 4
     assert [row.propagations for row in tr.rows] == [1]
+
+
+def test_krotov_bisects_a_stalled_sweep_step():
+    # six Picard iterates cannot settle a step of this coarse propagator;
+    # the sweep halves it like a plain propagation instead of giving up
+    p = s2s_problem()
+    prop = PropagatorConfig(steps=64, rule=chebyshev_rule(5), zeta=1e-9,
+                            max_picard=6)
+    p = Problem(p.system, p.grid, p.functional, p.psi0, p.guess, prop)
+    tr = optimize_krotov(p, OptimizerConfig(method="krotov", budget=3))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert tr.propagations == 7
+    assert tr.j_monotone
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_on_row_sees_every_row_in_order(method):
+    p = s2s_problem(n_t=33)
+    extra = {}
+    if method == "krotov-filtered":
+        extra["filt"] = np.ones(p.grid.n_t)
+    if method == "degani":
+        extra["alpha_omega"] = np.full(p.grid.n_t, 0.1)
+    seen = []
+    tr = optimize(p, OptimizerConfig(method=method, budget=2),
+                  on_row=seen.append, **extra)
+    assert len(seen) == len(tr.rows) == 3
+    assert all(a is b for a, b in zip(seen, tr.rows))
+    assert tr.propagations >= tr.rows[-1].propagations
