@@ -264,7 +264,9 @@ class StepSolver:
         f_vals is the field at the nodes, or a function of the node iterate
         that gives it (an immediate update, recomputed every iterate).
         """
-        q = dt * self.rule.qmat
+        # u = u0 + dt Q (-i H u + src): the source part is fixed for the step
+        q = (-1j * dt) * self.rule.qmat
+        base = u0 if src is None else u0 + (dt * self.rule.qmat) @ src
         u = np.repeat(u0[None, :], len(self.s), axis=0)
         end_prev = u0
         h_apply = self.system.h_apply
@@ -272,18 +274,15 @@ class StepSolver:
         for _ in range(self.max_picard):
             if update is not None:
                 f_vals = update(u)
-            rhs = h_apply(u, f_vals)
-            rhs *= -1j
-            if src is not None:
-                rhs += src
-            u = q @ rhs
-            u += u0
+            u = q @ h_apply(u, f_vals)
+            u += base
             end = u[-1]
-            delta = float(np.linalg.norm(end - end_prev))
+            diff = end - end_prev
+            delta = math.sqrt(np.vdot(diff, diff).real)
             end_prev = end
             if not math.isfinite(delta):
                 return None
-            scale = max(float(np.linalg.norm(end)), 1e-300)
+            scale = max(math.sqrt(np.vdot(end, end).real), 1e-300)
             if delta <= self.zeta_step * scale:
                 return u
         return None
@@ -438,8 +437,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
         def frac(s):
             return -source.step_values(i, 1.0 - np.asarray(s))
 
+        if not own_nodes:
+            return None, frac
         # the backward step's nodes are the forward step's nodes reversed
-        vals = -source.step_values(i)[::-1] if own_nodes else None
+        vals = source.step_values(i)[::-1]
+        np.negative(vals, out=vals)
         return vals, frac
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
@@ -456,7 +458,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
 
     u = np.array(u_init, dtype=complex)
     b_x[0] = u
-    ref = float(np.linalg.norm(u))
+    ref = math.sqrt(np.vdot(u, u).real)
     norms_x[0] = ref
     guard = guard_norm and ref > 0.0
     # a diverging iterate overflows the norm; picard's finiteness test
@@ -470,7 +472,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
             f_x[k] = f_vals(nodes) if callable(f_vals) else f_vals
             b_x[k + 1] = nodes[-1]
             u = b_x[k + 1]
-            nn = float(np.linalg.norm(u))
+            nn = math.sqrt(np.vdot(u, u).real)
             norms_x[k + 1] = nn
             if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
                 raise InstabilityError(

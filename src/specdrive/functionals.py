@@ -16,8 +16,8 @@ from .spectral import (
     integrate_freq, integrate_time, make_filter,
 )
 from .system import (
-    GridSystem, StateRestriction, apply_mu, commutator_H0_O, dense_target,
-    diagonalize, projectors,
+    GridSystem, StateRestriction, _require_hermitian, apply_mu,
+    commutator_H0_O, dense_target, diagonalize, projectors,
 )
 from .dynamics import _grid_expectation, _sample_interp, state_map
 
@@ -151,17 +151,6 @@ class FunctionalBreakdown:
     j_con_residual: float = 0.0
 
 
-def _as_hermitian_operator(op):
-    arr = np.asarray(op)
-    if arr.ndim == 1:
-        if np.iscomplexobj(arr) and np.abs(arr.imag).max() > 1e-12:
-            raise ValueError("diagonal operator must be real")
-        return np.real(arr)
-    if np.abs(arr - arr.conj().T).max() > 1e-12:
-        raise ValueError("operator must be Hermitian")
-    return arr
-
-
 def _node_expect(traj, op, obs_key=None):
     if obs_key is not None and obs_key in traj.observations:
         return traj.observations[obs_key]
@@ -170,7 +159,7 @@ def _node_expect(traj, op, obs_key=None):
 
 def j_max_final(psi_T, op):
     """<psi(T)|O|psi(T)> for a Hermitian target operator."""
-    op = _as_hermitian_operator(op)
+    op = _require_hermitian(op, "operator", diagonal=True)
     psi_T = np.asarray(psi_T, dtype=complex)
     out = psi_T * op if op.ndim == 1 else op @ psi_T
     return float(np.vdot(psi_T, out).real)
@@ -199,7 +188,9 @@ def j_max_td(traj, weight, op_of_t):
                 o = np.asarray(op_of_t((k + s[j]) * h))
                 vals[k, j] = np.vdot(nodes[j], o @ nodes[j]).real
     else:
-        vals = _node_expect(traj, _as_hermitian_operator(op_of_t), OBS_TARGET)
+        vals = _node_expect(
+            traj, _require_hermitian(op_of_t, "operator", diagonal=True),
+            OBS_TARGET)
     times = (np.arange(traj.n_steps)[:, None] + s[None, :]) * h
     wvals = _sample_interp(weight.values, weight.grid, times)
     return integrate_time(wvals * vals, rule, h)

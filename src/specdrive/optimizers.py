@@ -138,7 +138,8 @@ class Problem:
     guess may be a ControlField, RealSignal, Spectrum, scalar, or a sample
     vector interpreted in the formulation's native representation.  A
     propagator config of None selects the default sized to the optimizer
-    tolerance at run time.
+    tolerance at run time.  psi0 and the guess must be finite; psi0 need
+    not be normalized and is propagated as given.
     """
 
     system: object
@@ -152,9 +153,15 @@ class Problem:
         psi0 = np.asarray(self.psi0, dtype=complex)
         if psi0.shape != (self.system.dim,):
             raise ValueError("psi0 does not match the system dimension")
+        if not np.isfinite(psi0).all():
+            raise ValueError("psi0 is not finite")
+        guess = _coerce_field(self.guess, self.grid, self.functional.formulation)
+        native = guess.time_values() if guess.native == "time" \
+            else guess.spectrum().values
+        if not np.isfinite(native).all():
+            raise ValueError("guess field is not finite")
         object.__setattr__(self, "psi0", psi0)
-        object.__setattr__(self, "guess", _coerce_field(
-            self.guess, self.grid, self.functional.formulation))
+        object.__setattr__(self, "guess", guess)
 
     def propagator_for(self, config):
         if self.propagator is not None:

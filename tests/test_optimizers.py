@@ -84,6 +84,27 @@ def test_problem_guess_coercion():
                 np.array([1.0, 0.0, 0.0], complex), 1.0)
 
 
+def test_problem_rejects_non_finite_input():
+    system = build_level_system([1.0, 2.0], SX, target=TARGET)
+    config = FunctionalConfig(formulation="time", target="final", alpha=0.1)
+    grid = TimeGrid(10.0, 65)
+    with pytest.raises(ValueError, match="psi0"):
+        Problem(system, grid, config, np.array([np.nan, 1.0]), 1.0)
+    guess = np.ones(65)
+    guess[7] = np.nan
+    with pytest.raises(ValueError, match="guess"):
+        Problem(system, grid, config, GROUND, guess)
+    with pytest.raises(ValueError, match="guess"):
+        Problem(system, grid, config, GROUND, np.inf)
+    freq = FunctionalConfig(formulation="frequency", target="final",
+                            f_eps=FilterSpec.explicit(np.full(65, 10.0)))
+    with pytest.raises(ValueError, match="guess"):
+        Problem(system, grid, freq, GROUND, guess)
+    # a state that is not normalized is propagated as given
+    p = Problem(system, grid, config, 2.0 * GROUND, 1.0)
+    assert np.linalg.norm(p.psi0) == 2.0
+
+
 def test_frequency_guess_lands_in_native_representation():
     system = build_level_system([1.0, 2.0], SX, target=TARGET)
     config = FunctionalConfig(
