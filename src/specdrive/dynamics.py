@@ -437,11 +437,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
         def frac(s):
             return -source.step_values(i, 1.0 - np.asarray(s))
 
-        if not own_nodes:
-            return None, frac
         # the backward step's nodes are the forward step's nodes reversed
-        vals = source.step_values(i)[::-1]
-        np.negative(vals, out=vals)
+        vals = -source.step_values(i)[::-1] if own_nodes else None
         return vals, frac
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)

@@ -23,11 +23,6 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
-# Grids up to this size apply H0 as one dense matrix product; larger ones
-# use two FFTs.  Measured on 9-row blocks, one BLAS thread (FFT vs dense):
-# 32 points 42 vs 15 us, 64 points 43 vs 25 us, 128 points 66 vs 70 us,
-# 256 points 83 vs 233 us.
-_DENSE_H0_MAX_GRID = 64
 
 
 def _require_hermitian(a, name, diagonal=False):
@@ -69,9 +64,8 @@ class LevelSystem:
 class GridSystem:
     """1-D system on an equidistant x grid, with a Fourier-grid kinetic term.
 
-    Grids of up to _DENSE_H0_MAX_GRID points hold H0 as a dense matrix,
-    built once from the FFT form, and apply it as one matrix product;
-    larger grids apply the kinetic term through two FFTs.
+    H0 is built once as a dense matrix, from the FFT form of P^2/2m + V
+    applied to the identity, and h_apply applies it as one matrix product.
     """
 
     x_min: float
@@ -89,12 +83,11 @@ class GridSystem:
         if len(self.potential) != n or len(self.dipole) != n or len(self.target) != n:
             raise ValueError("potential/dipole/target must have n_grid samples")
         k = 2.0 * math.pi * scipy.fft.fftfreq(n, d=self.dx)
-        object.__setattr__(self, "_kinetic", k * k / (2.0 * self.mass))
+        eye = np.eye(n, dtype=complex)
+        kin = scipy.fft.ifft(scipy.fft.fft(eye, axis=-1)
+                             * (k * k / (2.0 * self.mass)), axis=-1)
         # row i of _h0t is H0 applied to e_i, so _h0t is H0 transposed
-        h0t = None
-        if n <= _DENSE_H0_MAX_GRID:
-            h0t = self._fft_h0_apply(np.eye(n, dtype=complex))
-        object.__setattr__(self, "_h0t", h0t)
+        object.__setattr__(self, "_h0t", kin + eye * self.potential)
 
     @property
     def dim(self):
@@ -108,20 +101,12 @@ class GridSystem:
     def x(self):
         return self.x_min + self.dx * np.arange(self.n_grid)
 
-    def _fft_h0_apply(self, states):
-        kin = scipy.fft.ifft(scipy.fft.fft(states, axis=-1) * self._kinetic,
-                             axis=-1)
-        return kin + states * self.potential
-
     def h_apply(self, states, field_values):
         """(P^2/2m + V - eps*mu) row-wise; field_values scalar or per row."""
         fv = np.asarray(field_values)
         if fv.ndim == 1:
             fv = fv[:, None]
-        if self._h0t is None:
-            out = self._fft_h0_apply(states)
-        else:
-            out = states @ self._h0t
+        out = states @ self._h0t
         out -= fv * (states * self.dipole)
         return out
 
@@ -180,10 +165,7 @@ def apply_target(system, states):
 
 def dense_h0(system):
     if isinstance(system, GridSystem):
-        h0t = system._h0t
-        if h0t is None:
-            h0t = system._fft_h0_apply(np.eye(system.n_grid, dtype=complex))
-        return h0t.T.copy()
+        return system._h0t.T.copy()
     return np.diag(system.energies).astype(complex)
 
 
