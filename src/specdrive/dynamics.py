@@ -21,12 +21,12 @@ import scipy.linalg
 
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
-    step_node_times,
 )
 from .system import commutator_H0_O, dense_h0, dense_mu, h0_norm_estimate
 
 _EPS = float(np.finfo(float).eps)
 _NODE_STORAGE_CAP = 64 * 2**20  # bytes of internal node states kept in memory
+_DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
 
 
 class PropagationError(RuntimeError):
@@ -55,14 +55,15 @@ class PropagatorConfig:
             raise ValueError("propagator tolerance must be positive")
 
 
-def default_propagator_config(system, grid, tau=1e-3, n_c=9, store_nodes=None):
+def default_propagator_config(system, grid, tau=1e-3):
     """Refine the grid spacing until |H0|*dt <= 0.5, with zeta = 1e-3*tau."""
     est = h0_norm_estimate(system)
     m = 1
     while est * grid.dt / m > 0.5:
         m *= 2
-    return PropagatorConfig(steps=(grid.n_t - 1) * m, rule=chebyshev_rule(n_c),
-                            zeta=1e-3 * tau, store_nodes=store_nodes)
+    return PropagatorConfig(steps=(grid.n_t - 1) * m,
+                            rule=chebyshev_rule(_DEFAULT_NODES),
+                            zeta=1e-3 * tau)
 
 
 def state_map(op):
@@ -407,7 +408,7 @@ def _should_store(config, n_steps, n_c, dim):
 
 
 def _run(system, field, u_init, grid, config, backward=False, source=None,
-         observables=None, guard_norm=True):
+         observables=None):
     """The stepping loop of every propagation; returns its Trajectory.
 
     field.steps() gives, for execution step k, the field at the step's
@@ -416,7 +417,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
     0; a backward one starts at T and carries the source, so execution step
     k covers forward step n_steps - 1 - k of the same node lattice, and the
     arrays are filled from the end to keep absolute-time order.
-    observables are recorded on forward runs only.
+    observables are recorded on forward runs only.  A run without a source
+    conserves the norm, so a drift beyond 1e3*zeta raises InstabilityError.
     """
     m, n_steps = _steps_for(config, grid)
     rule = config.rule
@@ -457,7 +459,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
     b_x[0] = u
     ref = math.sqrt(np.vdot(u, u).real)
     norms_x[0] = ref
-    guard = guard_norm and ref > 0.0
+    guard = source is None and ref > 0.0
     # a diverging iterate overflows the norm; picard's finiteness test
     # rejects the step, so the overflow itself needs no warning
     with np.errstate(over="ignore"):
@@ -505,8 +507,7 @@ def _grid_for(f_eval, grid):
     return grid
 
 
-def propagate_forward(system, field, psi0, config, grid=None, observables=None,
-                      guard_norm=True):
+def propagate_forward(system, field, psi0, config, grid=None, observables=None):
     """Propagate psi0 from 0 to T under H0 - eps(t)*mu.
 
     field may be a ControlField-like object, RealSignal, Spectrum, sample
@@ -519,12 +520,10 @@ def propagate_forward(system, field, psi0, config, grid=None, observables=None,
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (system.dim,):
         raise ValueError("initial state does not match the system dimension")
-    return _run(system, f_eval, psi0, grid, config, observables=observables,
-                guard_norm=guard_norm)
+    return _run(system, f_eval, psi0, grid, config, observables=observables)
 
 
-def propagate_backward(system, field, source, chi_T, config, grid=None,
-                       guard_norm=True):
+def propagate_backward(system, field, source, chi_T, config, grid=None):
     """Propagate chi from T down to 0: dchi/dt = -iH(t)chi - S(t).
 
     source supplies the inhomogeneous term S(t) per forward step through
@@ -539,7 +538,7 @@ def propagate_backward(system, field, source, chi_T, config, grid=None,
     if chi_T.shape != (system.dim,):
         raise ValueError("terminal state does not match the system dimension")
     return _run(system, f_eval, chi_T, grid, config, backward=True,
-                source=source, guard_norm=guard_norm and source is None)
+                source=source)
 
 
 ExpectationSignal = namedtuple("ExpectationSignal", "signal nodes")
@@ -620,31 +619,32 @@ class HGSource(_ForwardSource):
     """Backward-equation source {s(t) O_a - P_f^gamma} psi(t) built from the
     stored forward trajectory and the filtered dipole signal.
 
-    filtered is a FilteredSignal or a plain function of time; s(t) is
-    evaluated once on the whole node lattice of the forward run.
+    filtered is a FilteredSignal, evaluated once on the whole node lattice
+    of the forward run, or None for no signal term: the source of a final
+    target with forbidden states, -P_f^gamma psi(t).
     """
 
     def __init__(self, forward, filtered, o_a, p_f=None):
+        if filtered is None and p_f is None:
+            raise ValueError("a source needs a signal or a forbidden-state "
+                             "projector")
         self.forward = forward
-        if hasattr(filtered, "at"):
-            self._s_at = filtered.at
+        self._filtered = filtered
+        if filtered is not None:
             self._s_lattice = filtered.on_lattice(forward.n_steps,
                                                   forward.s_nodes)
-        else:
-            self._s_at = filtered
-            self._s_lattice = np.asarray(filtered(step_node_times(
-                forward.grid.T, forward.n_steps, forward.rule)), dtype=float)
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 
     def step_values(self, k, s=None):
         psi = self._states(k, s)
+        if self._filtered is None:
+            return -self._pf(psi)
         if s is None:
             sval = self._s_lattice[k]
         else:
             h = self.forward.dt_step
-            sval = np.asarray(self._s_at(k * h + h * np.asarray(s, dtype=float)),
-                              dtype=float)
+            sval = self._filtered.at(k * h + h * np.asarray(s, dtype=float))
         out = sval[:, None] * self._oa(psi)
         if self._pf is not None:
             out -= self._pf(psi)

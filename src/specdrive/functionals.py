@@ -21,8 +21,9 @@ from .system import (
 )
 from .dynamics import _grid_expectation, _sample_interp, state_map
 
-OBS_TARGET = "target"        # <O_a> recorded at internal nodes
-OBS_FORBIDDEN = "forbidden"  # <P_f^gamma> recorded at internal nodes
+# keys of the node expectations a forward run records (observables=)
+OBS_TARGET = "target"        # the target operator, when a caller records it
+OBS_FORBIDDEN = "forbidden"  # <P_f^gamma>, recorded by the optimizers
 
 
 class ControlField:
@@ -392,12 +393,7 @@ class EvalContext:
     @property
     def observables(self):
         """Operators recorded at internal nodes during forward runs."""
-        obs = {}
-        if self.config.target == "spectral":
-            obs[OBS_TARGET] = self.o_a
-        if self.p_f is not None:
-            obs[OBS_FORBIDDEN] = self.p_f
-        return obs
+        return {} if self.p_f is None else {OBS_FORBIDDEN: self.p_f}
 
 
 def prepare_context(system, grid, config):

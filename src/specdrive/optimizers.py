@@ -17,11 +17,12 @@ The schemes differ in the update rule:
                   spectral projection of each updated field
 * degani       -- immediate update against a time-domain penalty kernel
 
-Every scheme but degani is a step function run by one shared loop,
-_drive.  All runs produce an OptimizationTrace whose rows carry the
-functional breakdown, the mixing parameter, the cumulative propagation
-count and the relative field change, so convergence curves can be
-reconstructed exactly.
+Every scheme is a step function run by one shared loop, _drive.  Degani's
+two kernel sweeps are the only stepping loop outside dynamics._run, and its
+iterates keep the states at the grid nodes only.  All runs produce an
+OptimizationTrace whose rows carry the functional breakdown, the mixing
+parameter, the cumulative propagation count and the relative field change,
+so convergence curves can be reconstructed exactly.
 """
 
 import math
@@ -38,6 +39,7 @@ from .dynamics import (
     PropagationError,
     StepSolver,
     HGSource,
+    Trajectory,
     TDTargetSource,
     default_propagator_config,
     propagate_backward,
@@ -254,10 +256,6 @@ def _rel_change(field_old, field_new, formulation):
     return _change_ratio(a, b)
 
 
-def _zero_signal(times):
-    return np.zeros(np.shape(times))
-
-
 def _chi_setup(ctx, traj):
     """Costate boundary condition and backward source for the target."""
     cfg = ctx.config
@@ -267,7 +265,7 @@ def _chi_setup(ctx, traj):
         chi_t = chi_t + state_map(ctx.o_full)(psi_t[None, :])[0]
         source = None
         if ctx.p_f is not None:
-            source = HGSource(traj, _zero_signal, ctx.o_a, ctx.p_f)
+            source = HGSource(traj, None, ctx.o_a, ctx.p_f)
         return chi_t, source
     if cfg.target == "spectral":
         signal = hg_source_signal(traj, ctx.o_a, ctx.f_o)
@@ -291,13 +289,14 @@ def _emit(rows, on_row, row):
 
 
 # ---------------------------------------------------------------------------
-# the loop every scheme but the kernel one runs
+# the loop every scheme runs
 
 
 class _Run:
     """What one run shares with its step function: the resolved functional,
-    the propagator, and the count of propagations started (a propagation
-    that fails still counts)."""
+    the propagator, the count of propagations started (a propagation that
+    fails still counts), and score(ctx, traj, field), the breakdown that
+    forward() reports (evaluate unless the step factory swaps it)."""
 
     def __init__(self, problem, config):
         self.problem = problem
@@ -305,6 +304,7 @@ class _Run:
                                    problem.functional)
         self.prop = problem.propagator_for(config)
         self.propagations = 0
+        self.score = evaluate
 
     def forward(self, field):
         """Trajectory of psi0 under field and the functional it scores."""
@@ -312,7 +312,7 @@ class _Run:
         self.propagations += 1
         traj = propagate_forward(p.system, field, p.psi0, self.prop,
                                  grid=p.grid, observables=self.ctx.observables)
-        return traj, evaluate(self.ctx, traj, field)
+        return traj, self.score(self.ctx, traj, field)
 
     def backward(self, field, traj):
         """Costate of the forward trajectory traj under field."""
@@ -332,11 +332,12 @@ def _drive(problem, config, on_row, method, make_step, k0=1.0,
            keep_best=False):
     """Run one scheme to convergence, budget or failure.
 
-    make_step(run, config) builds the scheme's step function once per run;
-    step(field, traj, breakdown) returns the accepted (field, trajectory,
-    breakdown, K) or a terminal status (CONVERGED, K_UNDERFLOW).  A failed
-    propagation ends the run as INSTABILITY.  Row 0 echoes the guess with
-    K = k0; keep_best hands back the best iterate instead of the last.
+    make_step(run, config) builds the scheme's step function once per run
+    and may swap run.score; step(field, traj, breakdown) returns the
+    accepted (field, trajectory, breakdown, K) or a terminal status
+    (CONVERGED, K_UNDERFLOW).  A failed propagation ends the run as
+    INSTABILITY.  Row 0 echoes the guess with K = k0; keep_best hands back
+    the best iterate instead of the last.
     """
     run = _Run(problem, config)
     step = make_step(run, config)
@@ -519,7 +520,7 @@ def _immediate_sweep(system, grid, prop, u_start, partner, direction, alpha,
     """
     field = _ImmediateField(system, partner, float(direction), alpha)
     return _run(system, field, u_start, grid, prop, backward=direction < 0,
-                source=source, guard_norm=source is None)
+                source=source)
 
 
 def _node_grid_samples(eps_nodes, m, n_t):
@@ -627,23 +628,15 @@ def _settle_front(cross, seed, tol, cap):
     raise PropagationError("kernel sweep front sample did not settle")
 
 
-def optimize_degani(problem, alpha_omega, config=None, on_row=None):
-    """Immediate update with the penalty expressed through the kernel
-    beta(t,t') built from alpha_omega.  The field value at a grid node is
-    solved from its own penalty row the moment both trajectories are known
-    there: the backward sweep updates while the costate passes, the forward
-    sweep while the new state passes.  The problem's alpha plays no role;
-    the kernel replaces it.  Final-time targets only.
-    """
-    config = config or OptimizerConfig(method="degani")
-    cfg = problem.functional
+def _degani_step(run, config, alpha_omega):
+    ctx = run.ctx
+    cfg = ctx.config
     if cfg.formulation != "time":
         raise ValueError("the kernel scheme works on the time grid")
     if cfg.target != "final" or cfg.restriction is not None:
         raise ValueError("the kernel scheme supports plain final-time "
                          "targets only")
-    ctx = prepare_context(problem.system, problem.grid, problem.functional)
-    grid, system = problem.grid, problem.system
+    grid, system, prop = run.problem.grid, run.problem.system, run.prop
     n_t = grid.n_t
 
     aw = np.asarray(alpha_omega, dtype=float)
@@ -655,7 +648,6 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
         raise ValueError("penalty kernel has a vanishing diagonal pivot; "
                          "the per-node solve would break down")
 
-    prop = problem.propagator_for(config)
     m, n_steps = _steps_for(prop, grid)
     zeta_step = max(prop.zeta / n_steps, 100.0 * _EPS)
     solver = StepSolver(system, prop.rule, zeta_step, prop.max_picard,
@@ -663,15 +655,16 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
     h_sub = grid.dt / m
     o_map = state_map(ctx.o_full)
 
-    def kernel_penalty(vec):
-        wv = ww * vec
-        return -float(wv @ beta @ wv)
-
-    def breakdown_for(psi_t, vec):
+    def score(ctx, traj, field):
+        # the kernel replaces the problem's penalty term
+        psi_t = traj.final_state
+        wv = ww * field.time_values()
         jm = j_max_final(psi_t, ctx.o_full)
         jb = j_bound(psi_t, cfg.kappa, system, ctx.comm)
-        jp = kernel_penalty(vec)
+        jp = -float(wv @ beta @ wv)
         return FunctionalBreakdown(jm + jb + jp, jm, jb, 0.0, jp, 0.0)
+
+    run.score = score
 
     def update(work, i, chi_i, psi_i):
         cross = float(np.vdot(chi_i, apply_mu(system, psi_i[None, :])[0]).imag)
@@ -691,101 +684,85 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
 
         return f_eval
 
-    eps = problem.guess.time_values().astype(float).copy()
-    rows = []
-    try:
-        traj = propagate_forward(system, eps, problem.psi0, prop, grid=grid)
-    except (InstabilityError, PropagationError):
-        return OptimizationTrace("degani", INSTABILITY, rows,
-                                 ControlField.from_time(grid, eps), None,
-                                 None, 1)
-    props = 1
-    br = breakdown_for(traj.final_state, eps)
-    _emit(rows, on_row, TraceRow(0, br, 1.0, props, math.nan))
-    psi_grid = traj.grid_states()
+    def step(field, traj, br):
+        work = np.array(field.time_values(), dtype=float)
+        psi_grid = traj.grid_states()
 
-    limit = config.budget if config.budget is not None else config.max_iterations
-    status = BUDGET_EXHAUSTED
-    for it in range(1, limit + 1):
-        work = eps.copy()
+        run.propagations += 1
         chi = o_map(psi_grid[-1][None, :])[0] + terminal_chi(
             cfg.kappa, system, psi_grid[-1])
         chi_grid = np.empty((n_t, system.dim), dtype=complex)
         chi_grid[-1] = chi
         ref = float(np.linalg.norm(chi))
         update(work, n_t - 1, chi, psi_grid[-1])
-        try:
-            for i in range(n_t - 2, -1, -1):
-                f_eval = window_eval(work, i, i + 1)
-                chi0 = chi
+        for i in range(n_t - 2, -1, -1):
+            f_eval = window_eval(work, i, i + 1)
+            chi0 = chi
 
-                def cross_bwd(x, i=i):
-                    work[i] = x
-                    c = chi0
-                    for sub in range(m - 1, -1, -1):
-                        t1 = i * grid.dt + (sub + 1) * h_sub
-                        c = solver.solve(c, t1, -h_sub, f_eval)[-1]
-                    return c, update(work, i, c, psi_grid[i])
+            def cross_bwd(x, i=i):
+                work[i] = x
+                c = chi0
+                for sub in range(m - 1, -1, -1):
+                    t1 = i * grid.dt + (sub + 1) * h_sub
+                    c = solver.solve(c, t1, -h_sub, f_eval)[-1]
+                return c, update(work, i, c, psi_grid[i])
 
-                chi = _settle_front(cross_bwd, work[i + 1], zeta_step,
-                                    prop.max_picard)
-                nn = float(np.linalg.norm(chi))
-                if ref > 0.0 and abs(nn - ref) > 1e3 * prop.zeta * ref:
-                    raise InstabilityError("costate norm drifted during "
-                                           "the kernel sweep")
-                chi_grid[i] = chi
-            props += 1
+            chi = _settle_front(cross_bwd, work[i + 1], zeta_step,
+                                prop.max_picard)
+            nn = float(np.linalg.norm(chi))
+            if ref > 0.0 and abs(nn - ref) > 1e3 * prop.zeta * ref:
+                raise InstabilityError("costate norm drifted during the "
+                                       "kernel sweep")
+            chi_grid[i] = chi
 
-            psi = problem.psi0.copy()
-            ref_psi = float(np.linalg.norm(psi))
-            psi_new = np.empty_like(chi_grid)
-            psi_new[0] = psi
-            update(work, 0, chi_grid[0], psi)
-            for i in range(n_t - 1):
-                f_eval = window_eval(work, i, i + 1)
-                psi0_step = psi
+        run.propagations += 1
+        psi = run.problem.psi0.copy()
+        ref_psi = float(np.linalg.norm(psi))
+        psi_new = np.empty_like(chi_grid)
+        psi_new[0] = psi
+        update(work, 0, chi_grid[0], psi)
+        for i in range(n_t - 1):
+            f_eval = window_eval(work, i, i + 1)
+            psi0_step = psi
 
-                def cross_fwd(x, i=i):
-                    work[i + 1] = x
-                    u = psi0_step
-                    for sub in range(m):
-                        t0 = i * grid.dt + sub * h_sub
-                        u = solver.solve(u, t0, h_sub, f_eval)[-1]
-                    return u, update(work, i + 1, chi_grid[i + 1], u)
+            def cross_fwd(x, i=i):
+                work[i + 1] = x
+                u = psi0_step
+                for sub in range(m):
+                    t0 = i * grid.dt + sub * h_sub
+                    u = solver.solve(u, t0, h_sub, f_eval)[-1]
+                return u, update(work, i + 1, chi_grid[i + 1], u)
 
-                # the j > i entries of work still hold the backward values,
-                # so the neighbour already seeds the front sample well
-                psi = _settle_front(cross_fwd, work[i + 1], zeta_step,
-                                    prop.max_picard)
-                nn = float(np.linalg.norm(psi))
-                if abs(nn - ref_psi) > 1e3 * prop.zeta * ref_psi:
-                    raise InstabilityError("state norm drifted during the "
-                                           "kernel sweep")
-                psi_new[i + 1] = psi
-            props += 1
-        except (InstabilityError, PropagationError):
-            props += 1
-            status = INSTABILITY
-            break
+            # the j > i entries of work still hold the backward values,
+            # so the neighbour already seeds the front sample well
+            psi = _settle_front(cross_fwd, work[i + 1], zeta_step,
+                                prop.max_picard)
+            nn = float(np.linalg.norm(psi))
+            if abs(nn - ref_psi) > 1e3 * prop.zeta * ref_psi:
+                raise InstabilityError("state norm drifted during the "
+                                       "kernel sweep")
+            psi_new[i + 1] = psi
 
-        new_eps = work
-        br_t = breakdown_for(psi, new_eps)
-        change = _change_ratio(eps, new_eps)
-        _emit(rows, on_row, TraceRow(it, br_t, 1.0, props, change))
-        eps, psi_grid, br = new_eps, psi_new, br_t
-        if config.budget is None and change < config.tau:
-            status = CONVERGED
-            break
+        new_field = ControlField.from_time(grid, work)
+        traj_t = Trajectory(grid, prop.rule, 1, psi_new,
+                            np.linalg.norm(psi_new, axis=1), None)
+        return new_field, traj_t, score(ctx, traj_t, new_field), 1.0
 
-    field = ControlField.from_time(grid, eps)
-    props += 1
-    try:
-        traj = propagate_forward(system, field, problem.psi0, prop, grid=grid)
-        br = breakdown_for(traj.final_state, eps)
-    except (InstabilityError, PropagationError):
-        return OptimizationTrace("degani", INSTABILITY, rows, field, None,
-                                 br, props)
-    return OptimizationTrace("degani", status, rows, field, traj, br, props)
+    return step
+
+
+def optimize_degani(problem, alpha_omega, config=None, on_row=None):
+    """Immediate update with the penalty expressed through the kernel
+    beta(t,t') built from alpha_omega.  The field value at a grid node is
+    solved from its own penalty row the moment both trajectories are known
+    there: the backward sweep updates while the costate passes, the forward
+    sweep while the new state passes.  The problem's alpha plays no role;
+    the kernel replaces it.  Final-time targets only.  The trajectory of an
+    iterate holds the states at the grid nodes only.
+    """
+    config = config or OptimizerConfig(method="degani")
+    return _drive(problem, config, on_row, "degani",
+                  lambda run, cfg: _degani_step(run, cfg, alpha_omega))
 
 
 # ---------------------------------------------------------------------------

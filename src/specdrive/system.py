@@ -347,11 +347,11 @@ def bohr_frequencies(basis):
     return e[:, None] - e[None, :]
 
 
-def commutator_H0_O(system, tol=1e-10):
-    """[H0, O] as a dense matrix; requires [mu, O] = 0."""
+def commutator_H0_O(system):
+    """[H0, O] as a dense matrix; requires [mu, O] = 0 to 1e-10."""
     mu = dense_mu(system)
     o = dense_target(system)
-    if np.abs(mu @ o - o @ mu).max() > tol:
+    if np.abs(mu @ o - o @ mu).max() > 1e-10:
         raise ValueError("dipole and target operators do not commute")
     h0 = dense_h0(system)
     return h0 @ o - o @ h0

@@ -187,6 +187,23 @@ def test_hg_source_signal():
             FilterSpec.rectangular(0.0, 1.0), TimeGrid(9.0, 65).frequency_grid()))
 
 
+def test_hg_source_without_signal():
+    # a final target with forbidden states: the source is -P_f psi alone
+    grid = TimeGrid(10.0, 33)
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    traj = propagate_forward(tls(), 0.3, psi0, cfg(32), grid=grid)
+    p_f = np.diag([0.0, 2.0])
+    src = HGSource(traj, None, SX, p_f)
+    for k in (0, 17, 31):
+        nodes = traj.step_nodes(k)
+        assert np.array_equal(src.step_values(k), -(nodes @ p_f.T))
+    half = src.step_values(5, np.array([0.25, 0.5]))
+    assert half.shape == (2, 2)
+    assert np.array_equal(half[:, 0], np.zeros(2))
+    with pytest.raises(ValueError):
+        HGSource(traj, None, SX)
+
+
 def test_terminal_chi():
     sys2 = tls(1.0, 4.0)
     psi = np.array([1.0, 1.0j]) / math.sqrt(2.0)

@@ -484,7 +484,7 @@ def test_prepare_context_with_restriction():
     assert np.allclose(o_a[:3, :3], mu[:3, :3])
     assert np.abs(o_a[3:, :]).max() == 0.0
     assert np.abs(ctx.p_f - ctx.p_f.conj().T).max() == 0.0
-    assert set(ctx.observables) == {OBS_TARGET, OBS_FORBIDDEN}
+    assert set(ctx.observables) == {OBS_FORBIDDEN}
 
     plain = prepare_context(system, grid,
                             FunctionalConfig("time", "final", alpha=0.1))

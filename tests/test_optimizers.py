@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specdrive.spectral import FilterSpec, TimeGrid, chebyshev_rule, make_filter
-from specdrive.system import build_level_system
+from specdrive.system import StateRestriction, build_level_system
 from specdrive.functionals import (
     FunctionalBreakdown, FunctionalConfig, field_from_el_time,
     prepare_context,
@@ -36,6 +36,17 @@ def null_mu_problem(n_t=65, alpha=0.1, guess=0.0):
     system = build_level_system([1.0, 2.0], np.zeros((2, 2)), target=TARGET)
     config = FunctionalConfig(formulation="time", target="final", alpha=alpha)
     return Problem(system, TimeGrid(10.0, n_t), config, GROUND, guess)
+
+
+def restricted_problem(n_t=65):
+    """Three-level ladder, final target on level 1, level 2 forbidden."""
+    mu = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    system = build_level_system([1.0, 2.0, 3.2], mu,
+                                target=np.diag([0.0, 1.0, 0.0]))
+    config = FunctionalConfig(formulation="time", target="final", alpha=0.5,
+                              restriction=StateRestriction(1, [1.0]))
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    return Problem(system, TimeGrid(10.0, n_t), config, psi0, 0.5)
 
 
 def hg_problem(n_t=129):
@@ -245,6 +256,23 @@ def test_stationary_field_is_fixed_point_for_every_method():
         assert np.abs(tr.field.time_values()).max() < 1e-10, tr.method
 
 
+# ---------------------------------------------------------------- restriction
+
+
+@pytest.mark.parametrize("optimizer", [optimize_relaxation, optimize_gradient])
+def test_final_target_with_forbidden_states(optimizer):
+    p = restricted_problem()
+    tr = optimizer(p, OptimizerConfig(budget=3))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert len(tr.rows) == 4
+    assert tr.j_monotone
+    assert tr.js()[-1] > tr.js()[0]
+    assert all(row.breakdown.j_forb < 0.0 for row in tr.rows)
+    again = optimizer(restricted_problem(), OptimizerConfig(budget=3))
+    assert np.array_equal(tr.js(), again.js())
+    assert np.array_equal(tr.field.time_values(), again.field.time_values())
+
+
 # ---------------------------------------------------------------- krotov
 
 
@@ -360,6 +388,18 @@ def test_degani_survives_harsh_plateau():
     aw = np.where(om <= 2.0, 0.1, 100.0)
     tr = optimize_degani(p, aw, OptimizerConfig(max_iterations=200))
     assert tr.status in (CONVERGED, BUDGET_EXHAUSTED, INSTABILITY)
+
+
+def test_degani_counts_two_sweeps_per_iteration():
+    p = s2s_problem(n_t=33)
+    tr = optimize_degani(p, np.full(p.grid.n_t, 0.1),
+                         OptimizerConfig(budget=3))
+    assert tr.propagations == 1 + 2 * (len(tr.rows) - 1) \
+        == tr.rows[-1].propagations
+    assert tr.breakdown is tr.rows[-1].breakdown
+    assert tr.trajectory.final_state.shape == (2,)
+    with pytest.raises(ValueError):
+        tr.trajectory.step_nodes(0)
 
 
 def test_degani_zero_kernel_pivot_raises():

@@ -28,3 +28,10 @@ def test_declared_readme_exists():
     readme = project()["readme"]
     path = readme if isinstance(readme, str) else readme["file"]
     assert (ROOT / path).is_file()
+
+
+@pytest.mark.parametrize("module", ["specdrive.system", "specdrive.spectral"])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
