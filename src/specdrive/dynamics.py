@@ -3,8 +3,13 @@
 Forward runs are homogeneous; backward runs optionally carry an
 inhomogeneous source built from the stored forward trajectory.  Each step
 solves the integral form of the equation of motion on internal Chebyshev
-nodes, iterating until the relative change at the step end drops below a
-per-step tolerance, and bisecting the step on non-convergence.
+nodes in the interaction picture of H0: with psi(t0+tau) =
+V e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
+the eigen-coefficients c, carrying only the field coupling and the source.
+It iterates until the relative change at the step end drops below a
+per-step tolerance.  A step is bisected while the Bohr spread times its
+length exceeds what the node polynomial resolves, or when its iteration
+stalls.  States enter and leave a step in the system basis.
 """
 
 import math
@@ -22,11 +27,16 @@ import scipy.linalg
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
 )
-from .system import commutator_H0_O, dense_h0, dense_mu, h0_norm_estimate
+from .system import commutator_H0_O, dense_h0, dense_mu
 
 _EPS = float(np.finfo(float).eps)
 _NODE_STORAGE_CAP = 64 * 2**20  # bytes of internal node states kept in memory
 _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
+# Largest Bohr spread (E_max - E_min) times |dt| of one step: up to here
+# the node polynomial resolves the phases e^{i(E_a - E_b) tau} of the
+# rotated coupling.  The default config's substeps and the solver's
+# bisection both hold to it.
+_PHASE_SPAN = 0.7
 
 
 class PropagationError(RuntimeError):
@@ -56,10 +66,14 @@ class PropagatorConfig:
 
 
 def default_propagator_config(system, grid, tau=1e-3):
-    """Refine the grid spacing until |H0|*dt <= 0.5, with zeta = 1e-3*tau."""
-    est = h0_norm_estimate(system)
+    """The fewest power-of-two substeps m per grid interval with
+    (E_max - E_min)*dt/m <= _PHASE_SPAN, nine nodes, and zeta = 1e-3*tau.
+
+    The field does not enter: a step whose iteration it stalls is bisected
+    by the solver."""
+    spread = float(np.ptp(system.eigen()[0]))
     m = 1
-    while est * grid.dt / m > 0.5:
+    while spread * grid.dt / m > _PHASE_SPAN:
         m *= 2
     return PropagatorConfig(steps=(grid.n_t - 1) * m,
                             rule=chebyshev_rule(_DEFAULT_NODES),
@@ -244,11 +258,23 @@ class _FieldEval:
         return lambda k: (f_all[k], self)
 
 
+_StepTable = namedtuple("_StepTable", "ph rhs q dq")
+
+
+def _same(states):
+    return states
+
+
 class StepSolver:
     """Per-step fixed-point solver on the internal Chebyshev nodes.
 
-    solve() returns the node states over [t0, t0+dt] (dt may be negative);
-    a step whose iteration stalls is bisected up to max_halvings times.
+    solve() takes and returns system-basis states: the node states over
+    [t0, t0+dt] (dt may be negative).  A system with an eigen() basis is
+    stepped in the interaction picture of H0, psi(t0+tau) =
+    V e^{-iE tau} c(tau), so H0 is exact and the iterate only carries the
+    field; a bare h_apply system iterates on the states with E = 0.  A step
+    is bisected, up to max_halvings times, while its Bohr spread times |dt|
+    exceeds _PHASE_SPAN or its iteration stalls.
     """
 
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6):
@@ -258,6 +284,40 @@ class StepSolver:
         self.zeta_step = zeta_step
         self.max_picard = max_picard
         self.max_halvings = max_halvings
+        self._tables = {}  # step length -> _StepTable
+        eigen = getattr(system, "eigen", None)
+        energies, vecs, self._coupling = eigen() if eigen else (None,) * 3
+        self._energies = energies
+        self.spread = 0.0 if energies is None else float(np.ptp(energies))
+        self._to_eigen = self._to_system = _same
+        if vecs is not None:
+            v_conj, v_t = vecs.conj(), vecs.T.copy()
+            self._to_eigen = lambda u: u @ v_conj
+            self._to_system = lambda c: c @ v_t
+
+    def _table(self, dt):
+        """Phases e^{-iE tau_j}, the right-hand side and the integration
+        matrices of a step of length dt, built once per length."""
+        tab = self._tables.get(dt)
+        if tab is not None:
+            return tab
+        qmat = self.rule.qmat
+        if self._energies is None:
+            # dc/ds = dt (-i h_apply(c) + src) on the states themselves: E = 0
+            tab = _StepTable(np.ones((len(self.s), 1)), self.system.h_apply,
+                             (-1j * dt) * qmat, dt * qmat)
+        else:
+            # dc/ds = dt (i eps M_j c + conj(ph_j) V^dagger src), with the
+            # rotated coupling M_j = e^{iE tau_j} M e^{-iE tau_j}
+            ph = np.exp(-1j * np.multiply.outer(dt * self.s, self._energies))
+            m_j = ph.conj()[:, :, None] * self._coupling * ph[:, None, :]
+
+            def rhs(c, f_vals):
+                return f_vals[:, None] * np.matmul(m_j, c[..., None])[..., 0]
+
+            tab = _StepTable(ph, rhs, (1j * dt) * qmat, dt * qmat)
+        self._tables[dt] = tab
+        return tab
 
     def picard(self, u0, f_vals, src, dt):
         """Fixed-point iteration at this step's nodes; None if stalled.
@@ -265,19 +325,21 @@ class StepSolver:
         f_vals is the field at the nodes, or a function of the node iterate
         that gives it (an immediate update, recomputed every iterate).
         """
-        # u = u0 + dt Q (-i H u + src): the source part is fixed for the step
-        q = (-1j * dt) * self.rule.qmat
-        base = u0 if src is None else u0 + (dt * self.rule.qmat) @ src
-        u = np.repeat(u0[None, :], len(self.s), axis=0)
-        end_prev = u0
-        h_apply = self.system.h_apply
+        ph, rhs, q, dq = self._table(dt)
+        to_eigen, to_system = self._to_eigen, self._to_system
+        c0 = to_eigen(u0)
+        # c = c0 + q rhs(c) + dq conj(ph) V^dagger src: the source part
+        # is fixed for the step
+        base = c0 if src is None else c0 + dq @ (ph.conj() * to_eigen(src))
+        c = np.repeat(c0[None, :], len(self.s), axis=0)
+        end_prev = c0
         update = f_vals if callable(f_vals) else None
         for _ in range(self.max_picard):
             if update is not None:
-                f_vals = update(u)
-            u = q @ h_apply(u, f_vals)
-            u += base
-            end = u[-1]
+                f_vals = update(to_system(ph * c))
+            c = q @ rhs(c, f_vals)
+            c += base
+            end = c[-1]
             diff = end - end_prev
             delta = math.sqrt(np.vdot(diff, diff).real)
             end_prev = end
@@ -285,7 +347,7 @@ class StepSolver:
                 return None
             scale = max(math.sqrt(np.vdot(end, end).real), 1e-300)
             if delta <= self.zeta_step * scale:
-                return u
+                return to_system(ph * c)
         return None
 
     def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
@@ -294,13 +356,14 @@ class StepSolver:
         step's own nodes; f_eval and src_frac serve bisected halves.  The
         field may be a function of the node iterate (see picard), and so
         may what f_eval returns."""
-        if f_vals is None:
-            f_vals = f_eval(t0 + dt * self.s)
-        if src_vals is None and src_frac is not None:
-            src_vals = src_frac(self.s)
-        u = self.picard(u0, f_vals, src_vals, dt)
-        if u is not None:
-            return u
+        if self.spread * abs(dt) <= _PHASE_SPAN:
+            if f_vals is None:
+                f_vals = f_eval(t0 + dt * self.s)
+            if src_vals is None and src_frac is not None:
+                src_vals = src_frac(self.s)
+            u = self.picard(u0, f_vals, src_vals, dt)
+            if u is not None:
+                return u
         if depth >= self.max_halvings:
             raise PropagationError(
                 f"step at t={t0:.6g} failed to converge after "

@@ -568,7 +568,11 @@ def optimize_krotov(problem, config=None, on_row=None):
     """Immediate-update iteration: the backward sweep recomputes the field
     from the stored forward states node by node, the forward sweep from the
     stored costate, so every propagation uses the newest field available.
-    Monotonic in exact arithmetic for final-time and time-dependent targets.
+    Monotonic in exact arithmetic for final-time and time-dependent targets
+    without a StateRestriction.  With forbidden states J can fall: the
+    first-order update lacks the second-order term that the concave cost
+    -int <P_f> needs (three-level ladder with level 2 forbidden, alpha =
+    0.5: J -1.562 -> -0.739 -> -5.093).
     """
     config = config or OptimizerConfig(method="krotov")
     return _drive(problem, config, on_row, "krotov", _krotov_step)

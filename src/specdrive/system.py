@@ -59,6 +59,11 @@ class LevelSystem:
             fv = fv[:, None]
         return states * self.energies - fv * (states @ self.mu.T)
 
+    def eigen(self):
+        """(E, V, M) of H0: the energies, V = None for the identity basis,
+        and M = mu."""
+        return _cached_eigen(self, lambda: (self.energies, None, self.mu))
+
 
 @dataclass(frozen=True)
 class GridSystem:
@@ -109,6 +114,25 @@ class GridSystem:
         out = states @ self._h0t
         out -= fv * (states * self.dipole)
         return out
+
+    def eigen(self):
+        """(E, V, M) of H0: ascending energies, the eigenvectors as columns
+        of V (see diagonalize), and the dipole M = V^dagger mu V."""
+        def build():
+            energies, vecs = _fixed_phase_eigh(self._h0t.T.copy())
+            return energies, vecs, vecs.conj().T @ (self.dipole[:, None] * vecs)
+
+        return _cached_eigen(self, build)
+
+
+def _cached_eigen(system, build):
+    """The system's eigen data, built on first use and kept on the instance
+    (not in a module-level table, which would keep every system alive)."""
+    data = system.__dict__.get("_eigen")
+    if data is None:
+        data = build()
+        object.__setattr__(system, "_eigen", data)
+    return data
 
 
 def build_level_system(energies, mu, target=None):
@@ -203,8 +227,17 @@ class SpectralBasis:
 def diagonalize(system):
     """Full dense eigenbasis, ascending, with a fixed phase convention:
     the largest-magnitude component of each eigenvector is made positive real.
+
+    The arrays are copies of the system's cached eigen data, which the
+    propagator shares.
     """
-    h0 = dense_h0(system)
+    energies, vecs, _ = system.eigen()
+    # V is None for a level system, whose H0 is already diagonal
+    vecs = np.eye(len(energies), dtype=complex) if vecs is None else vecs.copy()
+    return SpectralBasis(energies.copy(), vecs)
+
+
+def _fixed_phase_eigh(h0):
     energies, vecs = np.linalg.eigh(h0)
     for n in range(vecs.shape[1]):
         col = vecs[:, n]
@@ -213,7 +246,7 @@ def diagonalize(system):
         vecs[:, n] = col / phase
     if np.abs(vecs.imag).max() < 1e-14:
         vecs = vecs.real.astype(complex)
-    return SpectralBasis(energies, vecs)
+    return energies, vecs
 
 
 def morse_potential(d0, a):

@@ -161,8 +161,8 @@ def test_bisected_hg_backward_matches_tight_run(monkeypatch):
         return out
 
     monkeypatch.setattr(StepSolver, "picard", counting)
-    bisected = backward(64, 1e-10, 10)
-    assert stalls, "max_picard=10 should force bisected steps"
+    bisected = backward(64, 1e-10, 5)
+    assert stalls, "max_picard=5 should force bisected steps"
     stalls.clear()
     tight = backward(512, 1e-12, 40)
     assert not stalls

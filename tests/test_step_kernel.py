@@ -1,17 +1,18 @@
 """The per-iterate step kernel: GridSystem.h_apply against its dense H0,
-and StepSolver.picard against the unfolded fixed-point loop."""
+StepSolver.picard against the unfolded fixed-point loop, and the
+eigenbasis step against the same step cut into sub-steps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from specdrive.spectral import chebyshev_rule
+from specdrive.spectral import TimeGrid, chebyshev_rule
 from specdrive.system import (
     apply_mu, build_grid_system, build_level_system, choose_x_domain,
-    dense_h0, h0_norm_estimate, hcl_dipole, morse_potential,
+    dense_h0, diagonalize, h0_norm_estimate, hcl_dipole, morse_potential,
 )
-from specdrive.dynamics import StepSolver
+from specdrive.dynamics import StepSolver, default_propagator_config
 
 RULE = chebyshev_rule(9)
 HCL_MASS = 1785.0
@@ -134,3 +135,123 @@ def test_picard_krotov_update_step():
         return 0.2 + np.einsum("ij,ij->i", u.conj(), mu_partner).imag / 0.1
 
     assert_same_iteration(system, u0, update, None, 10.0 / 1024, 1e-9 / 1024)
+
+
+def iterates(system, u0, f_vals, src, dt, zeta_step):
+    """Iterates picard takes: the fewest max_picard that converge."""
+    for k in range(1, 41):
+        solver = StepSolver(system, RULE, zeta_step, max_picard=k)
+        if solver.picard(u0, f_vals, src, dt) is not None:
+            return k
+    return math.inf
+
+
+def substepped_end(system, u0, field, source, dt, n):
+    """The step as n sub-steps of the plain loop at zeta 1e-15."""
+    solver = StepSolver(_Counting(system), RULE, 1e-15)
+    u = u0
+    for k in range(n):
+        s = (k + solver.s) / n
+        src = None if source is None else source(s)
+        u = solver.picard(u, field(s), src, dt / n)[-1]
+    return u
+
+
+HCL_DT = 2000.0 / 1024  # the benchmark's HCl grid spacing
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("with_source", [True, False])
+def test_eigen_step_matches_substeps_on_hcl_grid(direction, with_source):
+    system = hcl_system(64)
+    rng = np.random.default_rng(11)
+    u0 = complex_block(rng, 1, 64)[0]
+    u0 /= np.linalg.norm(u0)
+    a, b = 0.05 * complex_block(rng, 2, 64)
+
+    def field(s):
+        return 0.01 * np.cos(3.0 * s)
+
+    def source(s):
+        return a + np.multiply.outer(np.asarray(s) ** 2, b)
+
+    source = source if with_source else None
+    dt = direction * HCL_DT
+    zeta_step = 1e-6 / 1024
+    solver = StepSolver(system, RULE, zeta_step)
+    src = None if source is None else source(solver.s)
+    got = solver.picard(u0, field(solver.s), src, dt)
+    assert got is not None
+    ref = substepped_end(system, u0, field, source, dt, 16)
+    assert np.linalg.norm(got[-1] - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.abs(got[0] - u0).max() <= 1e-14
+    eigen_its = iterates(system, u0, field(solver.s), src, dt, zeta_step)
+    plain_its = iterates(_Counting(system), u0, field(solver.s), src, dt,
+                         zeta_step)
+    assert eigen_its < plain_its
+
+
+def test_eigen_krotov_update_step_matches_substeps():
+    system = build_level_system([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])
+    u0 = np.array([0.8, 0.6j])
+
+    def update_at(s):  # eps = Im<u|mu|partner>/alpha + guess, node by node
+        partner = np.stack([np.full(np.shape(s), 0.1),
+                            1.0 - 0.4j * np.asarray(s)], axis=-1)
+        mu_partner = apply_mu(system, partner)
+        return lambda u: 0.2 + np.einsum(
+            "ij,ij->i", u.conj(), mu_partner).imag / 0.1
+
+    dt, zeta_step = 10.0 / 1024, 1e-9 / 1024
+    solver = StepSolver(system, RULE, zeta_step)
+    got = solver.picard(u0, update_at(solver.s), None, dt)
+    assert got is not None
+    ref = substepped_end(system, u0, update_at, None, dt, 16)
+    assert np.linalg.norm(got[-1] - ref) <= 1e-10 * np.linalg.norm(ref)
+    update = update_at(solver.s)
+    assert (iterates(system, u0, update, None, dt, zeta_step)
+            < iterates(_Counting(system), u0, update, None, dt, zeta_step))
+
+
+def test_unresolved_step_is_bisected_before_picard(monkeypatch):
+    system = build_level_system([1.0, 4.0], [[0.0, 1.0], [1.0, 0.0]])
+    seen = []
+    picard = StepSolver.picard
+
+    def recording(self, u0, f_vals, src, dt):
+        seen.append(dt)
+        return picard(self, u0, f_vals, src, dt)
+
+    monkeypatch.setattr(StepSolver, "picard", recording)
+    solver = StepSolver(system, RULE, 1e-12)
+    assert solver.spread == 3.0
+    u0 = np.array([1.0, 0.0], dtype=complex)
+
+    def f_eval(t):
+        return 0.1 * np.cos(np.asarray(t))
+
+    solver.solve(u0, 0.0, 0.2, f_eval)  # spread * dt = 0.6: one solve
+    assert seen == [0.2]
+    seen.clear()
+    nodes = solver.solve(u0, 0.0, -0.4, f_eval)  # 1.2: one halving
+    assert seen == [-0.2, -0.2]
+    assert nodes.shape == (RULE.n_c, 2)
+    assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() < 1e-10
+
+
+def test_default_config_takes_one_step_per_interval_on_hcl_grid():
+    system = hcl_system(64)
+    grid = TimeGrid(2000.0, 1025)
+    assert default_propagator_config(system, grid).steps == 1024
+
+
+def test_diagonalize_returns_copies_of_the_cached_basis():
+    system = hcl_system(64)
+    first = diagonalize(system)
+    energies, vecs = first.energies.copy(), first.states.copy()
+    first.energies[:] = 0.0
+    first.states[:] = 0.0
+    again = diagonalize(system)
+    assert np.array_equal(again.energies, energies)
+    assert np.array_equal(again.states, vecs)
+    assert system.eigen() is system.eigen()
