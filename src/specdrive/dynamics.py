@@ -27,7 +27,7 @@ import scipy.linalg
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
 )
-from .system import commutator_H0_O, dense_h0, dense_mu
+from .system import apply_operator, commutator_H0_O, dense_h0, dense_mu
 
 _EPS = float(np.finfo(float).eps)
 _NODE_STORAGE_CAP = 64 * 2**20  # bytes of internal node states kept in memory
@@ -83,14 +83,10 @@ def default_propagator_config(system, grid, tau=1e-3):
 def state_map(op):
     """Normalize an operator (callable, matrix, or diagonal) to a map on
     (k, dim) state blocks."""
-    if op is None:
-        return None
-    if callable(op):
+    if op is None or callable(op):
         return op
     arr = np.asarray(op)
-    if arr.ndim == 1:
-        return lambda states: states * arr
-    return lambda states: states @ arr.T
+    return lambda states: apply_operator(arr, states)
 
 
 def _block_expectation(states, apply_op):
@@ -280,7 +276,7 @@ class StepSolver:
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6):
         self.system = system
         self.rule = rule
-        self.s = 0.5 * (1.0 - rule.y)  # fractional positions, s[0]=0, s[-1]=1
+        self.s = rule.s
         self.zeta_step = zeta_step
         self.max_picard = max_picard
         self.max_halvings = max_halvings
@@ -425,7 +421,7 @@ class Trajectory:
 
     @property
     def s_nodes(self):
-        return 0.5 * (1.0 - self.rule.y)
+        return self.rule.s
 
     @property
     def initial_state(self):
@@ -458,6 +454,13 @@ class Trajectory:
         return out
 
 
+def _step_solver(system, config, n_steps):
+    """The StepSolver of an n_steps run under config: zeta split evenly."""
+    zeta_step = max(config.zeta / n_steps, 100.0 * _EPS)
+    return StepSolver(system, config.rule, zeta_step, config.max_picard,
+                      config.max_halvings)
+
+
 def _steps_for(config, grid):
     if config.steps % (grid.n_t - 1):
         raise ValueError("steps must be a multiple of the grid intervals")
@@ -485,9 +488,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
     """
     m, n_steps = _steps_for(config, grid)
     rule = config.rule
-    zeta_step = max(config.zeta / n_steps, 100.0 * _EPS)
-    solver = StepSolver(system, rule, zeta_step, config.max_picard,
-                        config.max_halvings)
+    solver = _step_solver(system, config, n_steps)
     dim, n_c = len(u_init), rule.n_c
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)

@@ -16,13 +16,12 @@ from .spectral import (
     integrate_freq, integrate_time, make_filter,
 )
 from .system import (
-    GridSystem, StateRestriction, _require_hermitian, apply_mu,
+    StateRestriction, _require_hermitian, apply_mu,
     commutator_H0_O, dense_target, diagonalize, projectors,
 )
 from .dynamics import _grid_expectation, _sample_interp, state_map
 
 # keys of the node expectations a forward run records (observables=)
-OBS_TARGET = "target"        # the target operator, when a caller records it
 OBS_FORBIDDEN = "forbidden"  # <P_f^gamma>, recorded by the optimizers
 
 
@@ -190,8 +189,7 @@ def j_max_td(traj, weight, op_of_t):
                 vals[k, j] = np.vdot(nodes[j], o @ nodes[j]).real
     else:
         vals = _node_expect(
-            traj, _require_hermitian(op_of_t, "operator", diagonal=True),
-            OBS_TARGET)
+            traj, _require_hermitian(op_of_t, "operator", diagonal=True))
     times = (np.arange(traj.n_steps)[:, None] + s[None, :]) * h
     wvals = _sample_interp(weight.values, weight.grid, times)
     return integrate_time(wvals * vals, rule, h)
@@ -399,12 +397,11 @@ class EvalContext:
 def prepare_context(system, grid, config):
     """Resolve the config against a system: projected operators, sampled
     filters, and the commutator needed for the boundary term."""
-    o_full = system.target if isinstance(system, GridSystem) else dense_target(system)
+    o_full = system.target
     if config.restriction is not None:
         basis = diagonalize(system)
         p_a, p_f = projectors(basis, config.restriction)
-        dense = np.asarray(dense_target(system), dtype=complex)
-        o_a = p_a @ dense @ p_a
+        o_a = p_a @ dense_target(system) @ p_a
         o_a = 0.5 * (o_a + o_a.conj().T)
         p_f = 0.5 * (p_f + p_f.conj().T)
     else:
@@ -426,7 +423,7 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
     if cfg.target == "spectral" and s_signal is not None:
         h = traj.dt_step
         svals = s_signal.on_lattice(traj.n_steps, traj.s_nodes)
-        oa = _node_expect(traj, ctx.o_a, OBS_TARGET)
+        oa = _node_expect(traj, ctx.o_a)
         inner = svals * oa
         if ctx.p_f is not None:
             inner = inner - _node_expect(traj, ctx.p_f, OBS_FORBIDDEN)

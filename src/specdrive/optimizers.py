@@ -37,7 +37,6 @@ from .system import apply_mu
 from .dynamics import (
     InstabilityError,
     PropagationError,
-    StepSolver,
     HGSource,
     Trajectory,
     TDTargetSource,
@@ -51,6 +50,7 @@ from .dynamics import (
     _barycentric_interp,
     _run,
     _sample_interp,
+    _step_solver,
     _steps_for,
 )
 from .functionals import (
@@ -247,8 +247,7 @@ def convergence_check(field_old, field_new, formulation, tau):
     if hasattr(field_old, "grid") and hasattr(field_new, "grid"):
         if field_old.grid.n_t != field_new.grid.n_t:
             raise ValueError("fields live on different grids")
-    a, b = _native_vectors(field_old, field_new, formulation)
-    return _change_ratio(a, b) < tau
+    return _rel_change(field_old, field_new, formulation) < tau
 
 
 def _rel_change(field_old, field_new, formulation):
@@ -367,10 +366,8 @@ def _drive(problem, config, on_row, method, make_step, k0=1.0,
         _emit(rows, on_row, TraceRow(it, br_t, k, run.propagations, change))
         if keep_best and br_t.j > best[2].j:
             best = (trial, traj_t, br_t)
-        prev = field
         field, traj, br = trial, traj_t, br_t
-        if config.budget is None and convergence_check(prev, field,
-                                                       formulation, config.tau):
+        if config.budget is None and change < config.tau:
             status = CONVERGED
             break
     if keep_best:
@@ -542,8 +539,7 @@ def _krotov_step(run, config, filt_values=None):
                          "time-dependent targets only")
     system, grid, prop = run.problem.system, run.problem.grid, run.prop
     m, n_steps = _steps_for(prop, grid)
-    alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps,
-                            0.5 * (1.0 - prop.rule.y))
+    alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps, prop.rule.s)
 
     def step(field, traj, br):
         chi_t, source = _chi_setup(ctx, traj)
@@ -653,9 +649,7 @@ def _degani_step(run, config, alpha_omega):
                          "the per-node solve would break down")
 
     m, n_steps = _steps_for(prop, grid)
-    zeta_step = max(prop.zeta / n_steps, 100.0 * _EPS)
-    solver = StepSolver(system, prop.rule, zeta_step, prop.max_picard,
-                        prop.max_halvings)
+    solver = _step_solver(system, prop, n_steps)
     h_sub = grid.dt / m
     o_map = state_map(ctx.o_full)
 
@@ -711,7 +705,7 @@ def _degani_step(run, config, alpha_omega):
                     c = solver.solve(c, t1, -h_sub, f_eval)[-1]
                 return c, update(work, i, c, psi_grid[i])
 
-            chi = _settle_front(cross_bwd, work[i + 1], zeta_step,
+            chi = _settle_front(cross_bwd, work[i + 1], solver.zeta_step,
                                 prop.max_picard)
             nn = float(np.linalg.norm(chi))
             if ref > 0.0 and abs(nn - ref) > 1e3 * prop.zeta * ref:
@@ -739,7 +733,7 @@ def _degani_step(run, config, alpha_omega):
 
             # the j > i entries of work still hold the backward values,
             # so the neighbour already seeds the front sample well
-            psi = _settle_front(cross_fwd, work[i + 1], zeta_step,
+            psi = _settle_front(cross_fwd, work[i + 1], solver.zeta_step,
                                 prop.max_picard)
             nn = float(np.linalg.norm(psi))
             if abs(nn - ref_psi) > 1e3 * prop.zeta * ref_psi:

@@ -253,6 +253,11 @@ class ChebyshevRule:
     h: np.ndarray
     qmat: np.ndarray
 
+    @property
+    def s(self):
+        """Node positions as fractions of the step: s[0] = 0, s[-1] = 1."""
+        return 0.5 * (1.0 - self.y)
+
 
 def chebyshev_rule(n_c):
     """Build the ChebyshevRule for n_c nodes per step (n_c >= 2)."""

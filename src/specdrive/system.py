@@ -3,9 +3,13 @@
 Dense level systems and 1-D Fourier-grid oscillators under the dipole
 approximation H(t) = H0 - mu*eps(t), their eigenbases, allowed/forbidden
 projectors, Bohr frequencies, and the potential/dipole function catalog.
+
+Both kinds hold H0, mu and O each as a diagonal (1-D) or a matrix (2-D)
+in the state basis; apply_operator alone reads that form, so h_apply,
+eigen() and the dense_* helpers are shared.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -15,11 +19,11 @@ from scipy.optimize import brentq, minimize_scalar
 __all__ = [
     "LevelSystem", "GridSystem", "SpectralBasis", "StateRestriction",
     "build_level_system", "build_grid_system", "apply_grid_hamiltonian",
-    "apply_mu", "apply_target", "dense_h0", "dense_mu", "dense_target",
-    "diagonalize", "morse_potential", "toda_potential", "harmonic_potential",
-    "hcl_dipole", "hcl_fictitious_dipole", "toda_dipole", "linear_dipole",
-    "choose_x_domain", "projectors", "bohr_frequencies", "commutator_H0_O",
-    "h0_norm_estimate",
+    "apply_operator", "apply_mu", "apply_target", "dense_h0", "dense_mu",
+    "dense_target", "diagonalize", "morse_potential", "toda_potential",
+    "harmonic_potential", "hcl_dipole", "hcl_fictitious_dipole",
+    "toda_dipole", "linear_dipole", "choose_x_domain", "projectors",
+    "bohr_frequencies", "commutator_H0_O",
 ]
 
 _HERM_TOL = 1e-12
@@ -40,8 +44,53 @@ def _require_hermitian(a, name, diagonal=False):
     return a
 
 
+def _require_finite(a, name):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def apply_operator(op, states):
+    """op applied to each row of the (k, dim) states: a 1-D op is a
+    diagonal, a 2-D one a matrix."""
+    return states * op if op.ndim == 1 else states @ op.T
+
+
+class _System:
+    """What both system kinds share; each supplies h0, mu and target in the
+    operator form of apply_operator."""
+
+    @property
+    def dim(self):
+        return len(self.h0)
+
+    def h_apply(self, states, field_values):
+        """(H0 - eps*mu) row-wise; field_values scalar or one per row."""
+        fv = np.asarray(field_values)
+        if fv.ndim == 1:
+            fv = fv[:, None]
+        return (apply_operator(self.h0, states)
+                - fv * apply_operator(self.mu, states))
+
+    def eigen(self):
+        """(E, V, M) of H0, built once and kept on the instance: a diagonal
+        H0 gives its entries, V = None (the identity) and M = mu; a matrix
+        H0 its ascending energies, eigenvectors as V's columns (see
+        diagonalize) and M = V^dagger mu V."""
+        data = self.__dict__.get("_eigen")
+        if data is None:
+            if self.h0.ndim == 1:
+                data = self.h0, None, self.mu
+            else:
+                energies, vecs = _fixed_phase_eigh(self.h0)
+                # mu applied to each eigenvector, as the rows of V^T
+                mu_v = apply_operator(self.mu, vecs.T).T
+                data = energies, vecs, vecs.conj().T @ mu_v
+            object.__setattr__(self, "_eigen", data)
+        return data
+
+
 @dataclass(frozen=True)
-class LevelSystem:
+class LevelSystem(_System):
     """Diagonal H0 with energies E_n, dipole mu, and target operator O."""
 
     energies: np.ndarray
@@ -49,28 +98,16 @@ class LevelSystem:
     target: np.ndarray
 
     @property
-    def dim(self):
-        return len(self.energies)
-
-    def h_apply(self, states, field_values):
-        """(H0 - eps*mu) row-wise; field_values scalar or one per row."""
-        fv = np.asarray(field_values)
-        if fv.ndim == 1:
-            fv = fv[:, None]
-        return states * self.energies - fv * (states @ self.mu.T)
-
-    def eigen(self):
-        """(E, V, M) of H0: the energies, V = None for the identity basis,
-        and M = mu."""
-        return _cached_eigen(self, lambda: (self.energies, None, self.mu))
+    def h0(self):
+        return self.energies
 
 
 @dataclass(frozen=True)
-class GridSystem:
+class GridSystem(_System):
     """1-D system on an equidistant x grid, with a Fourier-grid kinetic term.
 
-    H0 is built once as a dense matrix, from the FFT form of P^2/2m + V
-    applied to the identity, and h_apply applies it as one matrix product.
+    h0 is P^2/2m + V as a dense matrix, built once from the FFT form
+    applied to the identity; mu (the dipole) and the target are diagonals.
     """
 
     x_min: float
@@ -80,6 +117,7 @@ class GridSystem:
     potential: np.ndarray
     dipole: np.ndarray
     target: np.ndarray
+    h0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_grid
@@ -87,16 +125,21 @@ class GridSystem:
             raise ValueError("n_grid must be a power of two")
         if len(self.potential) != n or len(self.dipole) != n or len(self.target) != n:
             raise ValueError("potential/dipole/target must have n_grid samples")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        _require_finite(self.potential, "potential")
+        _require_finite(self.dipole, "dipole")
+        _require_finite(self.target, "target")
         k = 2.0 * math.pi * scipy.fft.fftfreq(n, d=self.dx)
         eye = np.eye(n, dtype=complex)
         kin = scipy.fft.ifft(scipy.fft.fft(eye, axis=-1)
                              * (k * k / (2.0 * self.mass)), axis=-1)
-        # row i of _h0t is H0 applied to e_i, so _h0t is H0 transposed
-        object.__setattr__(self, "_h0t", kin + eye * self.potential)
+        # row i is H0 applied to e_i, so the sum is H0 transposed
+        object.__setattr__(self, "h0", (kin + eye * self.potential).T.copy())
 
     @property
-    def dim(self):
-        return self.n_grid
+    def mu(self):
+        return self.dipole
 
     @property
     def dx(self):
@@ -106,45 +149,20 @@ class GridSystem:
     def x(self):
         return self.x_min + self.dx * np.arange(self.n_grid)
 
-    def h_apply(self, states, field_values):
-        """(P^2/2m + V - eps*mu) row-wise; field_values scalar or per row."""
-        fv = np.asarray(field_values)
-        if fv.ndim == 1:
-            fv = fv[:, None]
-        out = states @ self._h0t
-        out -= fv * (states * self.dipole)
-        return out
-
-    def eigen(self):
-        """(E, V, M) of H0: ascending energies, the eigenvectors as columns
-        of V (see diagonalize), and the dipole M = V^dagger mu V."""
-        def build():
-            energies, vecs = _fixed_phase_eigh(self._h0t.T.copy())
-            return energies, vecs, vecs.conj().T @ (self.dipole[:, None] * vecs)
-
-        return _cached_eigen(self, build)
-
-
-def _cached_eigen(system, build):
-    """The system's eigen data, built on first use and kept on the instance
-    (not in a module-level table, which would keep every system alive)."""
-    data = system.__dict__.get("_eigen")
-    if data is None:
-        data = build()
-        object.__setattr__(system, "_eigen", data)
-    return data
-
 
 def build_level_system(energies, mu, target=None):
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or len(energies) < 2:
         raise ValueError("need at least two energy levels")
+    _require_finite(energies, "energies")
     if not (np.diff(energies) > 0).all():
         raise ValueError("energies must be strictly increasing")
     mu = _require_hermitian(mu, "mu")
+    _require_finite(mu, "mu")
     if mu.shape[0] != len(energies):
         raise ValueError("mu dimension does not match the energies")
     target = mu if target is None else _require_hermitian(target, "target")
+    _require_finite(target, "target")
     if target.shape[0] != len(energies):
         raise ValueError("target dimension does not match the energies")
     return LevelSystem(energies, mu, target)
@@ -152,8 +170,8 @@ def build_level_system(energies, mu, target=None):
 
 def build_grid_system(x_min, x_max, n_grid, mass, potential, dipole, target=None):
     """Sample callables (or accept arrays) onto the half-open grid [x_min, x_max)."""
-    if not x_max > x_min:
-        raise ValueError("empty x domain")
+    if not 0.0 < x_max - x_min < math.inf:
+        raise ValueError("x domain must be nonempty and finite")
     dx = (x_max - x_min) / n_grid
     x = x_min + dx * np.arange(n_grid)
 
@@ -176,33 +194,28 @@ def apply_grid_hamiltonian(system, state, field_value):
 
 
 def apply_mu(system, states):
-    if isinstance(system, GridSystem):
-        return states * system.dipole
-    return states @ system.mu.T
+    return apply_operator(system.mu, states)
 
 
 def apply_target(system, states):
-    if isinstance(system, GridSystem):
-        return states * system.target
-    return states @ system.target.T
+    return apply_operator(system.target, states)
+
+
+def _dense(op):
+    """An operator of apply_operator's form as a new dense complex matrix."""
+    return (np.diag(op) if op.ndim == 1 else op).astype(complex)
 
 
 def dense_h0(system):
-    if isinstance(system, GridSystem):
-        return system._h0t.T.copy()
-    return np.diag(system.energies).astype(complex)
+    return _dense(system.h0)
 
 
 def dense_mu(system):
-    if isinstance(system, GridSystem):
-        return np.diag(system.dipole).astype(complex)
-    return system.mu.astype(complex)
+    return _dense(system.mu)
 
 
 def dense_target(system):
-    if isinstance(system, GridSystem):
-        return np.diag(system.target).astype(complex)
-    return system.target.astype(complex)
+    return _dense(system.target)
 
 
 @dataclass(frozen=True)
@@ -389,10 +402,3 @@ def commutator_H0_O(system):
     h0 = dense_h0(system)
     return h0 @ o - o @ h0
 
-
-def h0_norm_estimate(system):
-    """Cheap upper estimate of ||H0|| used to pick propagation substeps."""
-    if isinstance(system, GridSystem):
-        return float(system.potential.max()) + \
-            math.pi**2 / (2.0 * system.mass * system.dx**2)
-    return float(np.abs(system.energies).max())

@@ -16,7 +16,7 @@ from specdrive.dynamics import (
     propagate_forward, terminal_chi,
 )
 from specdrive.functionals import (
-    OBS_FORBIDDEN, OBS_TARGET, ControlField, FunctionalBreakdown,
+    OBS_FORBIDDEN, ControlField, FunctionalBreakdown,
     FunctionalConfig, alpha_from_filter, build_beta_kernel, cross_mu_signal,
     evaluate, field_from_el_freq, field_from_el_time, gradient_freq,
     gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_penal_freq,

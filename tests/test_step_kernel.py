@@ -10,9 +10,11 @@ import pytest
 from specdrive.spectral import TimeGrid, chebyshev_rule
 from specdrive.system import (
     apply_mu, build_grid_system, build_level_system, choose_x_domain,
-    dense_h0, diagonalize, h0_norm_estimate, hcl_dipole, morse_potential,
+    dense_h0, diagonalize, hcl_dipole, morse_potential,
 )
-from specdrive.dynamics import StepSolver, default_propagator_config
+from specdrive.dynamics import (
+    StepSolver, default_propagator_config, propagate_forward,
+)
 
 RULE = chebyshev_rule(9)
 HCL_MASS = 1785.0
@@ -118,7 +120,9 @@ def test_picard_grid_step_with_source(direction):
     rng = np.random.default_rng(7)
     u0 = complex_block(rng, 1, 64)[0]
     u0 /= np.linalg.norm(u0)
-    dt = direction * 0.5 / h0_norm_estimate(system)
+    h0_bound = (float(system.potential.max())
+                + math.pi**2 / (2.0 * system.mass * system.dx**2))
+    dt = direction * 0.5 / h0_bound
     f_vals = 0.01 * np.cos(np.linspace(0.0, 1.0, RULE.n_c))
     src = 0.05 * complex_block(rng, RULE.n_c, 64)
     assert_same_iteration(system, u0, f_vals, src, dt, 1e-6 / 2048)
@@ -255,3 +259,23 @@ def test_diagonalize_returns_copies_of_the_cached_basis():
     assert np.array_equal(again.energies, energies)
     assert np.array_equal(again.states, vecs)
     assert system.eigen() is system.eigen()
+
+
+def test_level_system_of_the_grid_eigenbasis_propagates_alike():
+    """The grid system and the level system of its (E, M, V^dagger O V)
+    are one operator model: a forward run of each reaches the same state,
+    in the eigenbasis."""
+    system = hcl_system(64)
+    energies, vecs, coupling = system.eigen()
+    o_eigen = vecs.conj().T @ (system.target[:, None] * vecs)
+    level = build_level_system(energies, coupling, o_eigen)
+    grid = TimeGrid(200.0, 103)  # the benchmark's HCl time step
+    w10 = float(energies[1] - energies[0])
+    field = 0.01 * np.cos(w10 * grid.nodes)
+    psi0 = vecs[:, 0]
+    config = default_propagator_config(system, grid)
+    assert default_propagator_config(level, grid).steps == config.steps
+    psi_t = propagate_forward(system, field, psi0, config, grid=grid).final_state
+    c_t = propagate_forward(level, field, vecs.conj().T @ psi0, config,
+                            grid=grid).final_state
+    assert np.linalg.norm(c_t - vecs.conj().T @ psi_t) <= 1e-12

@@ -8,7 +8,7 @@ from specdrive.system import (
     apply_mu, apply_target, dense_h0, dense_mu, dense_target, diagonalize,
     morse_potential, toda_potential, harmonic_potential, hcl_dipole,
     hcl_fictitious_dipole, toda_dipole, linear_dipole, choose_x_domain,
-    projectors, bohr_frequencies, commutator_H0_O, h0_norm_estimate,
+    projectors, bohr_frequencies, commutator_H0_O,
     StateRestriction,
 )
 
@@ -221,14 +221,46 @@ def test_commutator():
     assert np.abs(ct + ct.conj().T).max() < 1e-10  # anti-Hermitian
 
 
-def test_apply_helpers_and_norm_estimate():
+def test_apply_helpers():
     sys2 = build_level_system([1.0, 4.0], SX)
     psi = np.array([[1.0 + 0j, 2.0 - 1j]])
     assert np.abs(apply_mu(sys2, psi) - psi @ SX.T).max() == 0
     assert np.abs(apply_target(sys2, psi) - psi @ SX.T).max() == 0
-    assert h0_norm_estimate(sys2) == 4.0
     sys_t = build_grid_system(-3.8045, 41.0989, 128, 1.0,
-                              toda_potential, linear_dipole)
-    est = h0_norm_estimate(sys_t)
-    emax = np.linalg.eigvalsh(dense_h0(sys_t)).max()
-    assert est >= emax > 0.5 * est
+                              toda_potential, linear_dipole, harmonic_potential)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 128)) + 1j * rng.standard_normal((3, 128))
+    assert np.array_equal(apply_mu(sys_t, rows), rows @ dense_mu(sys_t).T)
+    assert np.array_equal(apply_target(sys_t, rows),
+                          rows @ dense_target(sys_t).T)
+
+
+def _grid(**change):
+    args = dict(x_min=0.0, x_max=1.0, n_grid=16, mass=1.0,
+                potential=np.zeros(16), dipole=np.ones(16), target=None)
+    args.update(change)
+    return build_grid_system(**args)
+
+
+def _with(index, value, n=16):
+    out = np.linspace(0.0, 1.0, n)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _grid(mass=0.0),
+    lambda: _grid(mass=-1.0),
+    lambda: _grid(mass=math.nan),
+    lambda: _grid(x_max=math.inf),
+    lambda: _grid(potential=_with(3, math.inf)),
+    lambda: _grid(dipole=_with(0, math.nan)),
+    lambda: _grid(target=_with(15, -math.inf)),
+    lambda: build_level_system([0.0, math.inf], SX),
+    lambda: build_level_system([0.0, 1.0], [[0.0, math.nan], [math.nan, 0.0]]),
+    lambda: build_level_system([0.0, 1.0], SX, np.diag([1.0, math.nan])),
+], ids=["zero-mass", "negative-mass", "nan-mass", "inf-domain", "inf-potential",
+        "nan-dipole", "inf-target", "inf-energy", "nan-mu", "nan-target"])
+def test_builders_reject_out_of_range_input(build):
+    with pytest.raises(ValueError):
+        build()
