@@ -254,7 +254,7 @@ class _FieldEval:
         return lambda k: (f_all[k], self)
 
 
-_StepTable = namedtuple("_StepTable", "ph rhs q dq")
+_StepTable = namedtuple("_StepTable", "ph ph_bar q dq")
 
 
 def _same(states):
@@ -282,9 +282,17 @@ class StepSolver:
         self.max_halvings = max_halvings
         self._tables = {}  # step length -> _StepTable
         eigen = getattr(system, "eigen", None)
-        energies, vecs, self._coupling = eigen() if eigen else (None,) * 3
+        energies, vecs, coupling = eigen() if eigen else (None,) * 3
         self._energies = energies
         self.spread = 0.0 if energies is None else float(np.ptp(energies))
+        # c = c0 - i dt Q conj(ph) H_I(ph c) + the source part: H_I = -eps M
+        # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0
+        if energies is None:
+            self._weight, self._rhs = (lambda f, ph_bar: f), system.h_apply
+        else:
+            minus_m = -coupling.astype(complex)  # no cast per iterate
+            self._weight = lambda f, ph_bar: f[:, None] * ph_bar
+            self._rhs = lambda u, w: w * apply_operator(minus_m, u)
         self._to_eigen = self._to_system = _same
         if vecs is not None:
             v_conj, v_t = vecs.conj(), vecs.T.copy()
@@ -292,27 +300,15 @@ class StepSolver:
             self._to_system = lambda c: c @ v_t
 
     def _table(self, dt):
-        """Phases e^{-iE tau_j}, the right-hand side and the integration
+        """Phases e^{-iE tau_j}, their conjugates and the integration
         matrices of a step of length dt, built once per length."""
         tab = self._tables.get(dt)
-        if tab is not None:
-            return tab
-        qmat = self.rule.qmat
-        if self._energies is None:
-            # dc/ds = dt (-i h_apply(c) + src) on the states themselves: E = 0
-            tab = _StepTable(np.ones((len(self.s), 1)), self.system.h_apply,
-                             (-1j * dt) * qmat, dt * qmat)
-        else:
-            # dc/ds = dt (i eps M_j c + conj(ph_j) V^dagger src), with the
-            # rotated coupling M_j = e^{iE tau_j} M e^{-iE tau_j}
-            ph = np.exp(-1j * np.multiply.outer(dt * self.s, self._energies))
-            m_j = ph.conj()[:, :, None] * self._coupling * ph[:, None, :]
-
-            def rhs(c, f_vals):
-                return f_vals[:, None] * np.matmul(m_j, c[..., None])[..., 0]
-
-            tab = _StepTable(ph, rhs, (1j * dt) * qmat, dt * qmat)
-        self._tables[dt] = tab
+        if tab is None:
+            ph = 1.0 if self._energies is None else np.exp(
+                -1j * np.multiply.outer(dt * self.s, self._energies))
+            qmat = self.rule.qmat
+            tab = _StepTable(ph, np.conj(ph), (-1j * dt) * qmat, dt * qmat)
+            self._tables[dt] = tab
         return tab
 
     def picard(self, u0, f_vals, src, dt):
@@ -321,19 +317,20 @@ class StepSolver:
         f_vals is the field at the nodes, or a function of the node iterate
         that gives it (an immediate update, recomputed every iterate).
         """
-        ph, rhs, q, dq = self._table(dt)
+        ph, ph_bar, q, dq = self._table(dt)
         to_eigen, to_system = self._to_eigen, self._to_system
         c0 = to_eigen(u0)
-        # c = c0 + q rhs(c) + dq conj(ph) V^dagger src: the source part
-        # is fixed for the step
-        base = c0 if src is None else c0 + dq @ (ph.conj() * to_eigen(src))
+        # the source part, dq conj(ph) V^dagger src, is fixed for the step
+        base = c0 if src is None else c0 + dq @ (ph_bar * to_eigen(src))
         c = np.repeat(c0[None, :], len(self.s), axis=0)
         end_prev = c0
         update = f_vals if callable(f_vals) else None
+        weight = None if update is not None else self._weight(f_vals, ph_bar)
         for _ in range(self.max_picard):
+            u = ph * c
             if update is not None:
-                f_vals = update(to_system(ph * c))
-            c = q @ rhs(c, f_vals)
+                weight = self._weight(update(to_system(u)), ph_bar)
+            c = q @ self._rhs(u, weight)
             c += base
             end = c[-1]
             diff = end - end_prev
@@ -374,15 +371,11 @@ class StepSolver:
 
     def _merge(self, u0, left, right):
         # reassemble the parent's node values from the two half solutions
+        s, lo = self.s, self.s <= 0.5
         out = np.empty_like(left)
-        out[0] = u0
-        out[-1] = right[-1]
-        for j in range(1, len(self.s) - 1):
-            s = self.s[j]
-            if s <= 0.5:
-                out[j] = _barycentric_interp(self.s, left, 2.0 * s)[0]
-            else:
-                out[j] = _barycentric_interp(self.s, right, 2.0 * s - 1.0)[0]
+        out[lo] = _barycentric_interp(s, left, 2.0 * s[lo])
+        out[~lo] = _barycentric_interp(s, right, 2.0 * s[~lo] - 1.0)
+        out[0], out[-1] = u0, right[-1]
         return out
 
 
@@ -441,6 +434,13 @@ class Trajectory:
         if self._regen is None:
             raise ValueError("internal node states are unavailable")
         return self._regen(k)
+
+    def in_basis(self, vecs):
+        """This trajectory with each state c as vecs @ c, nodes when read."""
+        return Trajectory(self.grid, self.rule, self.m,
+                          self.boundary_states @ vecs.T, self.norms,
+                          self.field_nodes, None, self.observations,
+                          lambda k: self.step_nodes(k) @ vecs.T)
 
     def node_expectation(self, apply_op):
         """Re(<u|Op|u>) at every internal node, shape (n_steps, n_c)."""

@@ -16,7 +16,7 @@ from .spectral import (
     integrate_freq, integrate_time, make_filter,
 )
 from .system import (
-    StateRestriction, _require_hermitian, apply_mu,
+    StateRestriction, _require_hermitian, apply_mu, apply_operator,
     commutator_H0_O, dense_target, diagonalize, projectors,
 )
 from .dynamics import _grid_expectation, _sample_interp, state_map
@@ -161,8 +161,7 @@ def j_max_final(psi_T, op):
     """<psi(T)|O|psi(T)> for a Hermitian target operator."""
     op = _require_hermitian(op, "operator", diagonal=True)
     psi_T = np.asarray(psi_T, dtype=complex)
-    out = psi_T * op if op.ndim == 1 else op @ psi_T
-    return float(np.vdot(psi_T, out).real)
+    return float(np.vdot(psi_T, apply_operator(op, psi_T)).real)
 
 
 def j_max_spectral(traj, o_a, f_o):
@@ -401,6 +400,8 @@ def prepare_context(system, grid, config):
     if config.restriction is not None:
         basis = diagonalize(system)
         p_a, p_f = projectors(basis, config.restriction)
+        if system.eigen()[1] is None:  # H0 diagonal: P_f^gamma is too
+            p_f = np.diag(p_f).real.copy()
         o_a = p_a @ dense_target(system) @ p_a
         o_a = 0.5 * (o_a + o_a.conj().T)
         p_f = 0.5 * (p_f + p_f.conj().T)

@@ -26,14 +26,14 @@ so convergence curves can be reconstructed exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectral import (
     FilterSpec, RealSignal, Spectrum, dct1, endpoint_factors, make_filter,
 )
-from .system import apply_mu
+from .system import apply_mu, rotate_operator
 from .dynamics import (
     InstabilityError,
     PropagationError,
@@ -222,20 +222,11 @@ class OptimizationTrace:
         return best
 
 
-def _native_vectors(field_old, field_new, formulation):
-    if hasattr(field_old, "time_values"):
-        if formulation == "frequency":
-            return field_old.spectrum().values, field_new.spectrum().values
-        return field_old.time_values(), field_new.time_values()
-    return np.asarray(field_old, dtype=float), np.asarray(field_new, dtype=float)
-
-
-def _change_ratio(vec_old, vec_new):
-    num = float(np.linalg.norm(vec_new - vec_old))
-    den = float(np.linalg.norm(vec_new))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+def _native(field, formulation):
+    if not hasattr(field, "time_values"):
+        return np.asarray(field, dtype=float)
+    return field.spectrum().values if formulation == "frequency" \
+        else field.time_values()
 
 
 def convergence_check(field_old, field_new, formulation, tau):
@@ -251,8 +242,12 @@ def convergence_check(field_old, field_new, formulation, tau):
 
 
 def _rel_change(field_old, field_new, formulation):
-    a, b = _native_vectors(field_old, field_new, formulation)
-    return _change_ratio(a, b)
+    a, b = _native(field_old, formulation), _native(field_new, formulation)
+    num = float(np.linalg.norm(b - a))
+    den = float(np.linalg.norm(b))
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den
 
 
 def _chi_setup(ctx, traj):
@@ -292,34 +287,42 @@ def _emit(rows, on_row, row):
 
 
 class _Run:
-    """What one run shares with its step function: the resolved functional,
-    the propagator, the count of propagations started (a propagation that
-    fails still counts), and score(ctx, traj, field), the breakdown that
+    """What one run shares with its step function: system, psi0 and the
+    functional in the eigen representation of H0 (basis vecs), the
+    propagator, the count of propagations started (a propagation that fails
+    still counts), and score(ctx, traj, field), the breakdown that
     forward() reports (evaluate unless the step factory swaps it)."""
 
     def __init__(self, problem, config):
         self.problem = problem
-        self.ctx = prepare_context(problem.system, problem.grid,
-                                   problem.functional)
+        self.system, self.vecs = problem.system.eigen_system()
+        self.psi0, functional = problem.psi0, problem.functional
+        vecs, op = self.vecs, functional.op_of_t
+        if vecs is not None:
+            self.psi0 = vecs.conj().T @ self.psi0
+            if op is not None:  # a time-dependent target as V^dagger O(t) V
+                functional = replace(functional, op_of_t=(
+                    lambda t: rotate_operator(np.asarray(op(t)), vecs))
+                    if callable(op) else rotate_operator(np.asarray(op), vecs))
+        self.ctx = prepare_context(self.system, problem.grid, functional)
         self.prop = problem.propagator_for(config)
         self.propagations = 0
         self.score = evaluate
 
     def forward(self, field):
         """Trajectory of psi0 under field and the functional it scores."""
-        p = self.problem
         self.propagations += 1
-        traj = propagate_forward(p.system, field, p.psi0, self.prop,
-                                 grid=p.grid, observables=self.ctx.observables)
+        traj = propagate_forward(self.system, field, self.psi0, self.prop,
+                                 grid=self.problem.grid,
+                                 observables=self.ctx.observables)
         return traj, self.score(self.ctx, traj, field)
 
     def backward(self, field, traj):
         """Costate of the forward trajectory traj under field."""
-        p = self.problem
         chi_t, source = _chi_setup(self.ctx, traj)
         self.propagations += 1
-        return propagate_backward(p.system, field, source, chi_t, self.prop,
-                                  grid=p.grid)
+        return propagate_backward(self.system, field, source, chi_t,
+                                  self.prop, grid=self.problem.grid)
 
     def sweep(self, *args, **kwargs):
         """One immediate-update sweep (see _immediate_sweep)."""
@@ -372,6 +375,8 @@ def _drive(problem, config, on_row, method, make_step, k0=1.0,
             break
     if keep_best:
         field, traj, br = best
+    if run.vecs is not None:
+        traj = traj.in_basis(run.vecs)
     return OptimizationTrace(method, status, rows, field, traj, br,
                              run.propagations)
 
@@ -465,8 +470,9 @@ def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
 
 def _node_update(sign, mu_partner, alpha):
     """The field sign * Im<u|mu|partner>/alpha at each node of the iterate u."""
-    return lambda u: sign * np.einsum(
-        "ij,ij->i", u.conj(), mu_partner).imag / alpha
+    # Im<u|x> = -Im(u . conj(x)): conjugated and scaled once per step
+    w = mu_partner.conj() * np.reshape(-sign / np.asarray(alpha), (-1, 1))
+    return lambda u: np.einsum("ij,ij->i", u, w).imag
 
 
 class _ImmediateField:
@@ -537,7 +543,7 @@ def _krotov_step(run, config, filt_values=None):
     if cfg.target == "spectral":
         raise ValueError("immediate-update schemes support final-time and "
                          "time-dependent targets only")
-    system, grid, prop = run.problem.system, run.problem.grid, run.prop
+    system, grid, prop = run.system, run.problem.grid, run.prop
     m, n_steps = _steps_for(prop, grid)
     alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps, prop.rule.s)
 
@@ -545,7 +551,7 @@ def _krotov_step(run, config, filt_values=None):
         chi_t, source = _chi_setup(ctx, traj)
         chi_traj = run.sweep(system, grid, prop, chi_t, traj, -1, alpha,
                              source=source)
-        traj_t = run.sweep(system, grid, prop, run.problem.psi0, chi_traj,
+        traj_t = run.sweep(system, grid, prop, run.psi0, chi_traj,
                            +1, alpha)
         samples = _node_grid_samples(traj_t.field_nodes, m, grid.n_t)
         if filt_values is None:
@@ -636,7 +642,7 @@ def _degani_step(run, config, alpha_omega):
     if cfg.target != "final" or cfg.restriction is not None:
         raise ValueError("the kernel scheme supports plain final-time "
                          "targets only")
-    grid, system, prop = run.problem.grid, run.problem.system, run.prop
+    grid, system, prop = run.problem.grid, run.system, run.prop
     n_t = grid.n_t
 
     aw = np.asarray(alpha_omega, dtype=float)
@@ -714,7 +720,7 @@ def _degani_step(run, config, alpha_omega):
             chi_grid[i] = chi
 
         run.propagations += 1
-        psi = run.problem.psi0.copy()
+        psi = run.psi0.copy()
         ref_psi = float(np.linalg.norm(psi))
         psi_new = np.empty_like(chi_grid)
         psi_new[0] = psi
@@ -850,7 +856,7 @@ class _ProbeCache:
 def _line_search_step(run, config, quasi):
     ctx = run.ctx
     formulation = ctx.config.formulation
-    system, grid = run.problem.system, run.problem.grid
+    system, grid = run.system, run.problem.grid
 
     if formulation == "frequency":
         support = np.flatnonzero(np.isfinite(ctx.alpha_omega))

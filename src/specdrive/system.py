@@ -23,7 +23,7 @@ __all__ = [
     "dense_target", "diagonalize", "morse_potential", "toda_potential",
     "harmonic_potential", "hcl_dipole", "hcl_fictitious_dipole",
     "toda_dipole", "linear_dipole", "choose_x_domain", "projectors",
-    "bohr_frequencies", "commutator_H0_O",
+    "bohr_frequencies", "commutator_H0_O", "rotate_operator",
 ]
 
 _HERM_TOL = 1e-12
@@ -33,6 +33,8 @@ def _require_hermitian(a, name, diagonal=False):
     """a as a Hermitian operator; with diagonal=True a 1-D array is taken
     as a diagonal, which must be real and is returned as a real array."""
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     if diagonal and a.ndim == 1:
         if np.iscomplexobj(a) and np.abs(a.imag).max() > _HERM_TOL:
             raise ValueError(f"{name} diagonal must be real")
@@ -53,6 +55,11 @@ def apply_operator(op, states):
     """op applied to each row of the (k, dim) states: a 1-D op is a
     diagonal, a 2-D one a matrix."""
     return states * op if op.ndim == 1 else states @ op.T
+
+
+def rotate_operator(op, vecs):
+    """V^dagger op V as a matrix, for an op of apply_operator's form."""
+    return vecs.conj().T @ apply_operator(op, vecs.T).T
 
 
 class _System:
@@ -82,11 +89,19 @@ class _System:
                 data = self.h0, None, self.mu
             else:
                 energies, vecs = _fixed_phase_eigh(self.h0)
-                # mu applied to each eigenvector, as the rows of V^T
-                mu_v = apply_operator(self.mu, vecs.T).T
-                data = energies, vecs, vecs.conj().T @ mu_v
+                data = energies, vecs, rotate_operator(self.mu, vecs)
             object.__setattr__(self, "_eigen", data)
         return data
+
+    def eigen_system(self):
+        """(LevelSystem(E, M, V^dagger O V), V): this system in the eigen
+        representation of H0, built once and kept on the instance; a
+        diagonal H0 is its own, (self, None)."""
+        energies, vecs, coupling = self.eigen()
+        if vecs is not None and "_eigen_system" not in self.__dict__:
+            object.__setattr__(self, "_eigen_system", LevelSystem(
+                energies, coupling, rotate_operator(self.target, vecs)))
+        return (self, None) if vecs is None else (self._eigen_system, vecs)
 
 
 @dataclass(frozen=True)
@@ -158,11 +173,9 @@ def build_level_system(energies, mu, target=None):
     if not (np.diff(energies) > 0).all():
         raise ValueError("energies must be strictly increasing")
     mu = _require_hermitian(mu, "mu")
-    _require_finite(mu, "mu")
     if mu.shape[0] != len(energies):
         raise ValueError("mu dimension does not match the energies")
     target = mu if target is None else _require_hermitian(target, "target")
-    _require_finite(target, "target")
     if target.shape[0] != len(energies):
         raise ValueError("target dimension does not match the energies")
     return LevelSystem(energies, mu, target)

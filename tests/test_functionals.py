@@ -19,8 +19,8 @@ from specdrive.functionals import (
     OBS_FORBIDDEN, ControlField, FunctionalBreakdown,
     FunctionalConfig, alpha_from_filter, build_beta_kernel, cross_mu_signal,
     evaluate, field_from_el_freq, field_from_el_time, gradient_freq,
-    gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_penal_freq,
-    j_penal_time, j_total, prepare_context,
+    gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_max_td,
+    j_penal_freq, j_penal_time, j_total, prepare_context,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -143,6 +143,23 @@ def test_j_max_final():
         j_max_final(psi, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         j_max_final(psi, np.array([1.0 + 0.5j, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_operators_are_rejected(bad):
+    psi = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="finite"):
+        j_max_final(psi, np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        j_max_final(psi, np.array([bad, 1.0]))
+    system = tls()
+    grid = TimeGrid(4.0, 9)
+    traj = propagate_forward(system, 0.0, np.array([1.0, 0.0], dtype=complex),
+                             default_propagator_config(system, grid),
+                             grid=grid)
+    weight = RealSignal(grid, np.full(9, 0.25))
+    with pytest.raises(ValueError, match="finite"):
+        j_max_td(traj, weight, np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_j_max_spectral_pure_cosine():
