@@ -9,7 +9,8 @@ the eigen-coefficients c, carrying only the field coupling and the source.
 It iterates until the relative change at the step end drops below a
 per-step tolerance.  A step is bisected while the Bohr spread times its
 length exceeds what the node polynomial resolves, or when its iteration
-stalls.  States enter and leave a step in the system basis.
+stalls.  States enter and leave a step in the system basis, which for the
+optimizers' runs is the eigenbasis of H0 itself (V = I).
 """
 
 import math

@@ -401,7 +401,7 @@ def prepare_context(system, grid, config):
         basis = diagonalize(system)
         p_a, p_f = projectors(basis, config.restriction)
         if system.eigen()[1] is None:  # H0 diagonal: P_f^gamma is too
-            p_f = np.diag(p_f).real.copy()
+            p_f = np.diag(p_f).real
         o_a = p_a @ dense_target(system) @ p_a
         o_a = 0.5 * (o_a + o_a.conj().T)
         p_f = 0.5 * (p_f + p_f.conj().T)

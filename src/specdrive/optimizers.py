@@ -17,9 +17,11 @@ The schemes differ in the update rule:
                   spectral projection of each updated field
 * degani       -- immediate update against a time-domain penalty kernel
 
-Every scheme is a step function run by one shared loop, _drive.  Degani's
-two kernel sweeps are the only stepping loop outside dynamics._run, and its
-iterates keep the states at the grid nodes only.  All runs produce an
+Every scheme is a step function run by one shared loop, _drive, in the
+eigen representation of H0 (system.eigen_system()); the trajectory it
+returns is mapped back to the system basis once.  Degani's two kernel
+sweeps are the only stepping loop outside dynamics._run, and its iterates
+keep the states at the grid nodes only.  All runs produce an
 OptimizationTrace whose rows carry the functional breakdown, the mixing
 parameter, the cumulative propagation count and the relative field change,
 so convergence curves can be reconstructed exactly.
@@ -289,18 +291,16 @@ def _emit(rows, on_row, row):
 class _Run:
     """What one run shares with its step function: system, psi0 and the
     functional in the eigen representation of H0 (basis vecs), the
-    propagator, the count of propagations started (a propagation that fails
-    still counts), and score(ctx, traj, field), the breakdown that
-    forward() reports (evaluate unless the step factory swaps it)."""
+    propagator, the propagations started (failed ones count), and score,
+    forward()'s breakdown (evaluate unless the step factory swaps it)."""
 
     def __init__(self, problem, config):
         self.problem = problem
-        self.system, self.vecs = problem.system.eigen_system()
-        self.psi0, functional = problem.psi0, problem.functional
-        vecs, op = self.vecs, functional.op_of_t
+        self.system, vecs = problem.system.eigen_system()
+        self.vecs, self.psi0, functional = vecs, problem.psi0, problem.functional
         if vecs is not None:
             self.psi0 = vecs.conj().T @ self.psi0
-            if op is not None:  # a time-dependent target as V^dagger O(t) V
+            if (op := functional.op_of_t) is not None:  # as V^dagger O(t) V
                 functional = replace(functional, op_of_t=(
                     lambda t: rotate_operator(np.asarray(op(t)), vecs))
                     if callable(op) else rotate_operator(np.asarray(op), vecs))

@@ -94,9 +94,8 @@ class _System:
         return data
 
     def eigen_system(self):
-        """(LevelSystem(E, M, V^dagger O V), V): this system in the eigen
-        representation of H0, built once and kept on the instance; a
-        diagonal H0 is its own, (self, None)."""
+        """(LevelSystem(E, M, V^dagger O V), V), kept on the instance: this
+        system in the eigen representation of H0; (self, None) if diagonal."""
         energies, vecs, coupling = self.eigen()
         if vecs is not None and "_eigen_system" not in self.__dict__:
             object.__setattr__(self, "_eigen_system", LevelSystem(

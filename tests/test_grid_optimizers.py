@@ -4,6 +4,7 @@ hat-sech penalty filter at omega_10 and a Gaussian target filter at
 2 omega_10, the harmonic-generation problem at a reduced size."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,14 +51,14 @@ def hcl_problem():
                    line * f_eps / f_eps.max())
 
 
-def eigen_level_problem(problem):
+def eigen_level_problem(problem, functional=None):
     """The same problem on a LevelSystem built from (E, V^dagger mu V,
     V^dagger O V), started from V^dagger psi0."""
     system = problem.system
     energies, vecs, coupling = system.eigen()
     o_eigen = vecs.conj().T @ (system.target[:, None] * vecs)
     level = build_level_system(energies, coupling, o_eigen)
-    return Problem(level, problem.grid, problem.functional,
+    return Problem(level, problem.grid, functional or problem.functional,
                    vecs.conj().T @ problem.psi0, problem.guess)
 
 
@@ -129,3 +130,31 @@ def test_grid_run_matches_its_eigen_level_system():
     vecs = problem.system.eigen()[1]
     assert np.linalg.norm(grid_trace.trajectory.final_state
                           - vecs @ level_trace.trajectory.final_state) <= 1e-12
+
+
+def test_time_dependent_target_is_rotated_into_the_eigen_representation():
+    problem = hcl_problem()
+    system, grid = problem.system, problem.grid
+    energies, vecs, _ = system.eigen()
+    w10 = float(energies[1] - energies[0])
+    x = system.x
+    weight = RealSignal(grid, np.full(grid.n_t, 1.0 / grid.T))
+    guess = 0.01 * np.cos(w10 * grid.nodes)
+
+    def rotated(op):
+        return vecs.conj().T @ np.diag(op) @ vecs
+
+    cases = [(x, rotated(x)),
+             (lambda t: x * np.cos(w10 * t),
+              lambda t: rotated(x * np.cos(w10 * t)))]
+    config = OptimizerConfig(budget=1)
+    for op, op_eigen in cases:
+        functional = FunctionalConfig("time", "td", alpha=10.0, weight=weight,
+                                      op_of_t=op)
+        grid_problem = Problem(system, grid, functional, problem.psi0, guess)
+        grid_trace = optimize_relaxation(grid_problem, config)
+        level_trace = optimize_relaxation(eigen_level_problem(
+            grid_problem, replace(functional, op_of_t=op_eigen)), config)
+        js, js_level = grid_trace.js(), level_trace.js()
+        assert len(js) == len(js_level) == 2
+        assert np.all(np.abs(js - js_level) <= 1e-12 * np.abs(js_level))
