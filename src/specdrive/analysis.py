@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import RealSignal, Spectrum, dct1, integrate_freq
-from .system import _HERM_TOL, SpectralBasis, diagonalize
+from .system import _HERM_TOL, SpectralBasis, _require_finite, diagonalize
 
 
 def _as_basis(basis):
@@ -87,6 +87,7 @@ def hermitian_components(o, basis=None):
     the input must already be Hermitian to one part in 1e-12.
     """
     o = np.asarray(o, dtype=complex)
+    _require_finite(o, "operator")
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
         raise ValueError("operator must be a square matrix")
     if basis is not None:

@@ -94,6 +94,14 @@ def test_components_validation():
         hermitian_components(np.eye(3), basis=diagonalize(ho))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_components_reject_non_finite_operator(bad):
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_components(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_components(np.diag([1.0, bad]))
+
+
 def test_components_harmonic_position_is_single_band():
     # the lowest grid eigenstates are faithful oscillator states, so X
     # restricted to them must be the pure ladder band

@@ -1,7 +1,9 @@
 """The per-iterate step kernel: GridSystem.h_apply against its dense H0,
-StepSolver.picard against the unfolded fixed-point loop, and the
-eigenbasis step against the same step cut into sub-steps."""
+StepSolver.picard against the unfolded fixed-point loop, the eigenbasis
+step against the same step cut into sub-steps, and the start predicted
+from the previous step against the constant start."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +15,8 @@ from specdrive.system import (
     dense_h0, diagonalize, hcl_dipole, morse_potential,
 )
 from specdrive.dynamics import (
-    StepSolver, default_propagator_config, propagate_forward,
+    HGSource, StepSolver, default_propagator_config, propagate_backward,
+    propagate_forward,
 )
 
 RULE = chebyshev_rule(9)
@@ -279,3 +282,153 @@ def test_level_system_of_the_grid_eigenbasis_propagates_alike():
     c_t = propagate_forward(level, field, vecs.conj().T @ psi0, config,
                             grid=grid).final_state
     assert np.linalg.norm(c_t - vecs.conj().T @ psi_t) <= 1e-12
+
+
+def two_steps(solver, u0, dt, f_vals_at, src_at=None):
+    """Step one from the constant start, then step two from the constant
+    start and from step one's nodes; f_vals_at and src_at map the step's
+    node fractions to the field (or update) and source at its nodes."""
+    s = solver.s
+    src = (lambda frac: None) if src_at is None else src_at
+    first = solver.solve(u0, 0.0, dt, None, f_vals=f_vals_at(s),
+                         src_vals=src(s))
+    const = solver.solve(first[-1], dt, dt, None, f_vals=f_vals_at(1.0 + s),
+                         src_vals=src(1.0 + s))
+    pred = solver.solve(first[-1], dt, dt, None, f_vals=f_vals_at(1.0 + s),
+                        src_vals=src(1.0 + s), start=first)
+    return const, pred
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_predicted_start_reaches_the_constant_start_fixed_point(direction):
+    """Forward without a source; backward with one."""
+    system = hcl_system(64)
+    rng = np.random.default_rng(11)
+    u0 = complex_block(rng, 1, 64)[0]
+    u0 /= np.linalg.norm(u0)
+    a, b = 0.05 * complex_block(rng, 2, 64)
+
+    def source(s):
+        return a + np.multiply.outer(np.asarray(s) ** 2, b)
+
+    solver = StepSolver(system, RULE, 1e-6 / 1024)
+    const, pred = two_steps(solver, u0, direction * HCL_DT,
+                            lambda s: 0.01 * np.cos(3.0 * s),
+                            source if direction < 0 else None)
+    assert np.linalg.norm(pred - const) <= 1e-10 * np.linalg.norm(const)
+    assert solver.stalls == solver.bisections == 0
+
+
+def test_predicted_start_on_a_krotov_update_step():
+    system = build_level_system([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])
+
+    def update_at(s):  # eps = Im<u|mu|partner>/alpha + guess, node by node
+        partner = np.stack([np.full(np.shape(s), 0.1),
+                            1.0 - 0.4j * np.asarray(s)], axis=-1)
+        mu_partner = apply_mu(system, partner)
+        return lambda u: 0.2 + np.einsum(
+            "ij,ij->i", u.conj(), mu_partner).imag / 0.1
+
+    solver = StepSolver(system, RULE, 1e-9 / 1024)
+    const, pred = two_steps(solver, np.array([0.8, 0.6j]), 10.0 / 1024,
+                            update_at)
+    assert np.linalg.norm(pred - const) <= 1e-10 * np.linalg.norm(const)
+
+
+def test_full_step_after_a_bisected_one_starts_from_the_merged_nodes():
+    """With two iterates allowed, the constant start cannot solve the HCl
+    step and bisects it; the next full step, started from the merged nodes
+    of the bisected one, converges without a bisection."""
+    system = hcl_system(64)
+    energies, vecs, _ = system.eigen()
+    w10 = float(energies[1] - energies[0])
+
+    def field(s):
+        return 0.01 * np.cos(w10 * HCL_DT * np.asarray(s))
+
+    def f_eval(t):
+        return field(np.asarray(t) / HCL_DT)
+
+    zeta_step = 1e-6 / 1024
+    solver = StepSolver(system, RULE, zeta_step, max_picard=2)
+    s = solver.s
+    first = solver.solve(vecs[:, 0].astype(complex), 0.0, HCL_DT, f_eval,
+                         f_vals=field(s))
+    bisections = solver.bisections
+    assert bisections > 0
+    second = solver.solve(first[-1], HCL_DT, HCL_DT, f_eval,
+                          f_vals=field(1.0 + s), start=first)
+    assert solver.bisections == bisections
+    ref = StepSolver(system, RULE, zeta_step).solve(
+        first[-1], HCL_DT, HCL_DT, f_eval, f_vals=field(1.0 + s))
+    assert np.linalg.norm(second - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def hcl_runs(zeta=1e-6, store_nodes=None):
+    """Forward from the ground state under 0.01 cos(w10 t) over the
+    benchmark's 1,024 steps, then backward with the source -P_f psi."""
+    system = hcl_system(64)
+    energies, vecs, _ = system.eigen()
+    grid = TimeGrid(2000.0, 1025)
+    field = 0.01 * np.cos(float(energies[1] - energies[0]) * grid.nodes)
+    config = dataclasses.replace(default_propagator_config(system, grid),
+                                 zeta=zeta, store_nodes=store_nodes)
+    forward = propagate_forward(system, field, vecs[:, 0], config, grid=grid)
+    upper = vecs[:, 6:]
+    source = HGSource(forward, None, None, upper @ upper.conj().T)
+    backward = propagate_backward(system, field, source,
+                                  np.zeros(64, dtype=complex), config,
+                                  grid=grid)
+    return forward, backward
+
+
+def test_predicted_start_takes_about_one_iterate_per_hcl_step():
+    forward, backward = hcl_runs()
+    for traj in (forward, backward):
+        assert traj.stats.steps == 1024
+        assert traj.stats.stalls == traj.stats.bisections == 0
+    assert forward.stats.iterates <= 1.5 * forward.stats.steps
+    tight, _ = hcl_runs(zeta=1e-13)
+    assert (np.linalg.norm(forward.final_state - tight.final_state)
+            <= 1e-10 * np.linalg.norm(tight.final_state))
+
+
+def test_predicted_start_reruns_are_bitwise_equal():
+    first, again = hcl_runs(), hcl_runs()
+    for a, b in zip(first, again):
+        assert np.array_equal(a.boundary_states, b.boundary_states)
+        assert np.array_equal(a.node_states, b.node_states)
+        assert a.stats == b.stats
+
+
+def test_regenerated_nodes_match_the_stored_ones():
+    """step_nodes re-solves from the constant start where the run started
+    from the previous step: both meet the per-step tolerance."""
+    stored, regen = hcl_runs(store_nodes=True), hcl_runs(store_nodes=False)
+    for kept, slim in zip(stored, regen):
+        assert slim.node_states is None
+        for k in (0, 1, 511, 1023):
+            ref = kept.step_nodes(k)
+            assert (np.linalg.norm(slim.step_nodes(k) - ref)
+                    <= 1e-10 * np.linalg.norm(ref))
+
+
+def test_observables_recorded_after_the_run_match_per_step_recording():
+    """<P_f> over the stored nodes, recorded in one pass, equals the
+    step-by-step record of a run that keeps no nodes, bit for bit: P_f is
+    diagonal in the eigen representation the optimizers run in."""
+    level, vecs = hcl_system(64).eigen_system()
+    grid = TimeGrid(2000.0, 1025)
+    field = 0.01 * np.cos(float(level.energies[1] - level.energies[0])
+                          * grid.nodes)
+    p_f = np.zeros(64)
+    p_f[6:] = 1.0
+    config = default_propagator_config(level, grid)
+    runs = [propagate_forward(
+        level, field, np.eye(64)[0],
+        dataclasses.replace(config, store_nodes=store),
+        grid=grid, observables={"forbidden": p_f}) for store in (True, False)]
+    assert runs[0].node_states is not None and runs[1].node_states is None
+    assert np.array_equal(runs[0].observations["forbidden"],
+                          runs[1].observations["forbidden"])
+    assert runs[0].observations["forbidden"].shape == (1024, RULE.n_c)
