@@ -8,9 +8,9 @@ The schemes differ in the update rule:
 * naive        -- replace the field by the Euler-Lagrange field outright
 * relaxation   -- mix the EL field convexly with the current one, halving
                   the mixing parameter until the functional improves
-* gradient     -- step along the functional gradient with a line search
-* quasi-newton -- BFGS-type direction on the reduced field vector, seeded
-                  by the diagonal penalty Hessian
+* gradient     -- steepest ascent in the penalty metric, with a line search
+* quasi-newton -- the same line search along an L-BFGS direction seeded
+                  by that metric, the inverse diagonal penalty Hessian
 * krotov       -- immediate update: the field is refreshed at every
                   quadrature node while the sweep is still running
 * krotov-filtered -- the immediate-update iteration interrupted by a
@@ -853,81 +853,72 @@ class _ProbeCache:
         return k_best, payload
 
 
-def _line_search_step(run, config, quasi):
-    ctx = run.ctx
+class _InverseCurvature:
+    """Inverse BFGS curvature of -J: diag(b0) updated by the kept pairs
+    (s, y, 1/y.s) through the two-loop recursion (Nocedal, Math. Comp. 35,
+    773 (1980)).  A non-ascent direction drops the pairs, giving b0 gamma."""
+
+    def __init__(self, b0):
+        self.b0, self.pairs = b0, []
+
+    def add(self, s_vec, y_vec):
+        ys = float(y_vec @ s_vec)
+        if ys > 1e-12 * float(np.linalg.norm(y_vec) * np.linalg.norm(s_vec)):
+            self.pairs.append((s_vec, y_vec, 1.0 / ys))
+
+    def direction(self, gamma):
+        q, coefs = gamma.copy(), []
+        for s_vec, y_vec, rho in reversed(self.pairs):
+            coefs.append(rho * float(s_vec @ q))
+            q -= coefs[-1] * y_vec
+        r = self.b0 * q
+        for (s_vec, y_vec, rho), a in zip(self.pairs, reversed(coefs)):
+            r += (a - rho * float(y_vec @ r)) * s_vec
+        if float(r @ gamma) <= 0.0:
+            self.pairs.clear()
+            r = self.b0 * gamma
+        return r
+
+
+def _line_search_step(run, config, keep_pairs):
+    ctx, grid = run.ctx, run.problem.grid
     formulation = ctx.config.formulation
-    system, grid = run.system, run.problem.grid
-
     if formulation == "frequency":
-        support = np.flatnonzero(np.isfinite(ctx.alpha_omega))
-        if support.size == 0:
-            raise ValueError("the penalty filter leaves no usable bins")
-        alpha_red = ctx.alpha_omega[support]
-        wq = grid.frequency_grid().dw / endpoint_factors(grid.n_t)[support]
-
-        def extract(fld):
-            return fld.spectrum().values[support]
-
-        def insert(vec):
-            full = np.zeros(grid.n_t)
-            full[support] = vec
-            return ControlField.from_spectrum(grid, full)
-
-        def raw_gradient(fld, traj, chi):
-            g = gradient_freq(system, fld, traj, chi, ctx.alpha_omega)
-            return g.values[support]
+        penalty, dx, gradient, build = (ctx.alpha_omega,
+                                        grid.frequency_grid().dw,
+                                        gradient_freq,
+                                        ControlField.from_spectrum)
     else:
-        alpha_red = np.broadcast_to(
-            np.asarray(ctx.config.alpha, dtype=float), (grid.n_t,))
-        wq = grid.dt / endpoint_factors(grid.n_t)
+        penalty, dx, gradient, build = (ctx.config.alpha, grid.dt,
+                                        gradient_time, ControlField.from_time)
+    # the reduced field vector: the samples or bins where alpha is finite
+    alpha = np.broadcast_to(np.asarray(penalty, dtype=float), (grid.n_t,))
+    support = np.flatnonzero(np.isfinite(alpha))
+    if support.size == 0:
+        raise ValueError("the penalty filter leaves no usable bins")
+    wq = dx / endpoint_factors(grid.n_t)[support]
+    curvature = _InverseCurvature(1.0 / (2.0 * alpha[support] * wq))
+    last = None  # (field vector, gamma) of the previous step
+    k_cap, k_seed = config.k_max, min(config.k_init, config.k_max)
 
-        def extract(fld):
-            return fld.time_values()
-
-        def insert(vec):
-            return ControlField.from_time(grid, vec)
-
-        def raw_gradient(fld, traj, chi):
-            g = gradient_time(system, fld, traj, chi, ctx.config.alpha)
-            return g.values
-
-    b0 = 1.0 / (2.0 * alpha_red * wq) if quasi else None
-    hmat = np.diag(b0) if quasi else None
-    x_prev = gamma_prev = None
-    k_cap = config.k_max
-    k_seed = min(config.k_init, k_cap)
+    def insert(vec):
+        full = np.zeros(grid.n_t)
+        full[support] = vec
+        return build(grid, full)
 
     def step(field, traj, br):
-        nonlocal hmat, x_prev, gamma_prev, k_cap, k_seed
-        grad = raw_gradient(field, traj, run.backward(field, traj))
-        if quasi:
-            gamma = wq * grad  # functional gradient w.r.t. the bin values
-            if x_prev is not None:
-                s_vec = extract(field) - x_prev
-                y_vec = gamma_prev - gamma  # curvature of -J
-                ys = float(y_vec @ s_vec)
-                if ys > 1e-12 * float(np.linalg.norm(y_vec)
-                                      * np.linalg.norm(s_vec)):
-                    rho = 1.0 / ys
-                    hy = hmat @ y_vec
-                    hmat = (hmat - rho * (np.outer(s_vec, hy)
-                                          + np.outer(hy, s_vec))
-                            + rho * rho * float(y_vec @ hy)
-                            * np.outer(s_vec, s_vec)
-                            + rho * np.outer(s_vec, s_vec))
-            x_prev, gamma_prev = extract(field), gamma
-            if float(np.linalg.norm(gamma)) == 0.0:
-                return CONVERGED
-            direction = hmat @ gamma
-            if float(direction @ gamma) <= 0.0:
-                hmat = np.diag(b0)
-                direction = b0 * gamma
-        else:
-            direction = grad
-            if float(np.linalg.norm(direction)) == 0.0:
-                return CONVERGED
-
-        base = extract(field)
+        nonlocal last, k_cap, k_seed
+        chi = run.backward(field, traj)
+        # functional gradient w.r.t. the reduced field vector
+        gamma = wq * gradient(run.system, field, traj, chi,
+                              penalty).values[support]
+        base = _native(field, formulation)[support]
+        if keep_pairs and last is not None:  # a curvature pair of -J
+            curvature.add(base - last[0], last[1] - gamma)
+        last = base, gamma
+        if float(np.linalg.norm(gamma)) == 0.0:
+            return CONVERGED
+        direction = curvature.direction(gamma)
         cache = _ProbeCache(run, lambda k: insert(base + k * direction))
         k_acc = _line_search(cache, br.j, k_seed, k_cap, config.k_floor,
                              config.ls_refine)
@@ -947,9 +938,13 @@ def _line_search_step(run, config, quasi):
 
 
 def optimize_gradient(problem, config=None, on_row=None):
-    """Steepest ascent on the functional gradient with a bracketing plus
-    golden-section line search in the step parameter K.  A zero gradient
-    converges immediately; accepted steps strictly increase J.
+    """Steepest ascent in the penalty metric, with a bracketing plus
+    golden-section line search in the step parameter K.  The direction is
+    b0 * gamma: gamma is the gradient of J on the reduced field vector (see
+    optimize_quasi_newton) and b0 = 1/(2 alpha w), w the quadrature weights,
+    inverts the diagonal penalty Hessian.  So K = 1 is a relaxation-sized
+    step, and bins that a hat-sech tail pins (alpha up to 1e300) stay put.
+    A zero gradient converges immediately; accepted steps strictly increase J.
     """
     config = config or OptimizerConfig(method="gradient")
     return _drive(problem, config, on_row, "gradient",
@@ -958,11 +953,13 @@ def optimize_gradient(problem, config=None, on_row=None):
 
 
 def optimize_quasi_newton(problem, config=None, on_row=None):
-    """BFGS-type ascent on the reduced field vector: penalty-support bins in
-    the frequency formulation, all samples in the time formulation.  The
-    inverse curvature starts as the diagonal penalty Hessian, so the first
-    direction coincides with the relaxation one; a non-ascent direction
-    resets the memory to that diagonal.
+    """BFGS ascent on the reduced field vector: penalty-support bins in the
+    frequency formulation, all samples in the time formulation.  The two-loop
+    L-BFGS recursion refines optimize_gradient's b0 * gamma by every accepted
+    curvature pair; with no memory limit it equals dense BFGS started from
+    diag(b0) (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  So the
+    first direction is the relaxation one; a non-ascent direction drops the
+    pairs.
     """
     config = config or OptimizerConfig(method="quasi-newton")
     return _drive(problem, config, on_row, "quasi-newton",

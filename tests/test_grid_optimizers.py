@@ -19,8 +19,8 @@ from specdrive.system import (
 from specdrive.dynamics import propagate_forward
 from specdrive.functionals import FunctionalConfig, prepare_context
 from specdrive.optimizers import (
-    BUDGET_EXHAUSTED, OptimizerConfig, Problem, optimize_quasi_newton,
-    optimize_relaxation,
+    BUDGET_EXHAUSTED, OptimizerConfig, Problem, optimize_gradient,
+    optimize_quasi_newton, optimize_relaxation,
 )
 
 N_GRID, L = 32, 3
@@ -64,12 +64,11 @@ def eigen_level_problem(problem, functional=None):
 
 @pytest.mark.parametrize("run", [
     lambda p: optimize_relaxation(p, OptimizerConfig(budget=2, k_init=0.25)),
-    # steepest ascent cannot step under a hat-sech penalty (its tail bins
-    # carry alpha near 1e300), so the analytic gradient is exercised through
-    # the quasi-Newton direction, which the penalty Hessian scales
     lambda p: optimize_quasi_newton(p, OptimizerConfig(
         method="quasi-newton", budget=2, ls_refine=2, k_init=0.25)),
-], ids=["relaxation", "quasi-newton"])
+    lambda p: optimize_gradient(p, OptimizerConfig(
+        method="gradient", budget=2, ls_refine=2, k_init=0.25)),
+], ids=["relaxation", "quasi-newton", "gradient"])
 def test_grid_run_is_monotone_restricted_and_deterministic(run):
     problem = hcl_problem()
     trace = run(problem)

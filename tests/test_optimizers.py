@@ -16,7 +16,7 @@ from specdrive.optimizers import (
     OptimizationTrace, OptimizerConfig, Problem, TraceRow, convergence_check,
     optimize, optimize_degani, optimize_gradient, optimize_krotov,
     optimize_krotov_filtered, optimize_naive, optimize_quasi_newton,
-    optimize_relaxation,
+    optimize_relaxation, _InverseCurvature,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -436,7 +436,77 @@ def test_gradient_s2s_reaches_krotov_quality():
     assert np.all(np.diff(ks) <= 0)
 
 
+def test_gradient_converges_on_harmonic_generation():
+    # the hat-sech penalty carries alpha up to about 1e300 in its tails;
+    # in the penalty metric those bins barely move, so the search can step
+    p = hg_problem()
+    cfg = OptimizerConfig(k_init=0.5, max_iterations=120)
+    tg = optimize_gradient(p, cfg)
+    tq = optimize_quasi_newton(p, cfg)
+    assert tg.status == CONVERGED
+    assert tg.j_monotone
+    assert abs(tg.breakdown.j - tq.breakdown.j) <= 0.01 * abs(tq.breakdown.j)
+
+
 # ---------------------------------------------------------------- quasi-newton
+
+
+def _dense_bfgs_update(hmat, s, y):
+    """Reference: the dense BFGS update of the inverse Hessian."""
+    rho = 1.0 / float(y @ s)
+    hy = hmat @ y
+    return (hmat - rho * (np.outer(s, hy) + np.outer(hy, s))
+            + rho * rho * float(y @ hy) * np.outer(s, s)
+            + rho * np.outer(s, s))
+
+
+def test_two_loop_direction_matches_dense_bfgs():
+    rng = np.random.default_rng(11)
+    n = 8
+    b0 = rng.uniform(0.5, 2.0, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T  # SPD curvature
+    curvature, hmat = _InverseCurvature(b0), np.diag(b0)
+
+    def same_direction(gamma):
+        nonlocal hmat
+        ref = hmat @ gamma
+        if float(ref @ gamma) <= 0.0:
+            hmat, ref = np.diag(b0), b0 * gamma
+        got = curvature.direction(gamma)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def add(s, y):
+        nonlocal hmat
+        curvature.add(s, y)
+        if float(y @ s) > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
+            hmat = _dense_bfgs_update(hmat, s, y)
+
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        add(s, a @ s)
+        same_direction(rng.standard_normal(n))
+    # a pair without positive curvature is skipped
+    s = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    y -= (y @ s) / (s @ s) * s
+    add(s, y)
+    assert len(curvature.pairs) == 3
+    same_direction(rng.standard_normal(n))
+    # a negative-curvature pair, which add() refuses, makes H indefinite:
+    # along gamma = y the direction descends, and both reset to diag(b0)
+    s = rng.standard_normal(n)
+    y = -(a @ s)
+    curvature.pairs.append((s, y, 1.0 / float(y @ s)))
+    hmat = _dense_bfgs_update(hmat, s, y)
+    same_direction(y)
+    assert curvature.pairs == []
+    assert np.array_equal(curvature.direction(y), b0 * y)
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        add(s, a @ s)
+        same_direction(rng.standard_normal(n))
+    assert len(curvature.pairs) == 2
 
 
 def test_quasi_newton_penalty_only_needs_at_most_two_searches():
