@@ -35,7 +35,6 @@ from .spectral import (
 from .system import apply_operator, commutator_H0_O, dense_h0, dense_mu
 
 _EPS = float(np.finfo(float).eps)
-_NODE_STORAGE_CAP = 64 * 2**20  # bytes of internal node states kept in memory
 _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
 # Largest Bohr spread (E_max - E_min) times |dt| of one step: up to here
 # the node polynomial resolves the phases e^{i(E_a - E_b) tau} of the
@@ -61,7 +60,6 @@ class PropagatorConfig:
     zeta: float
     max_picard: int = 40
     max_halvings: int = 6
-    store_nodes: object = None  # True/False forces, None decides by memory
 
     def __post_init__(self):
         if self.steps < 1:
@@ -427,30 +425,38 @@ class PropagationStats:
 
 
 class Trajectory:
-    """States at step boundaries (always) and internal nodes (when stored).
+    """States at step boundaries and at every internal node.
 
     Arrays follow absolute-time order regardless of propagation direction:
-    boundary_states[k] is the state at k*dt_step, and step k's node j sits
-    at (k + s_j)*dt_step.  When node states are not retained, step_nodes()
-    re-solves the step from its stored boundary state.  That re-solve
-    starts from the constant guess, where the run started from the previous
-    step's extrapolation, so both meet the same per-step tolerance but may
-    differ in the last digits.  stats holds the run's PropagationStats
-    (None for a trajectory built outside the stepping loop).
+    boundary_states[k] is the state at k*dt_step, and node_states[k, j],
+    step k's node j, sits at (k + s_j)*dt_step.  A trajectory from in_basis
+    maps its node states in one product the first time they are read.
+    stats holds the run's PropagationStats.  A trajectory built outside the
+    stepping loop may hold neither (None); reading its node states raises
+    ValueError.
     """
 
     def __init__(self, grid, rule, m, boundary_states, norms, field_nodes,
-                 node_states=None, observations=None, regen=None, stats=None):
+                 node_states=None, stats=None, basis=None):
         self.grid = grid
         self.rule = rule
         self.m = m
         self.boundary_states = boundary_states
         self.norms = norms
         self.field_nodes = field_nodes
-        self.node_states = node_states
-        self.observations = {} if observations is None else observations
-        self._regen = regen
+        self._nodes = node_states
+        self._basis = basis  # vecs still to apply to _nodes, or None
         self.stats = stats
+
+    @property
+    def node_states(self):
+        """Internal node states, shape (n_steps, n_c, dim)."""
+        if self._nodes is None:
+            raise ValueError("internal node states are unavailable")
+        if self._basis is not None:
+            flat = self._nodes.reshape(-1, self.dim) @ self._basis.T
+            self._nodes, self._basis = flat.reshape(self._nodes.shape), None
+        return self._nodes
 
     @property
     def n_steps(self):
@@ -481,29 +487,19 @@ class Trajectory:
         return self.boundary_states[:: self.m]
 
     def step_nodes(self, k):
-        if self.node_states is not None:
-            return self.node_states[k]
-        if self._regen is None:
-            raise ValueError("internal node states are unavailable")
-        return self._regen(k)
+        return self.node_states[k]
 
     def in_basis(self, vecs):
         """This trajectory with each state c as vecs @ c, nodes when read."""
+        basis = vecs if self._basis is None else vecs @ self._basis
         return Trajectory(self.grid, self.rule, self.m,
                           self.boundary_states @ vecs.T, self.norms,
-                          self.field_nodes, None, self.observations,
-                          lambda k: self.step_nodes(k) @ vecs.T, self.stats)
+                          self.field_nodes, self._nodes, self.stats, basis)
 
     def node_expectation(self, apply_op):
         """Re(<u|Op|u>) at every internal node, shape (n_steps, n_c)."""
-        n_c = self.rule.n_c
-        if self.node_states is not None:
-            flat = self.node_states.reshape(-1, self.dim)
-            return _block_expectation(flat, apply_op).reshape(self.n_steps, n_c)
-        out = np.empty((self.n_steps, n_c))
-        for k in range(self.n_steps):
-            out[k] = _block_expectation(self.step_nodes(k), apply_op)
-        return out
+        flat = self.node_states.reshape(-1, self.dim)
+        return _block_expectation(flat, apply_op).reshape(self.n_steps, -1)
 
 
 def _step_solver(system, config, n_steps):
@@ -519,14 +515,7 @@ def _steps_for(config, grid):
     return config.steps // (grid.n_t - 1), config.steps
 
 
-def _should_store(config, n_steps, n_c, dim):
-    if config.store_nodes is not None:
-        return bool(config.store_nodes)
-    return n_steps * n_c * dim * 16 < _NODE_STORAGE_CAP
-
-
-def _run(system, field, u_init, grid, config, backward=False, source=None,
-         observables=None):
+def _run(system, field, u_init, grid, config, backward=False, source=None):
     """The stepping loop of every propagation; returns its Trajectory.
 
     field.steps() gives, for execution step k, the field at the step's
@@ -534,12 +523,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
     update) and an evaluator for bisected halves.  A forward run starts at
     0; a backward one starts at T and carries the source, so execution step
     k covers forward step n_steps - 1 - k of the same node lattice, and the
-    arrays are filled from the end to keep absolute-time order.
-    observables are recorded on forward runs only: in one pass over the
-    stored node states, or step by step when they are not stored.  Every
-    step after the first starts its Picard solve from the previous step's
-    nodes (see StepSolver.picard).  A run without a source conserves the
-    norm, so a drift beyond 1e3*zeta raises InstabilityError.
+    arrays, node states included, are filled from the end to keep
+    absolute-time order.  Every step after the first starts its Picard
+    solve from the previous step's nodes (see StepSolver.picard).  A run
+    without a source conserves the norm, so a drift beyond 1e3*zeta raises
+    InstabilityError.
     """
     m, n_steps = _steps_for(config, grid)
     rule = config.rule
@@ -565,15 +553,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
     f_nodes = np.empty((n_steps, n_c))
-    store = _should_store(config, n_steps, n_c, dim)
-    node_states = np.empty((n_steps, n_c, dim), dtype=complex) if store else None
-    obs_maps = {name: state_map(op) for name, op in (observables or {}).items()}
-    obs_out = {} if store else {name: np.empty((n_steps, n_c))
-                                for name in obs_maps}
+    node_states = np.empty((n_steps, n_c, dim), dtype=complex)
     # execution-order views of the absolute-order arrays
     ex = slice(None, None, -1) if backward else slice(None)
     b_x, norms_x, f_x = boundaries[ex], norms[ex], f_nodes[ex, ex]
-    nodes_x = node_states[ex, ex] if store else None
+    nodes_x = node_states[ex, ex]
 
     u = np.array(u_init, dtype=complex)
     b_x[0] = u
@@ -598,35 +582,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None,
             if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
                 raise InstabilityError(
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
-            if store:
-                nodes_x[k] = nodes
-            else:
-                for name, amap in obs_maps.items():
-                    obs_out[name][k] = _block_expectation(nodes, amap)
+            nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections)
-
-    # a step is re-solved with the field values it settled on; an immediate
-    # update's halves interpolate them, so its partner need not be kept
-    f_half = None if callable(f_vals) else field
-
-    def regen(k):
-        kx = n_steps - 1 - k if backward else k
-        t0, vals = t_init + dt * kx, f_x[kx]
-        f_at = f_half if f_half is not None else (
-            lambda t: _barycentric_interp(
-                solver.s, vals, (np.asarray(t, dtype=float) - t0) / dt))
-        src_vals, src_frac = step_source(kx)
-        out = solver.solve(b_x[kx], t0, dt, f_at, src_frac, f_vals=vals,
-                           src_vals=src_vals)
-        return out[::-1] if backward else out
-
-    traj = Trajectory(grid, rule, m, boundaries, norms, f_nodes, node_states,
-                      obs_out, regen, stats)
-    if store:
-        for name, amap in obs_maps.items():
-            obs_out[name] = traj.node_expectation(amap)
-    return traj
+    return Trajectory(grid, rule, m, boundaries, norms, f_nodes, node_states,
+                      stats)
 
 
 def _grid_for(f_eval, grid):
@@ -636,20 +596,19 @@ def _grid_for(f_eval, grid):
     return grid
 
 
-def propagate_forward(system, field, psi0, config, grid=None, observables=None):
+def propagate_forward(system, field, psi0, config, grid=None):
     """Propagate psi0 from 0 to T under H0 - eps(t)*mu.
 
     field may be a ControlField-like object, RealSignal, Spectrum, sample
-    array, constant, or None; sample arrays and constants need grid=.
-    observables maps names to operators whose node expectations are
-    recorded during the run (kept on trajectory.observations).
+    array, constant, or None; sample arrays and constants need grid=.  The
+    returned trajectory keeps the states at every internal node.
     """
     f_eval = _FieldEval(field, grid)
     grid = _grid_for(f_eval, grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (system.dim,):
         raise ValueError("initial state does not match the system dimension")
-    return _run(system, f_eval, psi0, grid, config, observables=observables)
+    return _run(system, f_eval, psi0, grid, config)
 
 
 def propagate_backward(system, field, source, chi_T, config, grid=None):

@@ -21,9 +21,6 @@ from .system import (
 )
 from .dynamics import _grid_expectation, _sample_interp, state_map
 
-# keys of the node expectations a forward run records (observables=)
-OBS_FORBIDDEN = "forbidden"  # <P_f^gamma>, recorded by the optimizers
-
 
 class ControlField:
     """Drive field with synchronized time and frequency views.
@@ -151,12 +148,6 @@ class FunctionalBreakdown:
     j_con_residual: float = 0.0
 
 
-def _node_expect(traj, op, obs_key=None):
-    if obs_key is not None and obs_key in traj.observations:
-        return traj.observations[obs_key]
-    return traj.node_expectation(state_map(op))
-
-
 def j_max_final(psi_T, op):
     """<psi(T)|O|psi(T)> for a Hermitian target operator."""
     op = _require_hermitian(op, "operator", diagonal=True)
@@ -187,8 +178,8 @@ def j_max_td(traj, weight, op_of_t):
                 o = np.asarray(op_of_t((k + s[j]) * h))
                 vals[k, j] = np.vdot(nodes[j], o @ nodes[j]).real
     else:
-        vals = _node_expect(
-            traj, _require_hermitian(op_of_t, "operator", diagonal=True))
+        vals = traj.node_expectation(state_map(
+            _require_hermitian(op_of_t, "operator", diagonal=True)))
     times = (np.arange(traj.n_steps)[:, None] + s[None, :]) * h
     wvals = _sample_interp(weight.values, weight.grid, times)
     return integrate_time(wvals * vals, rule, h)
@@ -234,7 +225,7 @@ def j_forb(traj, p_f):
     """-integral of <P_f^gamma>(t) by the per-step quadrature."""
     if p_f is None:
         return 0.0
-    vals = _node_expect(traj, p_f, OBS_FORBIDDEN)
+    vals = traj.node_expectation(state_map(p_f))
     return -integrate_time(vals, traj.rule, traj.dt_step)
 
 
@@ -273,15 +264,10 @@ def cross_mu_nodes(system, psi_traj, chi_traj):
     """Im <chi|mu|psi> at every internal node, shape (n_steps, n_c)."""
     if psi_traj.n_steps != chi_traj.n_steps:
         raise ValueError("trajectories are not aligned")
-    if psi_traj.node_states is not None and chi_traj.node_states is not None:
-        mp = apply_mu(system, psi_traj.node_states.reshape(-1, psi_traj.dim))
-        flat = np.einsum("ij,ij->i", chi_traj.node_states.reshape(-1, chi_traj.dim).conj(), mp)
-        return flat.imag.reshape(psi_traj.n_steps, psi_traj.rule.n_c)
-    out = np.empty((psi_traj.n_steps, psi_traj.rule.n_c))
-    for k in range(psi_traj.n_steps):
-        mp = apply_mu(system, psi_traj.step_nodes(k))
-        out[k] = np.einsum("ij,ij->i", chi_traj.step_nodes(k).conj(), mp).imag
-    return out
+    mp = apply_mu(system, psi_traj.node_states.reshape(-1, psi_traj.dim))
+    chi = chi_traj.node_states.reshape(-1, chi_traj.dim)
+    return np.einsum("ij,ij->i", chi.conj(), mp).imag.reshape(
+        psi_traj.n_steps, -1)
 
 
 def node_cosine_transform(node_values, traj, bins=None):
@@ -387,11 +373,6 @@ class EvalContext:
     alpha_omega: np.ndarray
     comm: np.ndarray
 
-    @property
-    def observables(self):
-        """Operators recorded at internal nodes during forward runs."""
-        return {} if self.p_f is None else {OBS_FORBIDDEN: self.p_f}
-
 
 def prepare_context(system, grid, config):
     """Resolve the config against a system: projected operators, sampled
@@ -424,10 +405,9 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
     if cfg.target == "spectral" and s_signal is not None:
         h = traj.dt_step
         svals = s_signal.on_lattice(traj.n_steps, traj.s_nodes)
-        oa = _node_expect(traj, ctx.o_a)
-        inner = svals * oa
+        inner = svals * traj.node_expectation(state_map(ctx.o_a))
         if ctx.p_f is not None:
-            inner = inner - _node_expect(traj, ctx.p_f, OBS_FORBIDDEN)
+            inner = inner - traj.node_expectation(state_map(ctx.p_f))
         integral = integrate_time(inner, traj.rule, h)
     elif cfg.target == "td":
         integral = j_max_td(traj, cfg.weight, cfg.op_of_t)

@@ -313,8 +313,7 @@ class _Run:
         """Trajectory of psi0 under field and the functional it scores."""
         self.propagations += 1
         traj = propagate_forward(self.system, field, self.psi0, self.prop,
-                                 grid=self.problem.grid,
-                                 observables=self.ctx.observables)
+                                 grid=self.problem.grid)
         return traj, self.score(self.ctx, traj, field)
 
     def backward(self, field, traj):
@@ -468,10 +467,14 @@ def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
     return a, vals
 
 
-def _node_update(sign, mu_partner, alpha):
-    """The field sign * Im<u|mu|partner>/alpha at each node of the iterate u."""
-    # Im<u|x> = -Im(u . conj(x)): conjugated and scaled once per step
-    w = mu_partner.conj() * np.reshape(-sign / np.asarray(alpha), (-1, 1))
+def _node_weights(sign, mu_partner, alpha):
+    """w with sign * Im<u|mu|partner>/alpha = Im(u . w) at every node, as
+    Im<u|x> = -Im(u . conj(x)); alpha is a float or one value per node."""
+    return mu_partner.conj() * (-sign / np.asarray(alpha)[..., None])
+
+
+def _node_field(w):
+    """The field Im(u . w) at each node of the iterate u."""
     return lambda u: np.einsum("ij,ij->i", u, w).imag
 
 
@@ -479,7 +482,8 @@ class _ImmediateField:
     """Krotov's field for _run: recomputed at every node from the iterate u
     of the step being solved, eps = sign * Im<u|mu|partner>/alpha, where u
     is the state (sign +1) or the costate (sign -1) and the partner, the
-    other one, is read off its trajectory."""
+    other one, is read off its trajectory's node states, weighted in one
+    product per sweep."""
 
     def __init__(self, system, partner, sign, alpha):
         self.system = system
@@ -492,22 +496,23 @@ class _ImmediateField:
         grid = partner.grid
         h = grid.T / n_steps
         scalar = isinstance(alpha, float)
+        nodes = partner.node_states
+        mu_all = apply_mu(self.system, nodes.reshape(-1, partner.dim))
+        mu_all = mu_all.reshape(nodes.shape)
+        w_all = _node_weights(sign, mu_all, self.alpha_nodes)
+        if backward:  # execution step k runs forward step n_steps - 1 - k
+            w_all = w_all[::-1, ::-1]
 
         def step(k):
             i = n_steps - 1 - k if backward else k
-            mu_nodes = apply_mu(self.system, partner.step_nodes(i))
-            a = self.alpha_nodes if scalar else self.alpha_nodes[i]
 
             def halves(t):
                 t = np.asarray(t, dtype=float)
-                mu_t = _barycentric_interp(s, mu_nodes, (t - i * h) / h)
+                mu_t = _barycentric_interp(s, mu_all[i], (t - i * h) / h)
                 a_t = alpha if scalar else _sample_interp(alpha, grid, t)
-                return _node_update(sign, mu_t, a_t)
+                return _node_field(_node_weights(sign, mu_t, a_t))
 
-            if backward:
-                return _node_update(sign, mu_nodes[::-1],
-                                    a if scalar else a[::-1]), halves
-            return _node_update(sign, mu_nodes, a), halves
+            return _node_field(w_all[k]), halves
 
         return step
 

@@ -255,35 +255,6 @@ def test_td_weight_warning():
         td_target_source(RealSignal(grid, np.full(33, 3.0)), SX, traj)
 
 
-def test_node_storage_policy_equivalence():
-    sys2 = tls()
-    grid = TimeGrid(6.0, 33)
-    field = RealSignal(grid, 0.3 * np.sin(grid.nodes))
-    kept = propagate_forward(sys2, field, [1.0, 0.0],
-                             cfg(64, store_nodes=True))
-    slim = propagate_forward(sys2, field, [1.0, 0.0],
-                             cfg(64, store_nodes=False))
-    assert slim.node_states is None and kept.node_states is not None
-    for k in (0, 17, 63):
-        assert np.abs(kept.step_nodes(k) - slim.step_nodes(k)).max() < 1e-13
-    es_kept = expectation_signal(kept, SX)
-    es_slim = expectation_signal(slim, SX)
-    assert np.abs(es_kept.nodes - es_slim.nodes).max() < 1e-13
-    # backward regeneration with a source
-    fgrid = grid.frequency_grid()
-    filt = make_filter(FilterSpec.rectangular(0.0, 2.0, 1.0), fgrid)
-    s = hg_source_signal(kept, SX, filt)
-    for psi_traj in (kept, slim):
-        chis = []
-        for store in (True, False):
-            src = HGSource(psi_traj, s, SX)
-            chis.append(propagate_backward(
-                sys2, field, src, np.zeros(2), cfg(64, store_nodes=store)))
-        assert np.abs(chis[0].boundary_states - chis[1].boundary_states).max() < 1e-13
-        for k in (0, 31):
-            assert np.abs(chis[0].step_nodes(k) - chis[1].step_nodes(k)).max() < 1e-12
-
-
 def test_step_halving_recovers_stiff_step():
     sys2 = tls(1.0, 60.0)
     grid = TimeGrid(2.0, 5)  # dt = 0.5, |H0| dt = 30: far past fixed-point range

@@ -16,7 +16,7 @@ from specdrive.dynamics import (
     propagate_forward, terminal_chi,
 )
 from specdrive.functionals import (
-    OBS_FORBIDDEN, ControlField, FunctionalBreakdown,
+    ControlField, FunctionalBreakdown,
     FunctionalConfig, alpha_from_filter, build_beta_kernel, cross_mu_signal,
     evaluate, field_from_el_freq, field_from_el_time, gradient_freq,
     gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_max_td,
@@ -256,20 +256,6 @@ def test_j_forb_stationary_forbidden_state():
     assert j_forb(traj, None) == 0.0
 
 
-def test_j_forb_prefers_recorded_observations():
-    system = tls()
-    grid = TimeGrid(4.0, 9)
-    cfg = default_propagator_config(system, grid)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    p_f = np.diag([0.0, 5.0])
-    traj = propagate_forward(system, 0.0, psi0, cfg, grid=grid,
-                             observables={OBS_FORBIDDEN: p_f})
-    # overwrite the recording with a sentinel; j_forb must integrate it
-    sentinel = np.full_like(traj.observations[OBS_FORBIDDEN], 2.0)
-    traj.observations[OBS_FORBIDDEN] = sentinel
-    assert j_forb(traj, p_f) == pytest.approx(-2.0 * 4.0, rel=1e-12)
-
-
 def test_j_bound():
     system = tls()  # target defaults to mu, which commutes with itself
     psi = np.array([1.0, 1.0j]) / math.sqrt(2.0)
@@ -501,12 +487,10 @@ def test_prepare_context_with_restriction():
     assert np.allclose(o_a[:3, :3], mu[:3, :3])
     assert np.abs(o_a[3:, :]).max() == 0.0
     assert np.abs(ctx.p_f - ctx.p_f.conj().T).max() == 0.0
-    assert set(ctx.observables) == {OBS_FORBIDDEN}
 
     plain = prepare_context(system, grid,
                             FunctionalConfig("time", "final", alpha=0.1))
     assert plain.p_f is None
-    assert plain.observables == {}
 
 
 def test_evaluate_final_target_and_residual():
@@ -548,7 +532,7 @@ def test_evaluate_spectral_target_and_residual():
 
     cfg = default_propagator_config(system, grid, tau=1e-5)
     traj = propagate_forward(system, field, np.array([1.0, 0.0], dtype=complex),
-                             cfg, grid=grid, observables=ctx.observables)
+                             cfg, grid=grid)
     source = hg_source_signal(traj, ctx.o_a, ctx.f_o)
     chi = propagate_backward(system, field,
                              HGSource(traj, source, ctx.o_a),

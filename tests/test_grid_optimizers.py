@@ -17,7 +17,7 @@ from specdrive.system import (
     hcl_dipole, morse_potential,
 )
 from specdrive.dynamics import propagate_forward
-from specdrive.functionals import FunctionalConfig, prepare_context
+from specdrive.functionals import FunctionalConfig, evaluate, prepare_context
 from specdrive.optimizers import (
     BUDGET_EXHAUSTED, OptimizerConfig, Problem, optimize_gradient,
     optimize_quasi_newton, optimize_relaxation,
@@ -97,6 +97,12 @@ def test_grid_trajectory_comes_back_in_the_grid_basis():
     assert np.linalg.norm(traj.final_state - ref.final_state) <= 1e-10
     k = 100
     assert np.abs(traj.step_nodes(k) - ref.step_nodes(k)).max() <= 1e-10
+    # rescored in the grid basis: the node states mapped on first read,
+    # under the dense P_f of the grid system
+    ctx = prepare_context(problem.system, problem.grid, problem.functional)
+    again = evaluate(ctx, traj, trace.field)
+    assert again.j_max == pytest.approx(trace.breakdown.j_max, rel=1e-10)
+    assert again.j_forb == pytest.approx(trace.breakdown.j_forb, rel=1e-10)
 
 
 def test_eigen_representation_has_diagonal_projectors():

@@ -285,6 +285,19 @@ def test_krotov_monotone_and_propagation_count():
     assert tr.breakdown.j > tr.rows[0].breakdown.j
 
 
+def test_krotov_sampled_alpha_matches_constant_alpha():
+    # at the default tau the rows differ by up to 1.5e-6 relative: the
+    # interpolated samples differ from 0.1 in the last bit, which moves a
+    # step's stopping test within the propagator's tolerance
+    p = s2s_problem()
+    config = OptimizerConfig(budget=3, tau=1e-9)
+    sampled = optimize_krotov(s2s_problem(alpha=np.full(p.grid.n_t, 0.1)),
+                              config)
+    constant = optimize_krotov(s2s_problem(alpha=0.1), config)
+    assert len(sampled.rows) == len(constant.rows) == 4
+    assert np.allclose(sampled.js(), constant.js(), rtol=1e-10, atol=0.0)
+
+
 def test_krotov_rejects_unsupported_functionals():
     system = build_level_system([1.0, 2.0], SX, target=TARGET)
     grid = TimeGrid(10.0, 65)

@@ -364,7 +364,7 @@ def test_full_step_after_a_bisected_one_starts_from_the_merged_nodes():
     assert np.linalg.norm(second - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def hcl_runs(zeta=1e-6, store_nodes=None):
+def hcl_runs(zeta=1e-6):
     """Forward from the ground state under 0.01 cos(w10 t) over the
     benchmark's 1,024 steps, then backward with the source -P_f psi."""
     system = hcl_system(64)
@@ -372,7 +372,7 @@ def hcl_runs(zeta=1e-6, store_nodes=None):
     grid = TimeGrid(2000.0, 1025)
     field = 0.01 * np.cos(float(energies[1] - energies[0]) * grid.nodes)
     config = dataclasses.replace(default_propagator_config(system, grid),
-                                 zeta=zeta, store_nodes=store_nodes)
+                                 zeta=zeta)
     forward = propagate_forward(system, field, vecs[:, 0], config, grid=grid)
     upper = vecs[:, 6:]
     source = HGSource(forward, None, None, upper @ upper.conj().T)
@@ -399,36 +399,3 @@ def test_predicted_start_reruns_are_bitwise_equal():
         assert np.array_equal(a.boundary_states, b.boundary_states)
         assert np.array_equal(a.node_states, b.node_states)
         assert a.stats == b.stats
-
-
-def test_regenerated_nodes_match_the_stored_ones():
-    """step_nodes re-solves from the constant start where the run started
-    from the previous step: both meet the per-step tolerance."""
-    stored, regen = hcl_runs(store_nodes=True), hcl_runs(store_nodes=False)
-    for kept, slim in zip(stored, regen):
-        assert slim.node_states is None
-        for k in (0, 1, 511, 1023):
-            ref = kept.step_nodes(k)
-            assert (np.linalg.norm(slim.step_nodes(k) - ref)
-                    <= 1e-10 * np.linalg.norm(ref))
-
-
-def test_observables_recorded_after_the_run_match_per_step_recording():
-    """<P_f> over the stored nodes, recorded in one pass, equals the
-    step-by-step record of a run that keeps no nodes, bit for bit: P_f is
-    diagonal in the eigen representation the optimizers run in."""
-    level, vecs = hcl_system(64).eigen_system()
-    grid = TimeGrid(2000.0, 1025)
-    field = 0.01 * np.cos(float(level.energies[1] - level.energies[0])
-                          * grid.nodes)
-    p_f = np.zeros(64)
-    p_f[6:] = 1.0
-    config = default_propagator_config(level, grid)
-    runs = [propagate_forward(
-        level, field, np.eye(64)[0],
-        dataclasses.replace(config, store_nodes=store),
-        grid=grid, observables={"forbidden": p_f}) for store in (True, False)]
-    assert runs[0].node_states is not None and runs[1].node_states is None
-    assert np.array_equal(runs[0].observations["forbidden"],
-                          runs[1].observations["forbidden"])
-    assert runs[0].observations["forbidden"].shape == (1024, RULE.n_c)
