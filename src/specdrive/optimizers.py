@@ -469,8 +469,11 @@ def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
 
 def _node_weights(sign, mu_partner, alpha):
     """w with sign * Im<u|mu|partner>/alpha = Im(u . w) at every node, as
-    Im<u|x> = -Im(u . conj(x)); alpha is a float or one value per node."""
-    return mu_partner.conj() * (-sign / np.asarray(alpha)[..., None])
+    Im<u|x> = -Im(u . conj(x)); alpha is a float or one value per node.
+    Built in place of mu_partner."""
+    w = np.conjugate(mu_partner, out=mu_partner)
+    w *= -sign / np.asarray(alpha)[..., None]
+    return w
 
 
 def _node_field(w):
@@ -498,8 +501,8 @@ class _ImmediateField:
         scalar = isinstance(alpha, float)
         nodes = partner.node_states
         mu_all = apply_mu(self.system, nodes.reshape(-1, partner.dim))
-        mu_all = mu_all.reshape(nodes.shape)
-        w_all = _node_weights(sign, mu_all, self.alpha_nodes)
+        w_all = _node_weights(sign, mu_all.reshape(nodes.shape),
+                              self.alpha_nodes)
         if backward:  # execution step k runs forward step n_steps - 1 - k
             w_all = w_all[::-1, ::-1]
 
@@ -508,7 +511,8 @@ class _ImmediateField:
 
             def halves(t):
                 t = np.asarray(t, dtype=float)
-                mu_t = _barycentric_interp(s, mu_all[i], (t - i * h) / h)
+                mu_nodes = apply_mu(self.system, partner.step_nodes(i))
+                mu_t = _barycentric_interp(s, mu_nodes, (t - i * h) / h)
                 a_t = alpha if scalar else _sample_interp(alpha, grid, t)
                 return _node_field(_node_weights(sign, mu_t, a_t))
 
