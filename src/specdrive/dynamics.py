@@ -11,10 +11,15 @@ per-step tolerance.  Each step of a run after the first starts from the
 previous step's node polynomial, extrapolated over one more step (as in
 the semi-global propagator), which cuts the iterates per step to about
 1.0-1.5 on the benchmark's workloads, from 3.3-4.8 from a constant start.
-A step is bisected while the Bohr spread times its length exceeds what the
-node polynomial resolves, or when its iteration stalls.  States enter and
-leave a step in the system basis, which for the optimizers' runs is the
-eigenbasis of H0 itself (V = I).
+Since H0 is exact and the field is exact at any node time, one step may
+span r field-grid intervals (Schaefer, Tal-Ezer & Kosloff, J. Comput.
+Phys. 343, 368 (2017)): the node lattice is then coarser than the field
+grid, and every reader of grid-time states goes through the steps' node
+polynomials.  A step is bisected while the Bohr spread times its length
+exceeds what the node polynomial resolves, or when its iteration stalls;
+after a stall the following steps start at the depth that converged.
+States enter and leave a step in the system basis, which for the
+optimizers' runs is the eigenbasis of H0 itself (V = I).
 """
 
 import math
@@ -41,6 +46,13 @@ _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
 # rotated coupling.  The default config's substeps and the solver's
 # bisection both hold to it.
 _PHASE_SPAN = 0.7
+# Largest Bohr spread times the step length of a default step that spans
+# several grid intervals; calibrated by an error-per-second sweep (see
+# default_propagator_config).
+_LONG_SPAN = 0.25
+# Held steps after a stall before the full length is tried again; the
+# wait doubles after each failed retry.
+_RETRY = 8
 
 
 class PropagationError(RuntimeError):
@@ -53,7 +65,9 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Stepping parameters; steps must subdivide the time grid evenly."""
+    """Stepping parameters.  steps is a multiple of the grid intervals
+    n_t - 1 (m steps per interval) or divides them (one step spans
+    r = (n_t - 1)/steps intervals)."""
 
     steps: int
     rule: object
@@ -69,17 +83,22 @@ class PropagatorConfig:
 
 
 def default_propagator_config(system, grid, tau=1e-3):
-    """The fewest power-of-two substeps m per grid interval with
-    (E_max - E_min)*dt/m <= _PHASE_SPAN, nine nodes, and zeta = 1e-3*tau.
+    """Steps from the Bohr spread times the grid interval, spread*dt, with
+    nine nodes and zeta = 1e-3*tau.
 
-    The field does not enter: a step whose iteration it stalls is bisected
-    by the solver."""
+    While spread*dt/m exceeds _PHASE_SPAN, each interval takes m substeps
+    (m a power of two).  Otherwise one step spans the most grid intervals r,
+    a power of two dividing n_t - 1, with spread*dt*r <= _LONG_SPAN, and
+    r = 1 when even one interval exceeds it.  The field does not enter: a
+    step whose iteration it stalls is bisected by the solver."""
     spread = float(np.ptp(system.eigen()[0]))
-    m = 1
-    while spread * grid.dt / m > _PHASE_SPAN:
-        m *= 2
-    return PropagatorConfig(steps=(grid.n_t - 1) * m,
-                            rule=chebyshev_rule(_DEFAULT_NODES),
+    span, n_int = spread * grid.dt, grid.n_t - 1
+    steps = n_int
+    while span * n_int / steps > _PHASE_SPAN:
+        steps *= 2
+    while steps % 2 == 0 and span * n_int / (steps // 2) <= _LONG_SPAN:
+        steps //= 2
+    return PropagatorConfig(steps=steps, rule=chebyshev_rule(_DEFAULT_NODES),
                             zeta=1e-3 * tau)
 
 
@@ -155,8 +174,10 @@ class _CosineEval:
     h = T/n_steps.  With omega_j = j pi/T the phase is pi j (k + s_i)/n_steps,
     so for each fraction s_i the series over k is one inverse FFT of length
     2 n_steps of the coefficients c_j exp(i pi j s_i/n_steps); the result is
-    exact, not interpolated.  Calling the evaluator sums the series directly
-    and serves the off-lattice times (bisected half-steps, spot checks).
+    exact, not interpolated.  A lattice whose step spans r > 1 grid
+    intervals is read off the lattice of n_t - 1 steps, whose FFT holds
+    every bin.  Calling the evaluator sums the series directly and serves
+    the off-lattice times (bisected half-steps, spot checks).
     """
 
     def __init__(self, spectrum):
@@ -167,6 +188,7 @@ class _CosineEval:
         self._omega = grid.nodes[idx]
         self._coef = spectrum.values[idx] / h[idx]
         self._scale = math.sqrt(2.0 * math.pi) / grid.T
+        self._n_int = grid.n_t - 1
 
     def __call__(self, times):
         t = np.asarray(times, dtype=float)
@@ -186,7 +208,16 @@ class _CosineEval:
         s = np.atleast_1d(np.asarray(fractions, dtype=float))
         if self._bins.size == 0:
             return np.zeros((n_steps, s.size))
-        # a propagation has n_steps >= n_t - 1: every bin lies below 2*n_steps
+        r = self._n_int // n_steps
+        if r > 1 and r * n_steps == self._n_int:
+            # h(k + s_i) = dt(r k + w_i + f_i): row r k + w_i of the grid
+            # lattice at the fraction f_i = r s_i - w_i, with s_i = 1 as w_i
+            # = r - 1, f_i = 1 so that every row lies below n_t - 1
+            whole = np.minimum(np.floor(r * s), r - 1)
+            fine = self.on_lattice(self._n_int, r * s - whole)
+            rows = r * np.arange(n_steps)[:, None] + whole.astype(int)
+            return fine[rows, np.arange(s.size)]
+        # with n_steps >= n_t - 1 every bin lies below 2*n_steps
         coef = np.zeros((s.size, 2 * n_steps), dtype=complex)
         coef[:, self._bins] = self._coef * np.exp(
             (1j * math.pi / n_steps) * np.multiply.outer(s, self._bins))
@@ -273,11 +304,12 @@ class StepSolver:
     V e^{-iE tau} c(tau), so H0 is exact and the iterate only carries the
     field; a bare h_apply system iterates on the states with E = 0.  A step
     is bisected, up to max_halvings times, while its Bohr spread times |dt|
-    exceeds _PHASE_SPAN or its iteration stalls.  Given the previous step's
-    nodes, a full step starts from their extrapolation (see picard): on the
-    benchmark's workloads about 1.0-1.5 iterates per step instead of
-    3.3-4.8 from the constant start.  iterates, stalls and bisections count
-    this solver's work.
+    exceeds _PHASE_SPAN or its iteration stalls, and the steps after a
+    stalled one start at the depth that converged (see solve).  Given the
+    previous step's nodes, a full step starts from their extrapolation (see
+    picard): on the benchmark's workloads about 1.0-1.5 iterates per step
+    instead of 3.3-4.8 from the constant start.  iterates, stalls and
+    bisections count this solver's work.
     """
 
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6):
@@ -292,7 +324,9 @@ class StepSolver:
         # its node polynomial's values over the next step of the same length
         self._extrap = _barycentric_interp(self.s, np.eye(len(self.s)),
                                            1.0 + self.s)
-        self._last = (None, None)  # last returned nodes, their c
+        self._last = (None, None, None)  # last returned nodes, c, step
+        self._hold = self._held = self._deep = 0  # see solve
+        self._wait = _RETRY
         self.iterates = self.stalls = self.bisections = 0
         eigen = getattr(system, "eigen", None)
         energies, vecs, coupling = eigen() if eigen else (None,) * 3
@@ -347,7 +381,7 @@ class StepSolver:
         if start is None:
             c = np.repeat(c0[None, :], len(self.s), axis=0)
         else:
-            last, c_last = self._last
+            last, c_last, _ = self._last
             c_prev = c_last if start is last else ph_bar * to_eigen(start)
             c = (self._extrap @ c_prev) * ph_end
         end_prev = c[-1]
@@ -369,18 +403,41 @@ class StepSolver:
             scale = max(math.sqrt(np.vdot(end, end).real), 1e-300)
             if delta <= self.zeta_step * scale:
                 out = to_system(ph * c)
-                self._last = (out, c)
+                self._last = (out, c, dt)
                 return out
         self.stalls += 1
         return None
 
     def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
-              src_vals=None, depth=0, start=None):
+              src_vals=None, start=None):
         """f_vals/src_vals, when given, are the field and source at this
-        step's own nodes; f_eval and src_frac serve bisected halves.  The
+        step's own nodes; f_eval and src_frac serve bisected pieces.  The
         field may be a function of the node iterate (see picard), and so
         may what f_eval returns.  start, the previous step's nodes, seeds
-        picard (see there); bisected halves start from the constant."""
+        picard (see there); bisected halves start from the constant.
+
+        A step given a start that still stalls sets the depth of the steps
+        after it, which are split into 2^depth pieces up front, each piece
+        started from the one before it; every _RETRY-th held step, and after
+        each failed retry twice as many, tries the full length again."""
+        if start is not None and self._hold:
+            self._held += 1
+            if self._held < self._wait:
+                return self._pieces(u0, t0, dt, f_eval, src_frac)
+            self._held = 0
+        self._deep = 0
+        out = self._split(u0, t0, dt, f_eval, src_frac, f_vals, src_vals, 0,
+                          start)
+        if start is not None:
+            if self._deep:
+                self._wait = 2 * self._wait if self._hold else _RETRY
+            self._hold = self._deep
+        return out
+
+    def _split(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
+               src_vals=None, depth=0, start=None):
+        """The full step, or its two halves (recursively) if its length
+        exceeds the phase span or its iteration stalls."""
         if self.spread * abs(dt) <= _PHASE_SPAN:
             if f_vals is None:
                 f_vals = f_eval(t0 + dt * self.s)
@@ -390,6 +447,7 @@ class StepSolver:
                  else self.picard(u0, f_vals, src_vals, dt, start))
             if u is not None:
                 return u
+            self._deep = max(self._deep, depth + 1)
         if depth >= self.max_halvings:
             raise PropagationError(
                 f"step at t={t0:.6g} failed to converge after "
@@ -398,18 +456,42 @@ class StepSolver:
         half = 0.5 * dt
         s_left = None if src_frac is None else (lambda s: src_frac(0.5 * s))
         s_right = None if src_frac is None else (lambda s: src_frac(0.5 + 0.5 * s))
-        left = self.solve(u0, t0, half, f_eval, s_left, depth=depth + 1)
-        right = self.solve(left[-1], t0 + half, half, f_eval, s_right,
-                           depth=depth + 1)
-        return self._merge(u0, left, right)
+        left = self._split(u0, t0, half, f_eval, s_left, depth=depth + 1)
+        right = self._split(left[-1], t0 + half, half, f_eval, s_right,
+                            depth=depth + 1)
+        return self._merge(u0, [left, right])
 
-    def _merge(self, u0, left, right):
-        # reassemble the parent's node values from the two half solutions
-        s, lo = self.s, self.s <= 0.5
-        out = np.empty_like(left)
-        out[lo] = _barycentric_interp(s, left, 2.0 * s[lo])
-        out[~lo] = _barycentric_interp(s, right, 2.0 * s[~lo] - 1.0)
-        out[0], out[-1] = u0, right[-1]
+    def _pieces(self, u0, t0, dt, f_eval, src_frac):
+        """The step as 2^hold equal pieces, each but the first started from
+        the piece before it, and the first from the last piece of the step
+        before when that had the same length."""
+        n = 1 << self._hold
+        piece = dt / n
+        self.bisections += n - 1
+        self._deep = 0
+        last, _, last_dt = self._last
+        prev = last if last_dt == piece else None
+        pieces, u = [], u0
+        for j in range(n):
+            frac = None if src_frac is None else (
+                lambda s, j=j: src_frac((j + np.asarray(s)) / n))
+            prev = self._split(u, t0 + j * piece, piece, f_eval, frac,
+                               depth=self._hold, start=prev)
+            pieces.append(prev)
+            u = prev[-1]
+        self._hold = max(self._hold, self._deep)
+        return self._merge(u0, pieces)
+
+    def _merge(self, u0, pieces):
+        # reassemble the parent's node values from its equal pieces: node s
+        # lies in piece ceil(n s) - 1 (the first for s = 0)
+        s, n = self.s, len(pieces)
+        which = np.maximum(np.ceil(n * s) - 1, 0).astype(int)
+        out = np.empty_like(pieces[0])
+        for j in np.unique(which):
+            sel = which == j
+            out[sel] = _barycentric_interp(s, pieces[j], n * s[sel] - j)
+        out[0], out[-1] = u0, pieces[-1][-1]
         return out
 
 
@@ -424,23 +506,43 @@ class PropagationStats:
     bisections: int
 
 
+def _on_grid(ends, nodes, n_int, s):
+    """Samples at the grid times i T/n_int of a lattice of len(ends) - 1
+    equal steps with node fractions s: ends holds the values at the step
+    boundaries, nodes those at the nodes, (n_steps, n_c, ...).  When one
+    step spans r > 1 grid intervals, its r - 1 inner grid times are read
+    off its node polynomial through one (r - 1, n_c) Lagrange matrix;
+    nodes is read only then."""
+    n_steps = len(ends) - 1
+    if n_steps >= n_int:
+        return ends[:: n_steps // n_int]
+    r = n_int // n_steps
+    out = np.empty((n_int + 1,) + ends.shape[1:], dtype=ends.dtype)
+    out[::r] = ends
+    lagrange = _barycentric_interp(s, np.eye(len(s)), np.arange(1, r) / r)
+    inner = out[:-1].reshape((n_steps, r) + ends.shape[1:])
+    inner[:, 1:] = np.einsum("qj,kj...->kq...", lagrange, nodes)
+    return out
+
+
 class Trajectory:
     """States at step boundaries and at every internal node.
 
     Arrays follow absolute-time order regardless of propagation direction:
     boundary_states[k] is the state at k*dt_step, and node_states[k, j],
-    step k's node j, sits at (k + s_j)*dt_step.  A trajectory from in_basis
-    maps its node states in one product the first time they are read.
-    stats holds the run's PropagationStats.  A trajectory built outside the
-    stepping loop may hold neither (None); reading its node states raises
-    ValueError.
+    step k's node j, sits at (k + s_j)*dt_step, with dt_step = T/n_steps.
+    A step covers one grid interval, a fraction of one, or r of them; the
+    grid-time states then come from the steps' node polynomials.  A
+    trajectory from in_basis maps its node states in one product the first
+    time they are read.  stats holds the run's PropagationStats.  A
+    trajectory built outside the stepping loop may hold neither (None);
+    reading its node states raises ValueError.
     """
 
-    def __init__(self, grid, rule, m, boundary_states, norms, field_nodes,
+    def __init__(self, grid, rule, boundary_states, norms, field_nodes,
                  node_states=None, stats=None, basis=None):
         self.grid = grid
         self.rule = rule
-        self.m = m
         self.boundary_states = boundary_states
         self.norms = norms
         self.field_nodes = field_nodes
@@ -468,7 +570,7 @@ class Trajectory:
 
     @property
     def dt_step(self):
-        return self.grid.dt / self.m
+        return self.grid.T / self.n_steps
 
     @property
     def s_nodes(self):
@@ -484,7 +586,9 @@ class Trajectory:
 
     def grid_states(self):
         """States at the TimeGrid nodes, shape (n_t, dim)."""
-        return self.boundary_states[:: self.m]
+        n_int = self.grid.n_t - 1
+        nodes = self.node_states if self.n_steps < n_int else None
+        return _on_grid(self.boundary_states, nodes, n_int, self.s_nodes)
 
     def step_nodes(self, k):
         return self.node_states[k]
@@ -492,7 +596,7 @@ class Trajectory:
     def in_basis(self, vecs):
         """This trajectory with each state c as vecs @ c, nodes when read."""
         basis = vecs if self._basis is None else vecs @ self._basis
-        return Trajectory(self.grid, self.rule, self.m,
+        return Trajectory(self.grid, self.rule,
                           self.boundary_states @ vecs.T, self.norms,
                           self.field_nodes, self._nodes, self.stats, basis)
 
@@ -510,9 +614,13 @@ def _step_solver(system, config, n_steps):
 
 
 def _steps_for(config, grid):
-    if config.steps % (grid.n_t - 1):
-        raise ValueError("steps must be a multiple of the grid intervals")
-    return config.steps // (grid.n_t - 1), config.steps
+    """The steps of a run under config on grid, checked against the grid
+    intervals: a multiple of them, or a divisor."""
+    steps, n_int = config.steps, grid.n_t - 1
+    if steps % n_int and n_int % steps:
+        raise ValueError("steps must divide the grid intervals or be a "
+                         "multiple of them")
+    return steps
 
 
 def _run(system, field, u_init, grid, config, backward=False, source=None):
@@ -529,7 +637,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     without a source conserves the norm, so a drift beyond 1e3*zeta raises
     InstabilityError.
     """
-    m, n_steps = _steps_for(config, grid)
+    n_steps = _steps_for(config, grid)
     rule = config.rule
     solver = _step_solver(system, config, n_steps)
     dim, n_c = len(u_init), rule.n_c
@@ -585,8 +693,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections)
-    return Trajectory(grid, rule, m, boundaries, norms, f_nodes, node_states,
-                      stats)
+    return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states, stats)
 
 
 def _grid_for(f_eval, grid):

@@ -278,7 +278,9 @@ def node_cosine_transform(node_values, traj, bins=None):
     from it are the exact adjoints of the discrete propagation.  The nodes
     sit at h(k + s_i) with h = T/n_steps, so the sum over steps k is one FFT
     of length 2 n_steps per node i, read at the bins and rotated by the
-    node's phase exp(-i pi j s_i/n_steps).
+    node's phase exp(-i pi j s_i/n_steps).  That sum is periodic in j with
+    period 2 n_steps, so a lattice of steps longer than the grid interval
+    (2 n_steps < n_t) reads bin j at j mod 2 n_steps.
     """
     fgrid = traj.grid.frequency_grid()
     n = traj.n_steps
@@ -287,7 +289,7 @@ def node_cosine_transform(node_values, traj, bins=None):
     spec = scipy.fft.fft(wg, n=2 * n, axis=0)
     idx = np.arange(fgrid.n_t) if bins is None else np.asarray(bins)
     phase = np.exp((-1j * math.pi / n) * np.multiply.outer(idx, traj.s_nodes))
-    vals = np.einsum("ji,ji->j", phase, spec[idx]).real
+    vals = np.einsum("ji,ji->j", phase, spec[idx % (2 * n)]).real
     vals *= math.sqrt(2.0 / math.pi)
     if bins is None:
         return Spectrum(fgrid, vals)

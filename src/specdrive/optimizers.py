@@ -50,6 +50,7 @@ from .dynamics import (
     hg_source_signal,
     _EPS,
     _barycentric_interp,
+    _on_grid,
     _run,
     _sample_interp,
     _step_solver,
@@ -451,7 +452,8 @@ def optimize_relaxation(problem, config=None, on_row=None):
 
 def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
     """Penalty weight as (alpha, alpha at the internal node times): two
-    floats for a constant, the samples and an (n_steps, n_c) array else."""
+    floats for a constant, sampled or not, the samples and an
+    (n_steps, n_c) array else."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:
         if not a > 0.0:
@@ -461,6 +463,8 @@ def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
         raise ValueError("alpha samples do not match the grid")
     if not np.all(a > 0.0):
         raise ValueError("alpha must be positive everywhere")
+    if np.all(a == a[0]):  # interpolation would move it in the last bit
+        return float(a[0]), float(a[0])
     h = grid.T / n_steps
     times = ((np.arange(n_steps)[:, None] + s_nodes[None, :]) * h).ravel()
     vals = _sample_interp(a, grid, times).reshape(n_steps, len(s_nodes))
@@ -535,13 +539,6 @@ def _immediate_sweep(system, grid, prop, u_start, partner, direction, alpha,
                 source=source)
 
 
-def _node_grid_samples(eps_nodes, m, n_t):
-    out = np.empty(n_t)
-    out[:-1] = eps_nodes[::m, 0]
-    out[-1] = eps_nodes[-1, -1]
-    return out
-
-
 def _krotov_step(run, config, filt_values=None):
     ctx = run.ctx
     cfg = ctx.config
@@ -553,7 +550,7 @@ def _krotov_step(run, config, filt_values=None):
         raise ValueError("immediate-update schemes support final-time and "
                          "time-dependent targets only")
     system, grid, prop = run.system, run.problem.grid, run.prop
-    m, n_steps = _steps_for(prop, grid)
+    n_steps = _steps_for(prop, grid)
     alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps, prop.rule.s)
 
     def step(field, traj, br):
@@ -562,7 +559,9 @@ def _krotov_step(run, config, filt_values=None):
                              source=source)
         traj_t = run.sweep(system, grid, prop, run.psi0, chi_traj,
                            +1, alpha)
-        samples = _node_grid_samples(traj_t.field_nodes, m, grid.n_t)
+        eps = traj_t.field_nodes  # the field the sweep settled on
+        samples = _on_grid(np.append(eps[:, 0], eps[-1, -1]), eps,
+                           grid.n_t - 1, prop.rule.s)
         if filt_values is None:
             new_field = ControlField.from_time(grid, samples)
             return new_field, traj_t, evaluate(ctx, traj_t, new_field), 1.0
@@ -663,7 +662,15 @@ def _degani_step(run, config, alpha_omega):
         raise ValueError("penalty kernel has a vanishing diagonal pivot; "
                          "the per-node solve would break down")
 
-    m, n_steps = _steps_for(prop, grid)
+    if prop.steps < n_t - 1:
+        if run.problem.propagator is not None:
+            raise ValueError("the kernel (degani) scheme is defined per grid "
+                             "sample: its steps cannot span several grid "
+                             "intervals")
+        # the default config's long steps, clamped to one per interval
+        run.prop = prop = replace(prop, steps=n_t - 1)
+    n_steps = _steps_for(prop, grid)
+    m = n_steps // (n_t - 1)
     solver = _step_solver(system, prop, n_steps)
     h_sub = grid.dt / m
     o_map = state_map(ctx.o_full)
@@ -757,7 +764,7 @@ def _degani_step(run, config, alpha_omega):
             psi_new[i + 1] = psi
 
         new_field = ControlField.from_time(grid, work)
-        traj_t = Trajectory(grid, prop.rule, 1, psi_new,
+        traj_t = Trajectory(grid, prop.rule, psi_new,
                             np.linalg.norm(psi_new, axis=1), None)
         return new_field, traj_t, score(ctx, traj_t, new_field), 1.0
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdrive.spectral import (
-    FilterSpec, RealSignal, Spectrum, TimeGrid, dct1, endpoint_factors,
-    make_filter,
+    FilterSpec, RealSignal, Spectrum, TimeGrid, chebyshev_rule, dct1,
+    endpoint_factors, make_filter,
 )
 from specdrive.system import (
     StateRestriction, build_level_system, projectors, diagonalize,
 )
 from specdrive.dynamics import (
-    HGSource, default_propagator_config, hg_source_signal, propagate_backward,
-    propagate_forward, terminal_chi,
+    HGSource, PropagatorConfig, default_propagator_config, hg_source_signal,
+    propagate_backward, propagate_forward, terminal_chi,
 )
 from specdrive.functionals import (
     ControlField, FunctionalBreakdown,
@@ -308,6 +308,41 @@ def test_gradient_time_matches_finite_differences():
         bumped[i] -= 2 * delta
         _, jm = run_final_target(system, grid, ControlField.from_time(grid, bumped),
                                  op, alpha)
+        fd = (jp - jm) / (2 * delta) * h[i] / grid.dt
+        assert fd == pytest.approx(grad[i], rel=1e-4, abs=1e-6)
+
+
+def test_gradient_time_matches_finite_differences_on_long_steps():
+    # the same problem with each step spanning two grid intervals: the
+    # node transform reads bin 32 at 32 mod 2*16 and stays the adjoint
+    system = tls()
+    grid = TimeGrid(10.0, 33)
+    op = np.diag([0.0, 1.0])
+    alpha = 0.5
+    eps = 0.3 * np.sin(math.pi * grid.nodes / grid.T) + 0.1
+    config = PropagatorConfig(steps=16, rule=chebyshev_rule(9), zeta=1e-10)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+
+    def run(values):
+        field = ControlField.from_time(grid, values)
+        traj = propagate_forward(system, field, psi0, config)
+        j = j_max_final(traj.final_state, op) + j_penal_time(field, alpha)
+        return field, traj, j
+
+    field, traj, _ = run(eps)
+    assert traj.n_steps == 16 and traj.grid_states().shape == (33, 2)
+    chi = propagate_backward(system, field, None, op @ traj.final_state,
+                             config)
+    grad = gradient_time(system, field, traj, chi, alpha).values
+
+    h = endpoint_factors(33)
+    delta = 3e-4
+    for i in (0, 1, 16, 31, 32):
+        bumped = eps.copy()
+        bumped[i] += delta
+        jp = run(bumped)[2]
+        bumped[i] -= 2 * delta
+        jm = run(bumped)[2]
         fd = (jp - jm) / (2 * delta) * h[i] / grid.dt
         assert fd == pytest.approx(grad[i], rel=1e-4, abs=1e-6)
 

@@ -16,8 +16,14 @@ from specdrive.system import (
     StateRestriction, build_grid_system, build_level_system, choose_x_domain,
     hcl_dipole, morse_potential,
 )
-from specdrive.dynamics import propagate_forward
-from specdrive.functionals import FunctionalConfig, evaluate, prepare_context
+from specdrive.spectral import endpoint_factors
+from specdrive.dynamics import (
+    HGSource, default_propagator_config, hg_source_signal, propagate_backward,
+    propagate_forward,
+)
+from specdrive.functionals import (
+    FunctionalConfig, evaluate, gradient_freq, prepare_context,
+)
 from specdrive.optimizers import (
     BUDGET_EXHAUSTED, OptimizerConfig, Problem, optimize_gradient,
     optimize_quasi_newton, optimize_relaxation,
@@ -163,3 +169,44 @@ def test_time_dependent_target_is_rotated_into_the_eigen_representation():
         js, js_level = grid_trace.js(), level_trace.js()
         assert len(js) == len(js_level) == 2
         assert np.all(np.abs(js - js_level) <= 1e-12 * np.abs(js_level))
+
+
+@pytest.mark.parametrize("r", [None, 2], ids=["default", "r2"])
+def test_spectral_gradient_and_constraint_at_paper_scale(r):
+    """gradient_freq through HGSource and P_f against central differences
+    of J, and j_con_residual of a consistent pair, on the eigen level
+    system of the grid problem; under the default config (one step per
+    grid interval here) and with steps spanning two intervals."""
+    problem = eigen_level_problem(hcl_problem())
+    level, grid, field = problem.system, problem.grid, problem.guess
+    ctx = prepare_context(level, grid, problem.functional)
+    config = default_propagator_config(level, grid, tau=1e-7)
+    assert config.steps == N_T - 1
+    if r is not None:
+        config = replace(config, steps=(N_T - 1) // r)
+
+    def score(f):
+        traj = propagate_forward(level, f, problem.psi0, config)
+        return traj, evaluate(ctx, traj, f)
+
+    traj, br = score(field)
+    signal = hg_source_signal(traj, ctx.o_a, ctx.f_o)
+    chi = propagate_backward(level, field,
+                             HGSource(traj, signal, ctx.o_a, ctx.p_f),
+                             np.zeros(level.dim, dtype=complex), config)
+    assert br.j_forb < 0.0
+    res = evaluate(ctx, traj, field, chi_traj=chi, s_signal=signal)
+    assert abs(res.j_con_residual) <= 1e-10 * br.j_max
+
+    grad = gradient_freq(level, field, traj, chi, ctx.alpha_omega).values
+    bar = field.spectrum().values
+    scale = endpoint_factors(N_T) / grid.frequency_grid().dw
+    for j in np.argsort(ctx.f_eps.values)[-3:]:  # the bins at omega_10
+        delta = 1e-3 * abs(bar[j])
+        bumped = bar.copy()
+        bumped[j] += delta
+        jp = score(field.with_spectrum_values(bumped))[1].j
+        bumped[j] -= 2.0 * delta
+        jm = score(field.with_spectrum_values(bumped))[1].j
+        fd = (jp - jm) / (2.0 * delta) * scale[j]
+        assert fd == pytest.approx(grad[j], rel=1e-4)

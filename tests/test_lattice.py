@@ -4,7 +4,9 @@ The propagator's node times are t = h(k + s_i), h = T/n_steps, so cosine
 series over the bins omega_j = j*pi/T are evaluated and transformed there by
 FFT.  These tests hold the FFT forms to the direct cosine sums:
 eval_cosine_series for synthesis and an explicit weighted sum for the
-transform.
+transform.  A step covers m steps per grid interval, or, with m = 1/r, r
+grid intervals; the long steps' grid-time readers are held to a run of one
+step per interval.
 """
 
 import math
@@ -47,14 +49,14 @@ FIELDS = {"sparse-frequency": sparse_frequency_field,
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 1 / 2, 1 / 4, 1 / 8])
 @pytest.mark.parametrize("n_c", [5, 9])
 def test_propagation_node_fields_match_direct_sum(kind, m, n_c):
     grid = TimeGrid(T, N_T)
     field = FIELDS[kind](grid)
     system = build_level_system([1.0, 2.0], SX)
     rule = chebyshev_rule(n_c)
-    n_steps = (N_T - 1) * m
+    n_steps = int((N_T - 1) * m)
     config = PropagatorConfig(steps=n_steps, rule=rule, zeta=1e-8)
     times = step_node_times(T, n_steps, rule)
     oracle = eval_cosine_series(field.spectrum(), times.ravel()).reshape(
@@ -81,6 +83,26 @@ def test_lattice_matches_direct_sum_for_each_step_count(n_steps):
             times.shape)
         got = _CosineEval(spectrum).on_lattice(n_steps, fractions)
         assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_long_step_lattice_matches_direct_sum(r):
+    # steps of r grid intervals: 2*n_steps < n_t, so bins alias on the
+    # step lattice and are read off the lattice of n_t - 1 steps
+    grid = TimeGrid(T, N_T)
+    n_steps = (N_T - 1) // r
+    rule = chebyshev_rule(9)
+    times = step_node_times(T, n_steps, rule)
+    for kind in sorted(FIELDS):
+        spectrum = FIELDS[kind](grid).spectrum()
+        oracle = eval_cosine_series(spectrum, times.ravel()).reshape(
+            times.shape)
+        for fractions, rows in ((rule.s, oracle), (1.0 - rule.s, None)):
+            got = _CosineEval(spectrum).on_lattice(n_steps, fractions)
+            if rows is None:
+                t = T / n_steps * (np.arange(n_steps)[:, None] + fractions)
+                rows = eval_cosine_series(spectrum, t.ravel()).reshape(t.shape)
+            assert np.abs(got - rows).max() < 1e-12 * np.abs(rows).max()
 
 
 def direct_node_transform(node_values, traj, bins):
@@ -114,6 +136,49 @@ def test_node_cosine_transform_matches_direct_sum(n_c):
         < 1e-13 * scale
     others = np.setdiff1d(every, bins)
     assert np.all(part.values[others] == 0.0)
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_long_step_node_cosine_transform_matches_direct_sum(r):
+    # every bin j < n_t against a lattice with 2*n_steps <= n_t - 1
+    grid = TimeGrid(T, N_T)
+    system = build_level_system([1.0, 2.0], SX)
+    config = PropagatorConfig(steps=(N_T - 1) // r, rule=chebyshev_rule(9),
+                              zeta=1e-8)
+    traj = propagate_forward(system, None, [1.0, 0.0], config, grid=grid)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((traj.n_steps, 9))
+    scale = traj.dt_step * np.abs(g).sum()
+    every = np.arange(N_T)
+    full = node_cosine_transform(g, traj)
+    assert np.abs(full.values - direct_node_transform(g, traj, every)).max() \
+        < 1e-13 * scale
+    bins = np.unique([1, 2 * traj.n_steps - 1,
+                      min(2 * traj.n_steps + 3, N_T - 1), N_T - 1])
+    part = node_cosine_transform(g, traj, bins)
+    assert np.abs(part.values[bins] - direct_node_transform(g, traj, bins)).max() \
+        < 1e-13 * scale
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_long_step_grid_states_match_one_step_per_interval(r):
+    # the grid times inside a long step come from its node polynomial
+    grid = TimeGrid(T, N_T)
+    field = FIELDS["sparse-frequency"](grid)
+    system = build_level_system([1.0, 2.0], SX)
+    rule = chebyshev_rule(9)
+
+    def run(steps):
+        config = PropagatorConfig(steps=steps, rule=rule, zeta=1e-13)
+        return propagate_forward(system, field, [1.0, 0.0], config)
+
+    one, long = run(N_T - 1), run((N_T - 1) // r)
+    assert long.n_steps * r == N_T - 1
+    assert long.dt_step == pytest.approx(r * grid.dt, rel=1e-15)
+    states = long.grid_states()
+    assert states.shape == (N_T, 2)
+    assert np.array_equal(states[::r], long.boundary_states)
+    assert np.abs(states - one.grid_states()).max() < 1e-9
 
 
 def hg_setup():

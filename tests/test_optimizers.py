@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -298,6 +301,42 @@ def test_krotov_sampled_alpha_matches_constant_alpha():
     assert np.allclose(sampled.js(), constant.js(), rtol=1e-10, atol=0.0)
 
 
+def test_krotov_sampled_constant_alpha_is_the_constant():
+    # equal samples take the scalar path: no node value moves in the last
+    # bit, so the rows agree bitwise at the default tau
+    p = s2s_problem()
+    config = OptimizerConfig(budget=3)
+    sampled = optimize_krotov(s2s_problem(alpha=np.full(p.grid.n_t, 0.1)),
+                              config)
+    constant = optimize_krotov(p, config)
+    assert len(sampled.rows) == 4
+    assert np.array_equal(sampled.js(), constant.js())
+    assert np.array_equal(sampled.field.time_values(),
+                          constant.field.time_values())
+
+
+@functools.lru_cache(maxsize=None)
+def krotov_on_513_samples(steps):
+    p = s2s_problem(n_t=513)
+    prop = PropagatorConfig(steps=steps, rule=chebyshev_rule(9), zeta=1e-13)
+    return optimize_krotov(replace(p, propagator=prop),
+                           OptimizerConfig(budget=2))
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_krotov_long_step_grid_samples_match_one_step_per_interval(r):
+    # a step of r grid intervals reads the field it settled on at its
+    # inner grid times off the node polynomial
+    one, long = krotov_on_513_samples(512), krotov_on_513_samples(512 // r)
+    assert long.trajectory.stats.steps == 512 // r
+    assert len(long.rows) == len(one.rows) == 3
+    assert np.abs(long.field.time_values()
+                  - one.field.time_values()).max() < 1e-9
+    assert np.abs(long.js() - one.js()).max() < 1e-9
+    assert np.abs(long.trajectory.grid_states()
+                  - one.trajectory.grid_states()).max() < 1e-9
+
+
 def test_krotov_rejects_unsupported_functionals():
     system = build_level_system([1.0, 2.0], SX, target=TARGET)
     grid = TimeGrid(10.0, 65)
@@ -413,6 +452,29 @@ def test_degani_counts_two_sweeps_per_iteration():
     assert tr.trajectory.final_state.shape == (2,)
     with pytest.raises(ValueError):
         tr.trajectory.step_nodes(0)
+
+
+def test_degani_default_config_keeps_one_step_per_interval():
+    # the default config spans two grid intervals per step here; the
+    # kernel scheme clamps it to one, as an explicit config would give
+    p = s2s_problem(n_t=129)
+    default = p.propagator_for(OptimizerConfig())
+    assert default.steps == 64
+    aw = np.full(p.grid.n_t, 0.1)
+    td = optimize_degani(p, aw, OptimizerConfig(budget=1))
+    te = optimize_degani(replace(p, propagator=replace(default, steps=128)),
+                         aw, OptimizerConfig(budget=1))
+    assert len(td.rows) == 2
+    assert np.array_equal(td.js(), te.js())
+    assert np.array_equal(td.field.time_values(), te.field.time_values())
+
+
+def test_degani_rejects_long_steps():
+    p = s2s_problem(n_t=129)
+    long = replace(p, propagator=PropagatorConfig(
+        steps=64, rule=chebyshev_rule(9), zeta=1e-6))
+    with pytest.raises(ValueError, match="kernel"):
+        optimize_degani(long, np.full(p.grid.n_t, 0.1))
 
 
 def test_degani_zero_kernel_pivot_raises():
@@ -620,6 +682,32 @@ def test_krotov_bisects_a_stalled_sweep_step():
     assert tr.status == BUDGET_EXHAUSTED
     assert tr.propagations == 7
     assert tr.j_monotone
+
+
+def test_bisection_depth_is_remembered_under_a_strong_field():
+    # under 100x its guess every full step of hg_problem() stalls; before,
+    # each one ran out its Picard iterates first (128 stalls and 12,288
+    # iterates); held at the depth that converged, the run costs about
+    # what its halves' own lattice of 256 steps costs (6,404 iterates)
+    p = hg_problem()
+    strong = p.guess.with_spectrum_values(100.0 * p.guess.spectrum().values)
+    config = p.propagator_for(OptimizerConfig())
+    assert config.steps == 128
+
+    def run(steps, zeta):
+        return propagate_forward(p.system, strong, p.psi0,
+                                 replace(config, steps=steps, zeta=zeta))
+
+    held = run(128, config.zeta)
+    assert held.stats.steps == 128
+    assert held.stats.stalls <= 8
+    assert held.stats.iterates <= 6600
+    assert held.stats.iterates <= 1.05 * run(256, config.zeta).stats.iterates
+    # the held run solves the halves' collocation equations
+    tight = run(128, 1e-10)
+    assert tight.stats.stalls <= 8
+    assert (np.linalg.norm(tight.final_state - run(256, 1e-10).final_state)
+            <= 1e-9)
 
 
 @pytest.mark.parametrize("method", _METHODS)
