@@ -50,6 +50,10 @@ _PHASE_SPAN = 0.7
 # several grid intervals; calibrated by an error-per-second sweep (see
 # default_propagator_config).
 _LONG_SPAN = 0.25
+# Most grid intervals a default step spans.  The rule does not see the
+# field, so with a small Bohr spread nothing else would bound the step
+# against the field's own time scale, which only the grid reflects.
+_LONG_INTERVALS = 16
 # Held steps after a stall before the full length is tried again; the
 # wait doubles after each failed retry.
 _RETRY = 8
@@ -88,15 +92,17 @@ def default_propagator_config(system, grid, tau=1e-3):
 
     While spread*dt/m exceeds _PHASE_SPAN, each interval takes m substeps
     (m a power of two).  Otherwise one step spans the most grid intervals r,
-    a power of two dividing n_t - 1, with spread*dt*r <= _LONG_SPAN, and
-    r = 1 when even one interval exceeds it.  The field does not enter: a
-    step whose iteration it stalls is bisected by the solver."""
+    a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
+    spread*dt*r <= _LONG_SPAN, and r = 1 when even one interval exceeds
+    it.  The field does not enter: a step whose iteration it stalls is
+    bisected by the solver."""
     spread = float(np.ptp(system.eigen()[0]))
     span, n_int = spread * grid.dt, grid.n_t - 1
     steps = n_int
     while span * n_int / steps > _PHASE_SPAN:
         steps *= 2
-    while steps % 2 == 0 and span * n_int / (steps // 2) <= _LONG_SPAN:
+    while (steps % 2 == 0 and 2 * n_int <= _LONG_INTERVALS * steps
+           and span * n_int / (steps // 2) <= _LONG_SPAN):
         steps //= 2
     return PropagatorConfig(steps=steps, rule=chebyshev_rule(_DEFAULT_NODES),
                             zeta=1e-3 * tau)
@@ -409,7 +415,7 @@ class StepSolver:
         return None
 
     def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
-              src_vals=None, start=None):
+              src_vals=None, depth=0, start=None):
         """f_vals/src_vals, when given, are the field and source at this
         step's own nodes; f_eval and src_frac serve bisected pieces.  The
         field may be a function of the node iterate (see picard), and so
@@ -420,24 +426,11 @@ class StepSolver:
         after it, which are split into 2^depth pieces up front, each piece
         started from the one before it; every _RETRY-th held step, and after
         each failed retry twice as many, tries the full length again."""
-        if start is not None and self._hold:
+        if start is not None and self._hold and not depth:
             self._held += 1
             if self._held < self._wait:
                 return self._pieces(u0, t0, dt, f_eval, src_frac)
             self._held = 0
-        self._deep = 0
-        out = self._split(u0, t0, dt, f_eval, src_frac, f_vals, src_vals, 0,
-                          start)
-        if start is not None:
-            if self._deep:
-                self._wait = 2 * self._wait if self._hold else _RETRY
-            self._hold = self._deep
-        return out
-
-    def _split(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
-               src_vals=None, depth=0, start=None):
-        """The full step, or its two halves (recursively) if its length
-        exceeds the phase span or its iteration stalls."""
         if self.spread * abs(dt) <= _PHASE_SPAN:
             if f_vals is None:
                 f_vals = f_eval(t0 + dt * self.s)
@@ -446,6 +439,8 @@ class StepSolver:
             u = (self.picard(u0, f_vals, src_vals, dt) if start is None
                  else self.picard(u0, f_vals, src_vals, dt, start))
             if u is not None:
+                if self._hold and not depth:  # a retry that converged
+                    self._hold = 0
                 return u
             self._deep = max(self._deep, depth + 1)
         if depth >= self.max_halvings:
@@ -456,10 +451,17 @@ class StepSolver:
         half = 0.5 * dt
         s_left = None if src_frac is None else (lambda s: src_frac(0.5 * s))
         s_right = None if src_frac is None else (lambda s: src_frac(0.5 + 0.5 * s))
-        left = self._split(u0, t0, half, f_eval, s_left, depth=depth + 1)
-        right = self._split(left[-1], t0 + half, half, f_eval, s_right,
-                            depth=depth + 1)
-        return self._merge(u0, [left, right])
+        left = self.solve(u0, t0, half, f_eval, s_left, depth=depth + 1)
+        right = self.solve(left[-1], t0 + half, half, f_eval, s_right,
+                           depth=depth + 1)
+        out = self._merge(u0, [left, right])
+        if not depth:  # the deepest stall sets the depth of the next steps
+            if start is not None:
+                if self._deep:
+                    self._wait = 2 * self._wait if self._hold else _RETRY
+                self._hold = self._deep
+            self._deep = 0
+        return out
 
     def _pieces(self, u0, t0, dt, f_eval, src_frac):
         """The step as 2^hold equal pieces, each but the first started from
@@ -468,18 +470,17 @@ class StepSolver:
         n = 1 << self._hold
         piece = dt / n
         self.bisections += n - 1
-        self._deep = 0
         last, _, last_dt = self._last
         prev = last if last_dt == piece else None
         pieces, u = [], u0
         for j in range(n):
             frac = None if src_frac is None else (
                 lambda s, j=j: src_frac((j + np.asarray(s)) / n))
-            prev = self._split(u, t0 + j * piece, piece, f_eval, frac,
-                               depth=self._hold, start=prev)
+            prev = self.solve(u, t0 + j * piece, piece, f_eval, frac,
+                              depth=self._hold, start=prev)
             pieces.append(prev)
             u = prev[-1]
-        self._hold = max(self._hold, self._deep)
+        self._hold, self._deep = max(self._hold, self._deep), 0
         return self._merge(u0, pieces)
 
     def _merge(self, u0, pieces):
