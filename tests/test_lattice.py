@@ -4,9 +4,9 @@ The propagator's node times are t = h(k + s_i), h = T/n_steps, so cosine
 series over the bins omega_j = j*pi/T are evaluated and transformed there by
 FFT.  These tests hold the FFT forms to the direct cosine sums:
 eval_cosine_series for synthesis and an explicit weighted sum for the
-transform.  A step covers m steps per grid interval, or, with m = 1/r, r
-grid intervals; the long steps' grid-time readers are held to a run of one
-step per interval.
+transform.  A run takes m steps per grid interval, or, with m = 1/r, one
+step spans r grid intervals; the long steps' grid-time readers are held to
+a run of one step per interval.
 """
 
 import math
