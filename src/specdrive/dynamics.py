@@ -54,9 +54,6 @@ _LONG_SPAN = 0.25
 # field, so with a small Bohr spread nothing else would bound the step
 # against the field's own time scale, which only the grid reflects.
 _LONG_INTERVALS = 16
-# Held steps after a stall before the full length is tried again; the
-# wait doubles after each failed retry.
-_RETRY = 8
 
 
 class PropagationError(RuntimeError):
@@ -330,13 +327,19 @@ class StepSolver:
         # its node polynomial's values over the next step of the same length
         self._extrap = _barycentric_interp(self.s, np.eye(len(self.s)),
                                            1.0 + self.s)
+        # Lagrange bases of the nodes s at the parent's nodes in each half
+        # (2s for s <= 1/2, 2s - 1 above), for _merge
+        left = self.s <= 0.5
+        self._halves = (
+            _barycentric_interp(self.s, np.eye(len(self.s)), 2.0 * self.s[left]),
+            _barycentric_interp(self.s, np.eye(len(self.s)),
+                                2.0 * self.s[~left] - 1.0))
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
-        self._wait = _RETRY
         self.iterates = self.stalls = self.bisections = 0
         eigen = getattr(system, "eigen", None)
         energies, vecs, coupling = eigen() if eigen else (None,) * 3
-        self._energies = energies
+        self.energies, self.vecs = energies, vecs
         self.spread = 0.0 if energies is None else float(np.ptp(energies))
         # c = c0 - i dt Q conj(ph) H_I(ph c) + the source part: H_I = -eps M
         # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0
@@ -358,11 +361,11 @@ class StepSolver:
         length."""
         tab = self._tables.get(dt)
         if tab is None:
-            ph = 1.0 if self._energies is None else np.exp(
-                -1j * np.multiply.outer(dt * self.s, self._energies))
+            ph = 1.0 if self.energies is None else np.exp(
+                -1j * np.multiply.outer(dt * self.s, self.energies))
             qmat = self.rule.qmat
             tab = _StepTable(ph, np.conj(ph), (-1j * dt) * qmat, dt * qmat,
-                             1.0 if self._energies is None else ph[-1])
+                             1.0 if self.energies is None else ph[-1])
             self._tables[dt] = tab
         return tab
 
@@ -415,23 +418,28 @@ class StepSolver:
         return None
 
     def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
-              src_vals=None, depth=0, start=None):
+              src_vals=None, depth=0, start=None, hold=0):
         """f_vals/src_vals, when given, are the field and source at this
         step's own nodes; f_eval and src_frac serve bisected pieces.  The
         field may be a function of the node iterate (see picard), and so
         may what f_eval returns.  start, the previous step's nodes, seeds
         picard (see there); bisected halves start from the constant.
 
-        A step given a start that still stalls sets the depth of the steps
-        after it, which are split into 2^depth pieces up front, each piece
-        started from the one before it; every _RETRY-th held step, and after
-        each failed retry twice as many, tries the full length again."""
-        if start is not None and self._hold and not depth:
+        A step given a start that still stalls sets the depth that the
+        steps after it are held at: they bisect down to it without a solve
+        at the lengths above, and each piece starts from the one before it.
+        Every max_picard-th held step tries the full length again, and
+        returns to the held depth if that stalls: a failed try costs
+        max_picard iterates, and holding a step that no longer needs it
+        costs at least one."""
+        retry = False
+        if start is not None and not depth and self._hold:
             self._held += 1
-            if self._held < self._wait:
-                return self._pieces(u0, t0, dt, f_eval, src_frac)
-            self._held = 0
-        if self.spread * abs(dt) <= _PHASE_SPAN:
+            if self._held < self.max_picard:
+                hold = self._hold
+            else:
+                self._held, retry = 0, True
+        if depth >= hold and self.spread * abs(dt) <= _PHASE_SPAN:
             if f_vals is None:
                 f_vals = f_eval(t0 + dt * self.s)
             if src_vals is None and src_frac is not None:
@@ -439,10 +447,12 @@ class StepSolver:
             u = (self.picard(u0, f_vals, src_vals, dt) if start is None
                  else self.picard(u0, f_vals, src_vals, dt, start))
             if u is not None:
-                if self._hold and not depth:  # a retry that converged
+                if not depth:
                     self._hold = 0
                 return u
             self._deep = max(self._deep, depth + 1)
+            if retry:  # back to the held depth at once
+                hold = self._hold
         if depth >= self.max_halvings:
             raise PropagationError(
                 f"step at t={t0:.6g} failed to converge after "
@@ -451,48 +461,34 @@ class StepSolver:
         half = 0.5 * dt
         s_left = None if src_frac is None else (lambda s: src_frac(0.5 * s))
         s_right = None if src_frac is None else (lambda s: src_frac(0.5 + 0.5 * s))
-        left = self.solve(u0, t0, half, f_eval, s_left, depth=depth + 1)
+        held = depth < hold
+        last, _, last_dt = self._last
+        left = self.solve(u0, t0, half, f_eval, s_left, depth=depth + 1,
+                          start=last if held and last_dt == half else None,
+                          hold=hold)
         right = self.solve(left[-1], t0 + half, half, f_eval, s_right,
-                           depth=depth + 1)
-        out = self._merge(u0, [left, right])
+                           depth=depth + 1, start=left if held else None,
+                           hold=hold)
+        out = self._merge(u0, left, right, half)
         if not depth:  # the deepest stall sets the depth of the next steps
             if start is not None:
-                if self._deep:
-                    self._wait = 2 * self._wait if self._hold else _RETRY
-                self._hold = self._deep
+                self._hold = max(hold, self._deep)
             self._deep = 0
         return out
 
-    def _pieces(self, u0, t0, dt, f_eval, src_frac):
-        """The step as 2^hold equal pieces, each but the first started from
-        the piece before it, and the first from the last piece of the step
-        before when that had the same length."""
-        n = 1 << self._hold
-        piece = dt / n
-        self.bisections += n - 1
-        last, _, last_dt = self._last
-        prev = last if last_dt == piece else None
-        pieces, u = [], u0
-        for j in range(n):
-            frac = None if src_frac is None else (
-                lambda s, j=j: src_frac((j + np.asarray(s)) / n))
-            prev = self.solve(u, t0 + j * piece, piece, f_eval, frac,
-                              depth=self._hold, start=prev)
-            pieces.append(prev)
-            u = prev[-1]
-        self._hold, self._deep = max(self._hold, self._deep), 0
-        return self._merge(u0, pieces)
-
-    def _merge(self, u0, pieces):
-        # reassemble the parent's node values from its equal pieces: node s
-        # lies in piece ceil(n s) - 1 (the first for s = 0)
-        s, n = self.s, len(pieces)
-        which = np.maximum(np.ceil(n * s) - 1, 0).astype(int)
-        out = np.empty_like(pieces[0])
-        for j in np.unique(which):
-            sel = which == j
-            out[sel] = _barycentric_interp(s, pieces[j], n * s[sel] - j)
-        out[0], out[-1] = u0, pieces[-1][-1]
+    def _merge(self, u0, left, right, half):
+        """The parent step's node values from its halves' node polynomials,
+        taken in the parent's interaction picture c = e^{iE tau} V^dagger
+        psi (see _node_poly): the right half's own picture is turned by
+        e^{iE half} into it."""
+        tab = self._table(half)
+        to_left, to_right = self._halves
+        c = np.concatenate([
+            to_left @ (tab.ph_bar * self._to_eigen(left)),
+            (to_right @ (tab.ph_bar * self._to_eigen(right)))
+            * np.conj(tab.ph_end)])
+        out = self._to_system(self._table(2.0 * half).ph * c)
+        out[0], out[-1] = u0, right[-1]
         return out
 
 
@@ -507,22 +503,36 @@ class PropagationStats:
     bisections: int
 
 
-def _on_grid(ends, nodes, n_int, s):
+def _node_poly(s, values, q, h=0.0, energies=None):
+    """Each step's node polynomial read at fractions q: values holds the
+    node values of steps of length h, (..., n_c, d), and the result is
+    (..., len(q), d).  Given the energies, values are the eigen-coefficients
+    of states, and the polynomial is that of the interaction picture,
+    c(tau) = e^{iE tau} psi(tau), which the step solved for: it varies with
+    the Bohr spread, while psi's phases e^{-iE tau} of the absolute
+    energies can turn many times within a step."""
+    lagrange = _barycentric_interp(s, np.eye(len(s)), q)
+    if energies is None:
+        return np.matmul(lagrange, values)
+    turn = np.exp(1j * h * np.multiply.outer(s, energies))
+    back = np.exp(-1j * h * np.multiply.outer(q, energies))
+    return np.matmul(lagrange, values * turn) * back
+
+
+def _on_grid(ends, n_int, inner):
     """Samples at the grid times i T/n_int of a lattice of len(ends) - 1
-    equal steps with node fractions s: ends holds the values at the step
-    boundaries, nodes those at the nodes, (n_steps, n_c, ...).  When one
-    step spans r > 1 grid intervals, its r - 1 inner grid times are read
-    off its node polynomial through one (r - 1, n_c) Lagrange matrix;
-    nodes is read only then."""
+    equal steps, ends holding the values at the step boundaries.  When one
+    step spans r > 1 grid intervals, inner(q) gives its r - 1 inner samples,
+    the values at the fractions q = i/r of every step, (n_steps, r - 1, ...);
+    inner is called only then."""
     n_steps = len(ends) - 1
     if n_steps >= n_int:
         return ends[:: n_steps // n_int]
     r = n_int // n_steps
     out = np.empty((n_int + 1,) + ends.shape[1:], dtype=ends.dtype)
     out[::r] = ends
-    lagrange = _barycentric_interp(s, np.eye(len(s)), np.arange(1, r) / r)
-    inner = out[:-1].reshape((n_steps, r) + ends.shape[1:])
-    inner[:, 1:] = np.einsum("qj,kj...->kq...", lagrange, nodes)
+    inner_rows = out[:-1].reshape((n_steps, r) + ends.shape[1:])
+    inner_rows[:, 1:] = inner(np.arange(1, r) / r)
     return out
 
 
@@ -533,15 +543,19 @@ class Trajectory:
     boundary_states[k] is the state at k*dt_step, and node_states[k, j],
     step k's node j, sits at (k + s_j)*dt_step, with dt_step = T/n_steps.
     A step covers one grid interval, a fraction of one, or r of them; the
-    grid-time states then come from the steps' node polynomials.  A
-    trajectory from in_basis maps its node states in one product the first
-    time they are read.  stats holds the run's PropagationStats.  A
-    trajectory built outside the stepping loop may hold neither (None);
-    reading its node states raises ValueError.
+    states between a step's nodes, the grid-time states among them, come
+    from its node polynomial in the interaction picture of H0 (see
+    between_nodes).  frame = (E, W) gives that picture: the node states are
+    W e^{-iE tau} c(tau), with W unitary (None for the identity) and E None
+    for a system without an eigenbasis.  A trajectory from in_basis maps
+    its node states in one product the first time they are read.  stats
+    holds the run's PropagationStats.  A trajectory built outside the
+    stepping loop may hold neither (None); reading its node states raises
+    ValueError.
     """
 
     def __init__(self, grid, rule, boundary_states, norms, field_nodes,
-                 node_states=None, stats=None, basis=None):
+                 node_states=None, stats=None, basis=None, frame=(None, None)):
         self.grid = grid
         self.rule = rule
         self.boundary_states = boundary_states
@@ -549,6 +563,7 @@ class Trajectory:
         self.field_nodes = field_nodes
         self._nodes = node_states
         self._basis = basis  # vecs still to apply to _nodes, or None
+        self._frame = frame  # (E, W) of _nodes, see above
         self.stats = stats
 
     @property
@@ -558,6 +573,9 @@ class Trajectory:
             raise ValueError("internal node states are unavailable")
         if self._basis is not None:
             flat = self._nodes.reshape(-1, self.dim) @ self._basis.T
+            energies, w = self._frame
+            self._frame = (energies,
+                           self._basis if w is None else self._basis @ w)
             self._nodes, self._basis = flat.reshape(self._nodes.shape), None
         return self._nodes
 
@@ -587,19 +605,31 @@ class Trajectory:
 
     def grid_states(self):
         """States at the TimeGrid nodes, shape (n_t, dim)."""
-        n_int = self.grid.n_t - 1
-        nodes = self.node_states if self.n_steps < n_int else None
-        return _on_grid(self.boundary_states, nodes, n_int, self.s_nodes)
+        return _on_grid(self.boundary_states, self.grid.n_t - 1,
+                        self.between_nodes)
+
+    def between_nodes(self, q, steps=slice(None)):
+        """States at the fractions q of the given steps, (n, len(q), dim),
+        read off each step's node polynomial in the interaction picture of
+        H0, where it is smooth whatever the size of the energies."""
+        nodes = self.node_states[steps]
+        energies, w = self._frame
+        if w is None:
+            return _node_poly(self.s_nodes, nodes, q, self.dt_step, energies)
+        return _node_poly(self.s_nodes, nodes @ w.conj(), q, self.dt_step,
+                          energies) @ w.T
 
     def step_nodes(self, k):
         return self.node_states[k]
 
     def in_basis(self, vecs):
-        """This trajectory with each state c as vecs @ c, nodes when read."""
+        """This trajectory with each state c as vecs @ c, nodes when read;
+        vecs is unitary."""
         basis = vecs if self._basis is None else vecs @ self._basis
         return Trajectory(self.grid, self.rule,
                           self.boundary_states @ vecs.T, self.norms,
-                          self.field_nodes, self._nodes, self.stats, basis)
+                          self.field_nodes, self._nodes, self.stats, basis,
+                          self._frame)
 
     def node_expectation(self, apply_op):
         """Re(<u|Op|u>) at every internal node, shape (n_steps, n_c)."""
@@ -694,7 +724,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections)
-    return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states, stats)
+    return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states,
+                      stats, frame=(solver.energies, solver.vecs))
 
 
 def _grid_for(f_eval, grid):
@@ -805,10 +836,10 @@ class _ForwardSource:
     """
 
     def _states(self, k, s):
-        nodes = self.forward.step_nodes(k)
         if s is None:
-            return nodes
-        return _barycentric_interp(self.forward.s_nodes, nodes, s)
+            return self.forward.step_nodes(k)
+        return self.forward.between_nodes(np.asarray(s, dtype=float),
+                                          slice(k, k + 1))[0]
 
 
 class HGSource(_ForwardSource):

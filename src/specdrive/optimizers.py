@@ -50,6 +50,7 @@ from .dynamics import (
     hg_source_signal,
     _EPS,
     _barycentric_interp,
+    _node_poly,
     _on_grid,
     _run,
     _sample_interp,
@@ -515,8 +516,8 @@ class _ImmediateField:
 
             def halves(t):
                 t = np.asarray(t, dtype=float)
-                mu_nodes = apply_mu(self.system, partner.step_nodes(i))
-                mu_t = _barycentric_interp(s, mu_nodes, (t - i * h) / h)
+                mu_t = apply_mu(self.system, partner.between_nodes(
+                    (t - i * h) / h, slice(i, i + 1))[0])
                 a_t = alpha if scalar else _sample_interp(alpha, grid, t)
                 return _node_field(_node_weights(sign, mu_t, a_t))
 
@@ -560,8 +561,9 @@ def _krotov_step(run, config, filt_values=None):
         traj_t = run.sweep(system, grid, prop, run.psi0, chi_traj,
                            +1, alpha)
         eps = traj_t.field_nodes  # the field the sweep settled on
-        samples = _on_grid(np.append(eps[:, 0], eps[-1, -1]), eps,
-                           grid.n_t - 1, prop.rule.s)
+        samples = _on_grid(
+            np.append(eps[:, 0], eps[-1, -1]), grid.n_t - 1,
+            lambda q: _node_poly(prop.rule.s, eps[..., None], q)[..., 0])
         if filt_values is None:
             new_field = ControlField.from_time(grid, samples)
             return new_field, traj_t, evaluate(ctx, traj_t, new_field), 1.0

@@ -20,8 +20,9 @@ from specdrive.spectral import (
 )
 from specdrive.system import build_level_system
 from specdrive.dynamics import (
-    HGSource, PropagatorConfig, StepSolver, _CosineEval, hg_source_signal,
-    propagate_backward, propagate_forward,
+    HGSource, PropagatorConfig, StepSolver, _CosineEval,
+    default_propagator_config, hg_source_signal, propagate_backward,
+    propagate_forward,
 )
 from specdrive.functionals import ControlField, node_cosine_transform
 
@@ -179,6 +180,26 @@ def test_long_step_grid_states_match_one_step_per_interval(r):
     assert states.shape == (N_T, 2)
     assert np.array_equal(states[::r], long.boundary_states)
     assert np.abs(states - one.grid_states()).max() < 1e-9
+
+
+@pytest.mark.parametrize("energies", [(30.0, 31.0), (100.0, 101.0)])
+def test_long_step_grid_states_at_large_absolute_energies(energies):
+    # spread*dt = 0.0098 gives 16 intervals per step whatever the energies'
+    # offset, while psi turns |E| h = 4.8 and 16 rad per step: the grid
+    # times inside a step are read in the interaction picture
+    grid = TimeGrid(10.0, 1025)
+    system = build_level_system(list(energies), SX)
+    field = 0.2 * np.sin(math.pi * grid.nodes / 10.0) ** 2 * np.cos(grid.nodes)
+    config = default_propagator_config(system, grid, tau=1e-9)
+    assert config.steps == 64
+
+    def run(steps):
+        return propagate_forward(system, field, [1.0, 0.0],
+                                 PropagatorConfig(steps, config.rule,
+                                                  config.zeta), grid=grid)
+
+    long, one = run(64), run(1024)
+    assert np.abs(long.grid_states() - one.grid_states()).max() < 1e-9
 
 
 def hg_setup():

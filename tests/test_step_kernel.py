@@ -382,6 +382,21 @@ def hcl_runs(zeta=1e-6):
     return forward, backward
 
 
+def test_bisected_step_merges_its_halves_in_the_interaction_picture():
+    # spread*dt = 1 > 0.7 bisects the step.  Without a field the state is
+    # e^{-iE tau} psi0 exactly, which the merged nodes keep although psi
+    # turns 15 rad over each half
+    energies = np.array([30.0, 31.0])
+    system = build_level_system(energies, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    u0 = np.array([0.6, 0.8j])
+    for dt in (1.0, -1.0):
+        solver = StepSolver(system, RULE, 1e-13)
+        nodes = solver.solve(u0, 0.0, dt, lambda t: np.zeros(np.shape(t)))
+        assert solver.bisections == 1
+        exact = np.exp(-1j * dt * np.multiply.outer(RULE.s, energies)) * u0
+        assert np.abs(nodes - exact).max() < 1e-12
+
+
 def test_predicted_start_takes_about_one_iterate_per_hcl_step():
     forward, backward = hcl_runs()
     for traj in (forward, backward):
