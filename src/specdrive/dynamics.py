@@ -373,7 +373,11 @@ class StepSolver:
         """Fixed-point iteration at this step's nodes; None if stalled.
 
         f_vals is the field at the nodes, or a function of the node iterate
-        that gives it (an immediate update, recomputed every iterate).
+        that gives it (an immediate update).  Such a function is called once
+        per iterate, in order, with the iterate's node states in the system
+        basis, and _run calls it once more on the converged nodes; a field
+        that carries state from one call to the next (the kernel sweep's
+        secant on its front sample) relies on that order.
         Without start the iteration starts from the constant c(tau) = c0.
         start is the node states of the step of the same length just before
         this one: the iteration then starts from their node polynomial in
@@ -549,13 +553,11 @@ class Trajectory:
     W e^{-iE tau} c(tau), with W unitary (None for the identity) and E None
     for a system without an eigenbasis.  A trajectory from in_basis maps
     its node states in one product the first time they are read.  stats
-    holds the run's PropagationStats.  A trajectory built outside the
-    stepping loop may hold neither (None); reading its node states raises
-    ValueError.
+    holds the run's PropagationStats.
     """
 
     def __init__(self, grid, rule, boundary_states, norms, field_nodes,
-                 node_states=None, stats=None, basis=None, frame=(None, None)):
+                 node_states, stats, basis=None, frame=(None, None)):
         self.grid = grid
         self.rule = rule
         self.boundary_states = boundary_states
@@ -569,8 +571,6 @@ class Trajectory:
     @property
     def node_states(self):
         """Internal node states, shape (n_steps, n_c, dim)."""
-        if self._nodes is None:
-            raise ValueError("internal node states are unavailable")
         if self._basis is not None:
             flat = self._nodes.reshape(-1, self.dim) @ self._basis.T
             energies, w = self._frame
@@ -637,13 +637,6 @@ class Trajectory:
         return _block_expectation(flat, apply_op).reshape(self.n_steps, -1)
 
 
-def _step_solver(system, config, n_steps):
-    """The StepSolver of an n_steps run under config: zeta split evenly."""
-    zeta_step = max(config.zeta / n_steps, 100.0 * _EPS)
-    return StepSolver(system, config.rule, zeta_step, config.max_picard,
-                      config.max_halvings)
-
-
 def _steps_for(config, grid):
     """The steps of a run under config on grid, checked against the grid
     intervals: a multiple of them, or a divisor."""
@@ -666,11 +659,12 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     absolute-time order.  Every step after the first starts its Picard
     solve from the previous step's nodes (see StepSolver.picard).  A run
     without a source conserves the norm, so a drift beyond 1e3*zeta raises
-    InstabilityError.
+    InstabilityError.  The run's zeta is split evenly over its steps.
     """
     n_steps = _steps_for(config, grid)
     rule = config.rule
-    solver = _step_solver(system, config, n_steps)
+    solver = StepSolver(system, rule, max(config.zeta / n_steps, 100.0 * _EPS),
+                        config.max_picard, config.max_halvings)
     dim, n_c = len(u_init), rule.n_c
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)

@@ -19,9 +19,10 @@ The schemes differ in the update rule:
 
 Every scheme is a step function run by one shared loop, _drive, in the
 eigen representation of H0 (system.eigen_system()); the trajectory it
-returns is mapped back to the system basis once.  Degani's two kernel
-sweeps are the only stepping loop outside dynamics._run, and its iterates
-keep the states at the grid nodes only.  All runs produce an
+returns is mapped back to the system basis once.  Every propagation is one
+dynamics._run, the sweeps of both immediate-update schemes included: their
+fields (_ImmediateField, _KernelField) are functions of the node iterate
+of the step being solved.  All runs produce an
 OptimizationTrace whose rows carry the functional breakdown, the mixing
 parameter, the cumulative propagation count and the relative field change,
 so convergence curves can be reconstructed exactly.
@@ -40,7 +41,6 @@ from .dynamics import (
     InstabilityError,
     PropagationError,
     HGSource,
-    Trajectory,
     TDTargetSource,
     default_propagator_config,
     propagate_backward,
@@ -49,12 +49,10 @@ from .dynamics import (
     terminal_chi,
     hg_source_signal,
     _EPS,
-    _barycentric_interp,
     _node_poly,
     _on_grid,
     _run,
     _sample_interp,
-    _step_solver,
     _steps_for,
 )
 from .functionals import (
@@ -325,10 +323,14 @@ class _Run:
         return propagate_backward(self.system, field, source, chi_t,
                                   self.prop, grid=self.problem.grid)
 
-    def sweep(self, *args, **kwargs):
-        """One immediate-update sweep (see _immediate_sweep)."""
+    def sweep(self, field, u, backward=False, source=None):
+        """One immediate-update sweep of u under field, whose steps give the
+        field as a function of the node iterate (_ImmediateField,
+        _KernelField); the field it settled on is the trajectory's
+        field_nodes."""
         self.propagations += 1
-        return _immediate_sweep(*args, **kwargs)
+        return _immediate_sweep(self.system, field, u, self.problem.grid,
+                                self.prop, backward=backward, source=source)
 
 
 def _drive(problem, config, on_row, method, make_step, k0=1.0,
@@ -526,18 +528,9 @@ class _ImmediateField:
         return step
 
 
-def _immediate_sweep(system, grid, prop, u_start, partner, direction, alpha,
-                     source=None):
-    """Propagate u while the field is recomputed at every node.
-
-    direction +1 runs the state forward against the costate trajectory
-    partner, -1 the costate backward (with the source) against the state.
-    alpha is _alpha_at_nodes' pair.  The field the sweep settled on is the
-    returned trajectory's field_nodes.
-    """
-    field = _ImmediateField(system, partner, float(direction), alpha)
-    return _run(system, field, u_start, grid, prop, backward=direction < 0,
-                source=source)
+# the sweeps' propagation, under its own name: bench/tracing.py counts the
+# sweeps by wrapping it
+_immediate_sweep = _run
 
 
 def _krotov_step(run, config, filt_values=None):
@@ -556,10 +549,10 @@ def _krotov_step(run, config, filt_values=None):
 
     def step(field, traj, br):
         chi_t, source = _chi_setup(ctx, traj)
-        chi_traj = run.sweep(system, grid, prop, chi_t, traj, -1, alpha,
-                             source=source)
-        traj_t = run.sweep(system, grid, prop, run.psi0, chi_traj,
-                           +1, alpha)
+        chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
+                             chi_t, backward=True, source=source)
+        traj_t = run.sweep(_ImmediateField(system, chi_traj, 1.0, alpha),
+                           run.psi0)
         eps = traj_t.field_nodes  # the field the sweep settled on
         samples = _on_grid(
             np.append(eps[:, 0], eps[-1, -1]), grid.n_t - 1,
@@ -621,27 +614,47 @@ def _filter_values(filt, fgrid):
 # immediate update against a time-domain penalty kernel
 
 
-def _settle_front(cross, seed, tol, cap):
-    """Solve val(x) = x for the sample at the sweep front.
+class _KernelField:
+    """The kernel (degani) scheme's field for _run, one step per grid
+    interval.  Execution step k enters its interval at the known sample a
+    and leaves it at the front sample x (forward: samples k and k + 1;
+    backward: n - k and n - 1 - k, n = n_t - 1); at the step's nodes the
+    field is (1 - s) a + s x.  solve(i, end) writes sample i of work from
+    its penalty row, given the swept state at that sample, and returns it.
+    Every call with a node iterate u solves the front row with u[-1];
+    since the row's gain passes one on coarse grids, x then moves by a
+    secant step on that solve's residual, not to the solve itself.  The
+    front row couples the whole interval, so a step cannot be bisected."""
 
-    cross(x) propagates the crossing with the front sample set to x and
-    returns (state, val), val being the penalty-row solve there.  Plain
-    repetition diverges once the local gain passes one (coarse grids), so
-    after the first step the residual is driven down by secant updates.
-    """
-    x_prev = r_prev = None
-    x = seed
-    for _ in range(cap):
-        state, val = cross(x)
-        r = val - x
-        if abs(r) <= tol * max(1.0, abs(val)):
-            return state
-        if x_prev is None or r == r_prev:
-            x_next = val
-        else:
-            x_next = x - r * (x - x_prev) / (r - r_prev)
-        x_prev, r_prev, x = x, r, x_next
-    raise PropagationError("kernel sweep front sample did not settle")
+    def __init__(self, work, solve):
+        self.work, self.solve = work, solve
+
+    def steps(self, n_steps, s, backward):
+        work, solve = self.work, self.solve
+
+        def halves(t):
+            raise PropagationError("a kernel sweep step cannot be bisected")
+
+        def step(k):
+            known, front = (n_steps - k, n_steps - 1 - k) if backward \
+                else (k, k + 1)
+            a = work[known]
+            x = x_prev = r_prev = None
+
+            def field(u):
+                nonlocal x, x_prev, r_prev
+                val = x_next = solve(front, u[-1])
+                if x is not None:  # else u is the predicted start
+                    r = val - x
+                    if x_prev is not None and r != r_prev:
+                        x_next = x - r * (x - x_prev) / (r - r_prev)
+                    x_prev, r_prev = x, r
+                x = x_next
+                return (1.0 - s) * a + s * x
+
+            return field, halves
+
+        return step
 
 
 def _degani_step(run, config, alpha_omega):
@@ -664,17 +677,18 @@ def _degani_step(run, config, alpha_omega):
         raise ValueError("penalty kernel has a vanishing diagonal pivot; "
                          "the per-node solve would break down")
 
-    if prop.steps < n_t - 1:
+    if prop.steps != n_t - 1:
         if run.problem.propagator is not None:
             raise ValueError("the kernel (degani) scheme is defined per grid "
-                             "sample: its steps cannot span several grid "
-                             "intervals")
+                             "sample: its config must take one step per "
+                             "grid interval")
+        if prop.steps > n_t - 1:
+            raise ValueError("the kernel (degani) scheme takes one step per "
+                             "grid interval, and this grid's interval is "
+                             "longer than one step resolves: it needs "
+                             f"n_t >= {prop.steps + 1}")
         # the default config's long steps, clamped to one per interval
-        run.prop = prop = replace(prop, steps=n_t - 1)
-    n_steps = _steps_for(prop, grid)
-    m = n_steps // (n_t - 1)
-    solver = _step_solver(system, prop, n_steps)
-    h_sub = grid.dt / m
+        run.prop = replace(prop, steps=n_t - 1)
     o_map = state_map(ctx.o_full)
 
     def score(ctx, traj, field):
@@ -694,80 +708,21 @@ def _degani_step(run, config, alpha_omega):
         work[i] = (-cross - rest) / pivot[i]
         return work[i]
 
-    def window_eval(work, lo, hi):
-        # live view, linear between the crossing endpoints: matches the
-        # trapezoid accuracy of the kernel itself, and unlike a wider window
-        # it cannot amplify the grid-frequency mode of the sequential solve
-        xs = np.arange(lo, hi + 1) * grid.dt
-        vals = work[lo:hi + 1]
-
-        def f_eval(t):
-            return _barycentric_interp(xs, vals, np.asarray(t, dtype=float))
-
-        return f_eval
-
     def step(field, traj, br):
         work = np.array(field.time_values(), dtype=float)
-        psi_grid = traj.grid_states()
-
-        run.propagations += 1
-        chi = o_map(psi_grid[-1][None, :])[0] + terminal_chi(
-            cfg.kappa, system, psi_grid[-1])
-        chi_grid = np.empty((n_t, system.dim), dtype=complex)
-        chi_grid[-1] = chi
-        ref = float(np.linalg.norm(chi))
-        update(work, n_t - 1, chi, psi_grid[-1])
-        for i in range(n_t - 2, -1, -1):
-            f_eval = window_eval(work, i, i + 1)
-            chi0 = chi
-
-            def cross_bwd(x, i=i):
-                work[i] = x
-                c = chi0
-                for sub in range(m - 1, -1, -1):
-                    t1 = i * grid.dt + (sub + 1) * h_sub
-                    c = solver.solve(c, t1, -h_sub, f_eval)[-1]
-                return c, update(work, i, c, psi_grid[i])
-
-            chi = _settle_front(cross_bwd, work[i + 1], solver.zeta_step,
-                                prop.max_picard)
-            nn = float(np.linalg.norm(chi))
-            if ref > 0.0 and abs(nn - ref) > 1e3 * prop.zeta * ref:
-                raise InstabilityError("costate norm drifted during the "
-                                       "kernel sweep")
-            chi_grid[i] = chi
-
-        run.propagations += 1
-        psi = run.psi0.copy()
-        ref_psi = float(np.linalg.norm(psi))
-        psi_new = np.empty_like(chi_grid)
-        psi_new[0] = psi
-        update(work, 0, chi_grid[0], psi)
-        for i in range(n_t - 1):
-            f_eval = window_eval(work, i, i + 1)
-            psi0_step = psi
-
-            def cross_fwd(x, i=i):
-                work[i + 1] = x
-                u = psi0_step
-                for sub in range(m):
-                    t0 = i * grid.dt + sub * h_sub
-                    u = solver.solve(u, t0, h_sub, f_eval)[-1]
-                return u, update(work, i + 1, chi_grid[i + 1], u)
-
-            # the j > i entries of work still hold the backward values,
-            # so the neighbour already seeds the front sample well
-            psi = _settle_front(cross_fwd, work[i + 1], solver.zeta_step,
-                                prop.max_picard)
-            nn = float(np.linalg.norm(psi))
-            if abs(nn - ref_psi) > 1e3 * prop.zeta * ref_psi:
-                raise InstabilityError("state norm drifted during the "
-                                       "kernel sweep")
-            psi_new[i + 1] = psi
-
+        psi = traj.grid_states()
+        chi_t = o_map(psi[-1][None, :])[0] + terminal_chi(cfg.kappa, system,
+                                                           psi[-1])
+        update(work, n_t - 1, chi_t, psi[-1])
+        chi = run.sweep(_KernelField(
+            work, lambda i, c: update(work, i, c, psi[i])),
+            chi_t, backward=True).boundary_states
+        update(work, 0, chi[0], run.psi0)
+        # the samples ahead of the front still hold the backward sweep's
+        # values while the forward sweep crosses them
+        traj_t = run.sweep(_KernelField(
+            work, lambda i, u: update(work, i, chi[i], u)), run.psi0)
         new_field = ControlField.from_time(grid, work)
-        traj_t = Trajectory(grid, prop.rule, psi_new,
-                            np.linalg.norm(psi_new, axis=1), None)
         return new_field, traj_t, score(ctx, traj_t, new_field), 1.0
 
     return step
@@ -779,8 +734,11 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
     solved from its own penalty row the moment both trajectories are known
     there: the backward sweep updates while the costate passes, the forward
     sweep while the new state passes.  The problem's alpha plays no role;
-    the kernel replaces it.  Final-time targets only.  The trajectory of an
-    iterate holds the states at the grid nodes only.
+    the kernel replaces it.  Final-time targets only.  Each sweep is one
+    propagation of one step per grid interval (see _KernelField): the
+    default config is clamped to that, and an explicit config with another
+    step count, or a grid whose interval the default config would substep,
+    raises ValueError.
     """
     config = config or OptimizerConfig(method="degani")
     return _drive(problem, config, on_row, "degani",

@@ -450,8 +450,8 @@ def test_degani_counts_two_sweeps_per_iteration():
         == tr.rows[-1].propagations
     assert tr.breakdown is tr.rows[-1].breakdown
     assert tr.trajectory.final_state.shape == (2,)
-    with pytest.raises(ValueError):
-        tr.trajectory.step_nodes(0)
+    assert tr.trajectory.stats.steps == p.grid.n_t - 1
+    assert tr.trajectory.node_states.shape == (p.grid.n_t - 1, 9, 2)
 
 
 def test_degani_default_config_keeps_one_step_per_interval():
@@ -475,6 +475,30 @@ def test_degani_rejects_long_steps():
         steps=64, rule=chebyshev_rule(9), zeta=1e-6))
     with pytest.raises(ValueError, match="kernel"):
         optimize_degani(long, np.full(p.grid.n_t, 0.1))
+
+
+def test_degani_rejects_a_grid_the_default_config_substeps():
+    # spread * dt = 9 * 10/64 = 1.41: the default config takes four steps
+    # per interval, so the grid needs n_t = 257 for one step per interval
+    p = s2s_problem(n_t=65, e1=10.0)
+    assert p.propagator_for(OptimizerConfig()).steps == 256
+    with pytest.raises(ValueError, match=r"kernel.*n_t >= 257"):
+        optimize_degani(p, np.full(p.grid.n_t, 0.1))
+
+
+@pytest.mark.parametrize("n_t, budget", [(33, 3), (129, 1)])
+def test_degani_rows_match_a_tight_propagation(n_t, budget):
+    # at n_t = 33 the front sample's penalty row has a gain above one, so
+    # the sweep's secant, not plain repetition, settles it
+    p = s2s_problem(n_t=n_t)
+    aw = np.full(n_t, 0.1)
+    cfg = OptimizerConfig(budget=budget)
+    td = optimize_degani(p, aw, cfg)
+    tight = optimize_degani(replace(p, propagator=PropagatorConfig(
+        n_t - 1, chebyshev_rule(9), 1e-10)), aw, cfg)
+    zeta = p.propagator_for(cfg).zeta
+    assert len(td.rows) == len(tight.rows) == budget + 1
+    assert np.abs(td.js() - tight.js()).max() <= zeta
 
 
 def test_degani_zero_kernel_pivot_raises():
