@@ -621,10 +621,11 @@ class _KernelField:
     backward: n - k and n - 1 - k, n = n_t - 1); at the step's nodes the
     field is (1 - s) a + s x.  solve(i, end) writes sample i of work from
     its penalty row, given the swept state at that sample, and returns it.
-    Every call with a node iterate u solves the front row with u[-1];
-    since the row's gain passes one on coarse grids, x then moves by a
-    secant step on that solve's residual, not to the solve itself.  The
-    front row couples the whole interval, so a step cannot be bisected."""
+    Every call with a node iterate u solves the front row with u[-1].  The
+    first two calls take x to that solve; later ones take a secant step on
+    its residual, since the row's gain passes one on coarse grids, where
+    plain repetition diverges.  The front row couples the whole interval,
+    so a step cannot be bisected."""
 
     def __init__(self, work, solve):
         self.work, self.solve = work, solve
