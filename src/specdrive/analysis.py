@@ -70,10 +70,9 @@ class HermitianComponents:
         if c.shape[1] != n:
             raise ValueError("amplitude rows do not match the operator dimension")
         out = np.empty((c.shape[0], n))
+        c_bar = c.conj()
         for i in range(n):
-            j = np.arange(n - i)
-            term = np.einsum("tj,tj,j->t", c[:, i + j].conj(), c[:, j],
-                             self.d[i, : n - i])
+            term = (c_bar[:, i:] * c[:, : n - i]) @ self.d[i, : n - i]
             out[:, i] = (2.0 / _l_weight(i)) * term.real
         return out[0] if one_row else out
 

@@ -1,7 +1,8 @@
 """Schrodinger propagation on Chebyshev nodes with fixed-point stepping.
 
 Forward runs are homogeneous; backward runs optionally carry an
-inhomogeneous source built from the stored forward trajectory.  Each step
+inhomogeneous source built from the stored forward trajectory, once per run
+on its whole node lattice.  Each step
 solves the integral form of the equation of motion on internal Chebyshev
 nodes in the interaction picture of H0: with psi(t0+tau) =
 V e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
@@ -32,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.integrate
-import scipy.linalg
 
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
 )
-from .system import apply_operator, commutator_H0_O, dense_h0, dense_mu
+from .system import apply_operator, commutator_H0_O
 
 _EPS = float(np.finfo(float).eps)
 _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
@@ -107,18 +107,81 @@ def default_propagator_config(system, grid, tau=1e-3):
 
 def state_map(op):
     """Normalize an operator (callable, matrix, or diagonal) to a map on
-    (k, dim) state blocks."""
+    (k, dim) state blocks; an array becomes an _OperatorMap.  A callable
+    is kept as it is and must return a new array."""
     if op is None or callable(op):
         return op
-    arr = np.asarray(op)
-    return lambda states: apply_operator(arr, states)
+    return _OperatorMap(np.asarray(op))
+
+
+def _floats(states):
+    """Complex states as float rows holding each entry's real and imaginary
+    parts side by side: a view, not a copy, of contiguous complex rows."""
+    states = np.asarray(states, dtype=complex)
+    if states.strides[-1] != states.itemsize:
+        states = np.ascontiguousarray(states)
+    return states.view(float)
+
+
+class _OperatorMap:
+    """An operator of apply_operator's form, applied to (k, dim) state
+    blocks by its structure.
+
+    A matrix that is exactly zero outside a set of rows and columns (O_a in
+    the eigen representation of H0, a level target) is applied on that
+    block only, which gives apply_operator's values.  expectation() gives
+    Re<psi|op|psi> per row without a conjugate copy of the states: a real
+    diagonal as sum op |psi|^2, anything else as the dot product of the
+    real views of psi and op psi, on the block.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self._support = None  # the block's rows and columns, if not all
+        if op.ndim == 2:
+            nonzero = op != 0
+            live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            if live.size < len(op):
+                self._block_t = op[np.ix_(live, live)].T
+                contiguous = live.size and live[-1] - live[0] + 1 == live.size
+                self._support = (slice(live[0], live[-1] + 1) if contiguous
+                                 else live)
+        elif not np.iscomplexobj(op):
+            self._squares = np.repeat(op, 2)  # weights of the float view
+
+    def __call__(self, states):
+        if self._support is None:
+            return apply_operator(self.op, states)
+        sup = self._support
+        out = np.zeros(states.shape, np.result_type(states, self.op))
+        out[..., sup] = states[..., sup] @ self._block_t
+        return out
+
+    def expectation(self, states):
+        """Re<psi|op|psi> for each row psi of the (k, dim) states."""
+        if states.shape[-1] != len(self.op):
+            raise ValueError("operator/state dimension mismatch")
+        if self.op.ndim == 1 and not np.iscomplexobj(self.op):
+            return np.square(_floats(states)) @ self._squares
+        if self._support is not None:
+            states = states[..., self._support]
+            return _real_dot(states, states @ self._block_t)
+        return _real_dot(states, self(states))
+
+
+def _real_dot(a, b):
+    """Re sum_j conj(a_j) b_j for each row, from the real views."""
+    return np.einsum("ij,ij->i", _floats(a), _floats(b))
 
 
 def _block_expectation(states, apply_op):
+    expectation = getattr(apply_op, "expectation", None)
+    if expectation is not None:
+        return expectation(states)
     out = apply_op(states)
     if out.shape != states.shape:
         raise ValueError("operator/state dimension mismatch")
-    return np.real(np.einsum("ij,ij->i", states.conj(), out))
+    return _real_dot(states, out)
 
 
 def _barycentric_interp(xs, values, q):
@@ -170,8 +233,9 @@ def _sample_interp(samples, grid, t):
 
 
 class _CosineEval:
-    """Evaluate a spectrum's cosine series (support bins only; matches
-    eval_cosine_series).
+    """Evaluate a spectrum's cosine series (support bins only; matches the
+    plain direct sum eval_cosine_series that the tests keep in
+    tests/oracles.py).
 
     on_lattice() serves the propagator's node times t = h(k + s_i),
     h = T/n_steps.  With omega_j = j pi/T the phase is pi j (k + s_i)/n_steps,
@@ -364,7 +428,9 @@ class StepSolver:
             ph = 1.0 if self.energies is None else np.exp(
                 -1j * np.multiply.outer(dt * self.s, self.energies))
             qmat = self.rule.qmat
-            tab = _StepTable(ph, np.conj(ph), (-1j * dt) * qmat, dt * qmat,
+            # dq is complex so that the source product casts nothing
+            tab = _StepTable(ph, np.conj(ph), (-1j * dt) * qmat,
+                             (dt * qmat).astype(complex),
                              1.0 if self.energies is None else ph[-1])
             self._tables[dt] = tab
         return tab
@@ -499,12 +565,16 @@ class StepSolver:
 @dataclass(frozen=True)
 class PropagationStats:
     """Counts of one propagation: its steps, the Picard iterates of all its
-    step solves, the solves that stalled or diverged, and the bisections."""
+    step solves, the solves that stalled or diverged, the bisections, the
+    most iterates one step took (its bisected pieces included), and the
+    norm drift, max |‖psi_k‖ - ‖psi_0‖| over the step ends."""
 
     steps: int
     iterates: int
     stalls: int
     bisections: int
+    max_iterates: int
+    norm_drift: float
 
 
 def _node_poly(s, values, q, h=0.0, energies=None):
@@ -659,7 +729,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     absolute-time order.  Every step after the first starts its Picard
     solve from the previous step's nodes (see StepSolver.picard).  A run
     without a source conserves the norm, so a drift beyond 1e3*zeta raises
-    InstabilityError.  The run's zeta is split evenly over its steps.
+    InstabilityError; every run's stats carry its worst drift and the most
+    iterates one step took.  The run's zeta is split evenly over its steps.
     """
     n_steps = _steps_for(config, grid)
     rule = config.rule
@@ -669,7 +740,9 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)
     step_field = field.steps(n_steps, solver.s, backward)
-    own_nodes = isinstance(source, _ForwardSource)
+    # a source read off a forward run is built on its whole node lattice
+    lattice = (source.node_values() if isinstance(source, _ForwardSource)
+               else None)
 
     def step_source(k):
         if source is None:
@@ -680,8 +753,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             return -source.step_values(i, 1.0 - np.asarray(s))
 
         # the backward step's nodes are the forward step's nodes reversed
-        vals = -source.step_values(i)[::-1] if own_nodes else None
-        return vals, frac
+        return None if lattice is None else (-lattice[i])[::-1], frac
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
@@ -698,15 +770,20 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     norms_x[0] = ref
     guard = source is None and ref > 0.0
     nodes = None
+    most = 0  # the most iterates one step took
     # a diverging iterate overflows the norm; picard's finiteness test
     # rejects the step, so the overflow itself needs no warning
     with np.errstate(over="ignore"):
         for k in range(n_steps):
             f_vals, f_at = step_field(k)
             src_vals, src_frac = step_source(k)
+            before = solver.iterates
             nodes = solver.solve(u, t_init + dt * k, dt, f_at, src_frac,
                                  f_vals=f_vals, src_vals=src_vals,
                                  start=nodes)
+            took = solver.iterates - before
+            if took > most:
+                most = took
             f_x[k] = f_vals(nodes) if callable(f_vals) else f_vals
             b_x[k + 1] = nodes[-1]
             u = b_x[k + 1]
@@ -717,7 +794,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
             nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
-                             solver.bisections)
+                             solver.bisections, most,
+                             float(np.abs(norms - ref).max()))
     return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states,
                       stats, frame=(solver.energies, solver.vecs))
 
@@ -750,8 +828,9 @@ def propagate_backward(system, field, source, chi_T, config, grid=None):
     source supplies the inhomogeneous term S(t) per forward step through
     step_values(k, s) (None means the homogeneous equation); sources read
     off a stored forward trajectory (HGSource, TDTargetSource) also give
-    step_values(k) at the step's own nodes without interpolation.  The
-    returned trajectory is stored in absolute-time order like a forward one.
+    node_values(), S at every node of that run, which the steps read
+    without interpolation.  The returned trajectory is stored in
+    absolute-time order like a forward one.
     """
     f_eval = _FieldEval(field, grid)
     grid = _grid_for(f_eval, grid)
@@ -824,16 +903,32 @@ def terminal_chi(kappa, system, psi_T):
 class _ForwardSource:
     """A backward source read off a stored forward trajectory.
 
-    step_values(k, s) gives the source at fractions s of forward step k;
-    step_values(k) gives it at the step's own nodes, read straight from the
-    stored node states.
+    node_values() gives the source at every node of the forward run,
+    (n_steps, n_c, dim), built in one batched product the first time it is
+    asked for; step_values(k) is its row k, and step_values(k, s) gives the
+    source at fractions s of forward step k, read off the step's node
+    polynomial (the pieces of a bisected backward step).  Each source
+    supplies _values(psi, times): the source at the states psi, one per
+    row, at the given times, or at the whole node lattice when times is
+    None.
     """
 
-    def _states(self, k, s):
+    _lattice = None
+
+    def node_values(self):
+        if self._lattice is None:
+            nodes = self.forward.node_states
+            self._lattice = self._values(
+                nodes.reshape(-1, self.forward.dim), None).reshape(nodes.shape)
+        return self._lattice
+
+    def step_values(self, k, s=None):
         if s is None:
-            return self.forward.step_nodes(k)
-        return self.forward.between_nodes(np.asarray(s, dtype=float),
-                                          slice(k, k + 1))[0]
+            return self.node_values()[k]
+        s = np.asarray(s, dtype=float)
+        h = self.forward.dt_step
+        psi = self.forward.between_nodes(s, slice(k, k + 1))[0]
+        return self._values(psi, k * h + h * s)
 
 
 class HGSource(_ForwardSource):
@@ -842,7 +937,9 @@ class HGSource(_ForwardSource):
 
     filtered is a FilteredSignal, evaluated once on the whole node lattice
     of the forward run, or None for no signal term: the source of a final
-    target with forbidden states, -P_f^gamma psi(t).
+    target with forbidden states, -P_f^gamma psi(t).  O_a and P_f^gamma are
+    applied by their structure (see state_map): in the eigen representation
+    O_a lives on the allowed block and P_f^gamma is diagonal.
     """
 
     def __init__(self, forward, filtered, o_a, p_f=None):
@@ -851,29 +948,27 @@ class HGSource(_ForwardSource):
                              "projector")
         self.forward = forward
         self._filtered = filtered
-        if filtered is not None:
-            self._s_lattice = filtered.on_lattice(forward.n_steps,
-                                                  forward.s_nodes)
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 
-    def step_values(self, k, s=None):
-        psi = self._states(k, s)
+    def _values(self, psi, times):
         if self._filtered is None:
-            return -self._pf(psi)
-        if s is None:
-            sval = self._s_lattice[k]
+            out = self._pf(psi)
+            return np.negative(out, out=out)
+        out = self._oa(psi)
+        if times is None:
+            out *= self._filtered.on_lattice(
+                self.forward.n_steps, self.forward.s_nodes).reshape(-1, 1)
         else:
-            h = self.forward.dt_step
-            sval = self._filtered.at(k * h + h * np.asarray(s, dtype=float))
-        out = sval[:, None] * self._oa(psi)
+            out *= self._filtered.at(times)[:, None]
         if self._pf is not None:
             out -= self._pf(psi)
         return out
 
 
 class TDTargetSource(_ForwardSource):
-    """Source w(t) O(t) psi(t) for a time-dependent expectation target."""
+    """Source w(t) O(t) psi(t) for a time-dependent expectation target: one
+    product for a constant O, a product per node for a callable one."""
 
     def __init__(self, w, op_of_t, forward):
         self.forward = forward
@@ -883,17 +978,18 @@ class TDTargetSource(_ForwardSource):
         else:
             self._op_of_t, self._const = None, state_map(op_of_t)
 
-    def step_values(self, k, s=None):
-        psi = self._states(k, s)
-        h = self.forward.dt_step
-        frac = self.forward.s_nodes if s is None else np.asarray(s, dtype=float)
-        times = k * h + h * frac
+    def _values(self, psi, times):
+        if times is None:
+            h = self.forward.dt_step
+            times = (h * np.arange(self.forward.n_steps)[:, None]
+                     + h * self.forward.s_nodes).ravel()
         if self._const is not None:
             out = self._const(psi)
         else:
             out = np.stack([np.asarray(self._op_of_t(t)) @ p
                             for t, p in zip(times, psi)])
-        return np.asarray(self._w_eval(times))[:, None] * out
+        out *= np.asarray(self._w_eval(times))[:, None]
+        return out
 
 
 def td_target_source(w, op_of_t, traj):
@@ -903,21 +999,3 @@ def td_target_source(w, op_of_t, traj):
         warnings.warn(f"weight function integrates to {total:.6g}, not 1",
                       stacklevel=2)
     return TDTargetSource(w, op_of_t, traj)
-
-
-def expm_stepper(system, field, psi0, grid, substeps=64):
-    """Dense midpoint-exponential propagator, a slow cross-check for small
-    systems (dim <= 16)."""
-    if system.dim > 16:
-        raise ValueError("dense cross-check is limited to dim <= 16")
-    h0 = dense_h0(system)
-    mu = dense_mu(system)
-    f_eval = _FieldEval(field, grid)
-    dt = grid.dt / substeps
-    u = np.asarray(psi0, dtype=complex).copy()
-    for i in range(grid.n_t - 1):
-        for j in range(substeps):
-            tm = i * grid.dt + (j + 0.5) * dt
-            ham = h0 - float(f_eval(np.array([tm]))[0]) * mu
-            u = scipy.linalg.expm(-1j * dt * ham) @ u
-    return u

@@ -435,9 +435,3 @@ def evaluate(ctx, traj, field, chi_traj=None, s_signal=None):
     if chi_traj is not None:
         res = _constraint_residual(ctx, traj, chi_traj, s_signal)
     return FunctionalBreakdown(jm + jb + jf + jp, jm, jb, jf, jp, res)
-
-
-def j_total(traj, field, config, system, chi_traj=None, s_signal=None):
-    """One-shot evaluation; prefer prepare_context + evaluate in loops."""
-    ctx = prepare_context(system, traj.grid, config)
-    return evaluate(ctx, traj, field, chi_traj, s_signal)

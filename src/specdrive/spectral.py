@@ -15,7 +15,6 @@ __all__ = [
     "TimeGrid", "FrequencyGrid", "RealSignal", "Spectrum", "FilterSpec",
     "ChebyshevRule", "endpoint_factors", "dct1", "idct1", "make_filter",
     "chebyshev_rule", "step_node_times", "integrate_time", "integrate_freq",
-    "eval_cosine_series",
 ]
 
 
@@ -318,19 +317,3 @@ def integrate_freq(spectrum, weight):
         raise ValueError("spectrum and weight live on different grids")
     h = endpoint_factors(spectrum.grid.n_t)
     return spectrum.grid.dw * float(np.sum(weight.values * spectrum.values / h))
-
-
-def eval_cosine_series(spectrum, t):
-    """Evaluate the truncated cosine series at arbitrary t in [0, T].
-
-    Uses the same 1/h_j bin weights as the inverse transform, so at grid
-    times it reproduces idct1 samples.  Accepts scalar or array t.
-    """
-    grid = spectrum.grid
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if (t_arr < -1e-12 * grid.T).any() or (t_arr > (1 + 1e-12) * grid.T).any():
-        raise ValueError("evaluation time outside [0, T]")
-    coef = spectrum.values / endpoint_factors(grid.n_t)
-    phases = np.cos(np.multiply.outer(t_arr, grid.nodes))
-    out = (math.sqrt(2.0 * math.pi) / grid.T) * (phases @ coef)
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out

@@ -18,7 +18,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 __all__ = [
     "LevelSystem", "GridSystem", "SpectralBasis", "StateRestriction",
-    "build_level_system", "build_grid_system", "apply_grid_hamiltonian",
+    "build_level_system", "build_grid_system",
     "apply_operator", "apply_mu", "apply_target", "dense_h0", "dense_mu",
     "dense_target", "diagonalize", "morse_potential", "toda_potential",
     "harmonic_potential", "hcl_dipole", "hcl_fictitious_dipole",
@@ -194,15 +194,6 @@ def build_grid_system(x_min, x_max, n_grid, mass, potential, dipole, target=None
     mu = _samples(dipole)
     o = mu if target is None else _samples(target)
     return GridSystem(x_min, x_max, n_grid, mass, v, mu, o)
-
-
-def apply_grid_hamiltonian(system, state, field_value):
-    """(P^2/2m + V - eps*mu) applied to one state vector."""
-    state = np.asarray(state)
-    if state.shape[-1] != system.n_grid:
-        raise ValueError("state length does not match the grid")
-    return system.h_apply(np.atleast_2d(state), float(field_value))[0] \
-        if state.ndim == 1 else system.h_apply(state, field_value)
 
 
 def apply_mu(system, states):

@@ -1,0 +1,66 @@
+"""Slow, direct reference implementations that only the tests use.
+
+Each one computes by the plain definition what the package computes by a
+faster route: a dense midpoint-exponential propagator, the direct cosine
+sum of a spectrum, a one-shot functional evaluation and the grid
+Hamiltonian applied to one state.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from specdrive.dynamics import _FieldEval
+from specdrive.functionals import evaluate, prepare_context
+from specdrive.spectral import endpoint_factors
+from specdrive.system import dense_h0, dense_mu
+
+
+def expm_stepper(system, field, psi0, grid, substeps=64):
+    """Dense midpoint-exponential propagator, a slow cross-check for small
+    systems (dim <= 16)."""
+    if system.dim > 16:
+        raise ValueError("dense cross-check is limited to dim <= 16")
+    h0 = dense_h0(system)
+    mu = dense_mu(system)
+    f_eval = _FieldEval(field, grid)
+    dt = grid.dt / substeps
+    u = np.asarray(psi0, dtype=complex).copy()
+    for i in range(grid.n_t - 1):
+        for j in range(substeps):
+            tm = i * grid.dt + (j + 0.5) * dt
+            ham = h0 - float(f_eval(np.array([tm]))[0]) * mu
+            u = scipy.linalg.expm(-1j * dt * ham) @ u
+    return u
+
+
+def eval_cosine_series(spectrum, t):
+    """Evaluate the truncated cosine series at arbitrary t in [0, T].
+
+    Uses the same 1/h_j bin weights as the inverse transform, so at grid
+    times it reproduces idct1 samples.  Accepts scalar or array t.
+    """
+    grid = spectrum.grid
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if (t_arr < -1e-12 * grid.T).any() or (t_arr > (1 + 1e-12) * grid.T).any():
+        raise ValueError("evaluation time outside [0, T]")
+    coef = spectrum.values / endpoint_factors(grid.n_t)
+    phases = np.cos(np.multiply.outer(t_arr, grid.nodes))
+    out = (math.sqrt(2.0 * math.pi) / grid.T) * (phases @ coef)
+    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+
+def j_total(traj, field, config, system, chi_traj=None, s_signal=None):
+    """One-shot evaluation; prefer prepare_context + evaluate in loops."""
+    ctx = prepare_context(system, traj.grid, config)
+    return evaluate(ctx, traj, field, chi_traj, s_signal)
+
+
+def apply_grid_hamiltonian(system, state, field_value):
+    """(P^2/2m + V - eps*mu) applied to one state vector."""
+    state = np.asarray(state)
+    if state.shape[-1] != system.n_grid:
+        raise ValueError("state length does not match the grid")
+    return system.h_apply(np.atleast_2d(state), float(field_value))[0] \
+        if state.ndim == 1 else system.h_apply(state, field_value)

@@ -7,15 +7,19 @@ import scipy.linalg
 
 from specdrive.spectral import (
     FilterSpec, RealSignal, Spectrum, TimeGrid, chebyshev_rule, dct1,
-    eval_cosine_series, make_filter,
+    make_filter,
 )
-from specdrive.system import build_level_system, dense_h0, dense_mu
+from specdrive.system import (
+    apply_operator, build_level_system, dense_h0, dense_mu,
+)
 from specdrive.dynamics import (
     HGSource, InstabilityError, PropagationError, PropagatorConfig,
-    default_propagator_config, expectation_signal, expm_stepper,
+    _block_expectation,
+    default_propagator_config, expectation_signal,
     hg_source_signal, propagate_backward, propagate_forward, state_map,
     td_target_source, terminal_chi,
 )
+from oracles import eval_cosine_series, expm_stepper
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 RULE = chebyshev_rule(9)
@@ -347,3 +351,110 @@ def test_expm_stepper():
     big = build_level_system(np.arange(1.0, 18.0), np.eye(17) * 0 + np.diag(np.ones(16), 1) + np.diag(np.ones(16), -1))
     with pytest.raises(ValueError):
         expm_stepper(big, 0.0, np.eye(17)[0], TimeGrid(1.0, 3))
+
+
+def block_operator(rng, dim, keep, complex_entries=False):
+    """A Hermitian matrix that is exactly zero outside the rows and columns
+    keep, real-valued unless complex_entries."""
+    op = np.zeros((dim, dim), dtype=complex)
+    b = rng.standard_normal((len(keep), len(keep)))
+    if complex_entries:
+        b = b + 1j * rng.standard_normal(b.shape)
+    op[np.ix_(keep, keep)] = b + b.conj().T
+    return op
+
+
+def state_block(rng, k, dim):
+    return rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+
+
+@pytest.mark.parametrize("keep", [
+    [0, 1, 2, 3, 4, 5],    # the allowed block of O_a
+    [2],                   # a single level, as a population target
+    [1, 4, 5, 9],          # rows and columns that do not run contiguously
+    [],                    # nothing at all
+])
+def test_state_map_applies_the_nonzero_block_only(keep):
+    rng = np.random.default_rng(17)
+    dim = 12
+    for op in (block_operator(rng, dim, keep),
+               block_operator(rng, dim, keep).real):
+        for k in (2, 9, 64):
+            states = state_block(rng, k, dim)
+            assert np.array_equal(state_map(op)(states),
+                                  apply_operator(op, states))
+    # a single nonzero entry gives one product per output: exact
+    target = np.zeros((6, 6))
+    target[2, 2] = 1.0
+    states = state_block(rng, 1, 6)
+    assert np.array_equal(state_map(target)(states),
+                          apply_operator(target, states))
+    # complex entries: the block's sums may be ordered otherwise by BLAS
+    op = block_operator(rng, dim, keep, complex_entries=True)
+    states = state_block(rng, 9, dim)
+    want = apply_operator(op, states)
+    assert (np.abs(state_map(op)(states) - want).max()
+            <= 1e-15 * max(1.0, np.abs(want).max()) * dim)
+
+
+def test_real_diagonal_expectation_skips_the_operator_product(monkeypatch):
+    rng = np.random.default_rng(23)
+    states = state_block(rng, 40, 16)
+    diag = np.r_[np.zeros(4), rng.uniform(0.5, 2.0, 12)]
+    dense = np.real(np.einsum("ij,ij->i", states.conj(), states * diag))
+    calls = []
+
+    def counting(op, s):
+        calls.append(op.dtype)
+        return apply_operator(op, s)
+
+    monkeypatch.setattr("specdrive.dynamics.apply_operator", counting)
+    got = _block_expectation(states, state_map(diag))
+    assert not calls
+    assert np.abs(got - dense).max() <= 1e-15 * np.abs(dense).max()
+    # a complex diagonal takes the general path, through the product
+    cdiag = diag + 0.3j * rng.standard_normal(16)
+    want = np.real(np.einsum("ij,ij->i", states.conj(), states * cdiag))
+    got = _block_expectation(states, state_map(cdiag))
+    assert calls == [np.dtype(complex)]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the matrix block path and a callable agree with the dense form
+    op = block_operator(rng, 16, [3, 4, 5, 6])
+    want = np.real(np.einsum("ij,ij->i", states.conj(), states @ op.T))
+    for apply_op in (state_map(op), lambda s: s @ op.T):
+        got = _block_expectation(states, apply_op)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        _block_expectation(states[:, :8], state_map(diag))
+
+
+def test_propagation_stats_report_worst_step_and_norm_drift():
+    grid = TimeGrid(10.0, 129)
+    config = cfg(128, zeta=1e-9)
+    field = RealSignal(grid, 0.3 * np.cos(1.1 * grid.nodes))
+    traj = propagate_forward(tls(), field, [1.0, 0.0], config)
+    stats = traj.stats
+    assert stats.norm_drift <= 1e3 * config.zeta
+    assert stats.norm_drift == np.abs(traj.norms - traj.norms[0]).max()
+    assert stats.max_iterates >= stats.iterates / stats.steps
+    assert stats.max_iterates <= config.max_picard
+    # a backward run measures the drift from its own start, chi(T)
+    chi = propagate_backward(tls(), field, None, [0.0, 1.0], config)
+    assert chi.stats.norm_drift == np.abs(chi.norms - chi.norms[-1]).max()
+
+
+def test_td_source_lattice_matches_its_step_reads():
+    grid = TimeGrid(5.0, 33)
+    field = RealSignal(grid, 0.2 * np.sin(grid.nodes))
+    traj = propagate_forward(tls(), field, [1.0, 0.0], cfg(64))
+    w = RealSignal(grid, np.full(33, 1.0 / 5.0) * (1.0 + 0.1 * grid.nodes))
+    with pytest.warns(UserWarning):
+        sources = [td_target_source(w, SX, traj),
+                   td_target_source(w, lambda t: math.cos(t) * SX, traj)]
+    for src in sources:
+        lattice = src.node_values()
+        assert lattice.shape == traj.node_states.shape
+        for k in (0, 40, 63):
+            assert np.array_equal(src.step_values(k), lattice[k])
+            assert np.abs(lattice[k]
+                          - src.step_values(k, traj.s_nodes)).max() < 1e-13

@@ -20,8 +20,9 @@ from specdrive.functionals import (
     FunctionalConfig, alpha_from_filter, build_beta_kernel, cross_mu_signal,
     evaluate, field_from_el_freq, field_from_el_time, gradient_freq,
     gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_max_td,
-    j_penal_freq, j_penal_time, j_total, prepare_context,
+    j_penal_freq, j_penal_time, prepare_context,
 )
+from oracles import j_total
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 

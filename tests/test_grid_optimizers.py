@@ -210,3 +210,23 @@ def test_spectral_gradient_and_constraint_at_paper_scale(r):
         jm = score(field.with_spectrum_values(bumped))[1].j
         fd = (jp - jm) / (2.0 * delta) * scale[j]
         assert fd == pytest.approx(grad[j], rel=1e-4)
+
+
+def test_hg_source_lattice_matches_its_step_reads():
+    """HGSource.node_values(), built in one product over the forward run's
+    nodes with O_a applied on its allowed block and P_f as a diagonal,
+    against the per-step read at the nodes' own fractions."""
+    problem = eigen_level_problem(hcl_problem())
+    level, grid, field = problem.system, problem.grid, problem.guess
+    ctx = prepare_context(level, grid, problem.functional)
+    assert ctx.p_f.ndim == 1
+    config = default_propagator_config(level, grid, tau=1e-7)
+    traj = propagate_forward(level, field, problem.psi0, config)
+    src = HGSource(traj, hg_source_signal(traj, ctx.o_a, ctx.f_o), ctx.o_a,
+                   ctx.p_f)
+    lattice = src.node_values()
+    assert lattice.shape == traj.node_states.shape
+    for k in (0, traj.n_steps // 2, traj.n_steps - 1):
+        assert np.array_equal(src.step_values(k), lattice[k])
+        assert np.abs(lattice[k]
+                      - src.step_values(k, traj.s_nodes)).max() < 1e-13

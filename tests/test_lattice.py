@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from specdrive.spectral import (
-    FilterSpec, TimeGrid, chebyshev_rule, eval_cosine_series, make_filter,
-    step_node_times,
+    FilterSpec, TimeGrid, chebyshev_rule, make_filter, step_node_times,
 )
 from specdrive.system import build_level_system
 from specdrive.dynamics import (
@@ -25,6 +24,7 @@ from specdrive.dynamics import (
     propagate_forward,
 )
 from specdrive.functionals import ControlField, node_cosine_transform
+from oracles import eval_cosine_series
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 T, N_T = 10.0, 129

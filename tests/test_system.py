@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from specdrive.system import (
-    build_level_system, build_grid_system, apply_grid_hamiltonian,
+    build_level_system, build_grid_system,
     apply_mu, apply_target, dense_h0, dense_mu, dense_target, diagonalize,
     morse_potential, toda_potential, harmonic_potential, hcl_dipole,
     hcl_fictitious_dipole, toda_dipole, linear_dipole, choose_x_domain,
     projectors, bohr_frequencies, commutator_H0_O,
     StateRestriction,
 )
+from oracles import apply_grid_hamiltonian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
