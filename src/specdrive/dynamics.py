@@ -740,9 +740,15 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)
     step_field = field.steps(n_steps, solver.s, backward)
-    # a source read off a forward run is built on its whole node lattice
-    lattice = (source.node_values() if isinstance(source, _ForwardSource)
-               else None)
+    # a source read off a forward run is built on its whole node lattice,
+    # which must be this run's
+    lattice = None
+    if isinstance(source, _ForwardSource):
+        if source.forward.n_steps != n_steps:
+            raise ValueError(
+                f"the source's forward run took {source.forward.n_steps} "
+                f"steps, this run takes {n_steps}")
+        lattice = source.node_values()
 
     def step_source(k):
         if source is None:

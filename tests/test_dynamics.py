@@ -458,3 +458,13 @@ def test_td_source_lattice_matches_its_step_reads():
             assert np.array_equal(src.step_values(k), lattice[k])
             assert np.abs(lattice[k]
                           - src.step_values(k, traj.s_nodes)).max() < 1e-13
+
+
+def test_backward_run_rejects_a_source_on_another_lattice():
+    grid = TimeGrid(10.0, 33)
+    traj = propagate_forward(tls(), 0.3, [1.0, 0.0], cfg(64), grid=grid)
+    src = HGSource(traj, None, SX, np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        propagate_backward(tls(), 0.3, src, [0.0, 1.0], cfg(32), grid=grid)
+    chi = propagate_backward(tls(), 0.3, src, [0.0, 1.0], cfg(64), grid=grid)
+    assert chi.stats.steps == 64
