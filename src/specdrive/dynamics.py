@@ -129,7 +129,9 @@ class _OperatorMap:
 
     A matrix that is exactly zero outside a set of rows and columns (O_a in
     the eigen representation of H0, a level target) is applied on that
-    block only, which gives apply_operator's values.  expectation() gives
+    block only: apply_operator's products without its zero terms, summed
+    in an order BLAS may choose otherwise for a complex-valued block, and
+    exact for a single nonzero entry.  expectation() gives
     Re<psi|op|psi> per row without a conjugate copy of the states: a real
     diagonal as sum op |psi|^2, anything else as the dot product of the
     real views of psi and op psi, on the block.
@@ -138,6 +140,7 @@ class _OperatorMap:
     def __init__(self, op):
         self.op = op
         self._support = None  # the block's rows and columns, if not all
+        self._squares = None  # a real diagonal's weights of the float view
         if op.ndim == 2:
             nonzero = op != 0
             live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
@@ -147,7 +150,7 @@ class _OperatorMap:
                 self._support = (slice(live[0], live[-1] + 1) if contiguous
                                  else live)
         elif not np.iscomplexobj(op):
-            self._squares = np.repeat(op, 2)  # weights of the float view
+            self._squares = np.repeat(op, 2)
 
     def __call__(self, states):
         if self._support is None:
@@ -161,7 +164,7 @@ class _OperatorMap:
         """Re<psi|op|psi> for each row psi of the (k, dim) states."""
         if states.shape[-1] != len(self.op):
             raise ValueError("operator/state dimension mismatch")
-        if self.op.ndim == 1 and not np.iscomplexobj(self.op):
+        if self._squares is not None:
             return np.square(_floats(states)) @ self._squares
         if self._support is not None:
             states = states[..., self._support]
