@@ -7,8 +7,9 @@ solves the integral form of the equation of motion on internal Chebyshev
 nodes in the interaction picture of H0: with psi(t0+tau) =
 V e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
 the eigen-coefficients c, carrying only the field coupling and the source.
-It iterates until the relative change at the step end drops below a
-per-step tolerance.  Each step of a run after the first starts from the
+It iterates until the change at the step end drops below a stop of zeta
+per grid interval, relative to the step-end norm or to the run's reference
+norm if that is larger.  Each step of a run after the first starts from the
 previous step's node polynomial, extrapolated over one more step (as in
 the semi-global propagator), which cuts the iterates per step to about
 1.0-1.5 on the benchmark's workloads, from 3.3-4.8 from a constant start.
@@ -16,9 +17,10 @@ Since H0 is exact and the field is exact at any node time, one step may
 span r field-grid intervals (Schaefer, Tal-Ezer & Kosloff, J. Comput.
 Phys. 343, 368 (2017)): the node lattice is then coarser than the field
 grid, and every reader of grid-time states goes through the steps' node
-polynomials.  A step is bisected while the Bohr spread times its length
-exceeds what the node polynomial resolves, or when its iteration stalls;
-after a stall the following steps start at the depth that converged.
+polynomials.  A converged step measures its own truncation error, the top
+Chebyshev coefficient of c(tau), as that propagator does, and is bisected
+when the estimate exceeds the stop, or when its iteration stalls; after
+either, the following steps start at the depth that converged.
 States enter and leave a step in the system basis, which for the
 optimizers' runs is the eigenbasis of H0 itself (V = I).
 """
@@ -41,18 +43,19 @@ from .system import apply_operator, commutator_H0_O
 
 _EPS = float(np.finfo(float).eps)
 _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
-# Largest Bohr spread (E_max - E_min) times |dt| of one step: up to here
-# the node polynomial resolves the phases e^{i(E_a - E_b) tau} of the
-# rotated coupling.  The default config's substeps and the solver's
-# bisection both hold to it.
+# Largest Bohr spread (E_max - E_min) times |dt| of one step of the default
+# config: up to here the node polynomial resolves the phases
+# e^{i(E_a - E_b) tau} of the rotated coupling.  The default config's
+# substeps hold to it; the solver bisects by its measured estimate instead.
 _PHASE_SPAN = 0.7
 # Largest Bohr spread times the step length of a default step that spans
 # several grid intervals; calibrated by an error-per-second sweep (see
 # default_propagator_config).
 _LONG_SPAN = 0.25
-# Most grid intervals a default step spans.  The rule does not see the
-# field, so with a small Bohr spread nothing else would bound the step
-# against the field's own time scale, which only the grid reflects.
+# Most grid intervals a default step spans, and the optimizers' first
+# lattice.  The default rule does not see the field, so with a small Bohr
+# spread nothing else would bound its step against the field's own time
+# scale, which only the grid reflects.
 _LONG_INTERVALS = 16
 
 
@@ -64,17 +67,31 @@ class InstabilityError(RuntimeError):
     """Norm blow-up while propagating a homogeneous equation."""
 
 
+class UnresolvedStep(RuntimeError):
+    """A run under stop_unresolved met a step that its lattice does not
+    resolve; depth is the bisection depth at which that step's pieces
+    passed their truncation estimate."""
+
+    def __init__(self, t, depth):
+        super().__init__(f"step at t={t:.6g} resolved only at bisection "
+                         f"depth {depth}")
+        self.depth = depth
+
+
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Stepping parameters.  steps is a multiple of the grid intervals
     n_t - 1 (m steps per interval) or divides them (one step spans
-    r = (n_t - 1)/steps intervals)."""
+    r = (n_t - 1)/steps intervals).  A run under stop_unresolved ends with
+    UnresolvedStep after the first step that it bisected for resolution,
+    instead of carrying on with the bisected step."""
 
     steps: int
     rule: object
     zeta: float
     max_picard: int = 40
     max_halvings: int = 6
+    stop_unresolved: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -91,8 +108,10 @@ def default_propagator_config(system, grid, tau=1e-3):
     (m a power of two).  Otherwise one step spans the most grid intervals r,
     a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
     spread*dt*r <= _LONG_SPAN, and r = 1 when even one interval exceeds
-    it.  The field does not enter: a step whose iteration it stalls is
-    bisected by the solver."""
+    it.  The field does not enter: a step that it leaves unresolved, or
+    whose iteration it stalls, is bisected by the solver.  This is the
+    lattice of a single run, which cannot be redone; the optimizers search
+    their own from _long_lattice."""
     spread = float(np.ptp(system.eigen()[0]))
     span, n_int = spread * grid.dt, grid.n_t - 1
     steps = n_int
@@ -103,6 +122,23 @@ def default_propagator_config(system, grid, tau=1e-3):
         steps //= 2
     return PropagatorConfig(steps=steps, rule=chebyshev_rule(_DEFAULT_NODES),
                             zeta=1e-3 * tau)
+
+
+def _long_lattice(grid, tau=1e-3, omega=0.0):
+    """The optimizers' first config: one step spans the most grid intervals
+    r, a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
+    omega r dt <= pi, and the default config's nodes and zeta.  Its runs
+    stop at a step they do not resolve, so that the optimizer can move to
+    the finer lattice that does; bisection may go as deep below one grid
+    interval as the default's."""
+    n_int, r = grid.n_t - 1, 1
+    while (2 * r <= _LONG_INTERVALS and n_int % (2 * r) == 0
+           and omega * 2 * r * grid.dt <= math.pi):
+        r *= 2
+    return PropagatorConfig(
+        steps=n_int // r, rule=chebyshev_rule(_DEFAULT_NODES),
+        zeta=1e-3 * tau, max_halvings=PropagatorConfig.max_halvings
+        + r.bit_length() - 1, stop_unresolved=True)
 
 
 def state_map(op):
@@ -372,24 +408,36 @@ class StepSolver:
     [t0, t0+dt] (dt may be negative).  A system with an eigen() basis is
     stepped in the interaction picture of H0, psi(t0+tau) =
     V e^{-iE tau} c(tau), so H0 is exact and the iterate only carries the
-    field; a bare h_apply system iterates on the states with E = 0.  A step
-    is bisected, up to max_halvings times, while its Bohr spread times |dt|
-    exceeds _PHASE_SPAN or its iteration stalls, and the steps after a
-    stalled one start at the depth that converged (see solve).  Given the
-    previous step's nodes, a full step starts from their extrapolation (see
-    picard): on the benchmark's workloads about 1.0-1.5 iterates per step
-    instead of 3.3-4.8 from the constant start.  iterates, stalls and
-    bisections count this solver's work.
+    field; a bare h_apply system iterates on the states with E = 0.  The
+    stop is zeta_step times the step-end norm, or times floor if that is
+    larger.  A converged step's truncation estimate is the norm of the top
+    Chebyshev coefficient of its c(tau) over the same scale; a step is
+    bisected, up to max_halvings times, while that estimate exceeds
+    zeta_step or its iteration stalls, and the steps after it start at the
+    depth that converged (see solve).  Given the previous step's nodes, a
+    full step starts from their extrapolation (see picard): on the
+    benchmark's workloads about 1.0-1.5 iterates per step instead of
+    3.3-4.8 from the constant start.  iterates, stalls and bisections count
+    this solver's work, truncation holds the largest estimate of any
+    converged solve, and unresolved the deepest bisection that a rejected
+    estimate started since it was last reset.
     """
 
-    def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6):
+    def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6,
+                 floor=1e-300):
         self.system = system
         self.rule = rule
         self.s = rule.s
         self.zeta_step = zeta_step
         self.max_picard = max_picard
         self.max_halvings = max_halvings
+        self.floor = floor
         self._tables = {}  # step length -> _StepTable
+        # node values -> their top (degree n_c - 1) Chebyshev coefficient,
+        # complex so that the product casts nothing
+        n_c = len(self.s)
+        self._top = ((-1.0) ** np.arange(n_c)
+                     / (endpoint_factors(n_c) * (n_c - 1))).astype(complex)
         # Lagrange basis of the nodes s at 1 + s: node values of a step ->
         # its node polynomial's values over the next step of the same length
         self._extrap = _barycentric_interp(self.s, np.eye(len(self.s)),
@@ -403,7 +451,9 @@ class StepSolver:
                                 2.0 * self.s[~left] - 1.0))
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
-        self.iterates = self.stalls = self.bisections = 0
+        self._rejected = False
+        self.iterates = self.stalls = self.bisections = self.unresolved = 0
+        self.estimate = self.truncation = 0.0
         eigen = getattr(system, "eigen", None)
         energies, vecs, coupling = eigen() if eigen else (None,) * 3
         self.energies, self.vecs = energies, vecs
@@ -453,7 +503,8 @@ class StepSolver:
         the interaction picture, extrapolated over this step and rotated
         into its frame, c = (X (conj(ph) V^dagger start)) e^{-iE dt} with X
         the Lagrange matrix of the nodes s at 1 + s.  The nodes this solver
-        returned last need no basis change for that.
+        returned last need no basis change for that.  A converged solve
+        leaves its truncation estimate in estimate (see the class).
         """
         ph, ph_bar, q, dq, ph_end = self._table(dt)
         to_eigen, to_system = self._to_eigen, self._to_system
@@ -482,8 +533,12 @@ class StepSolver:
             end_prev = end
             if not math.isfinite(delta):
                 break
-            scale = max(math.sqrt(np.vdot(end, end).real), 1e-300)
+            scale = max(math.sqrt(np.vdot(end, end).real), self.floor)
             if delta <= self.zeta_step * scale:
+                top = self._top @ c
+                self.estimate = math.sqrt(np.vdot(top, top).real) / scale
+                if self.estimate > self.truncation:
+                    self.truncation = self.estimate
                 out = to_system(ph * c)
                 self._last = (out, c, dt)
                 return out
@@ -498,13 +553,24 @@ class StepSolver:
         may what f_eval returns.  start, the previous step's nodes, seeds
         picard (see there); bisected halves start from the constant.
 
-        A step given a start that still stalls sets the depth that the
-        steps after it are held at: they bisect down to it without a solve
-        at the lengths above, and each piece starts from the one before it.
-        Every max_picard-th held step tries the full length again, and
-        returns to the held depth if that stalls: a failed try costs
-        max_picard iterates, and holding a step that no longer needs it
-        costs at least one."""
+        A converged step whose truncation estimate exceeds zeta_step is
+        not resolved by its node polynomial: unresolved keeps the deepest
+        bisection that would start, and the step is bisected like a stalled
+        one.  Some steps are kept whatever their estimate (truncation
+        reports them): a step without f_eval, which has no pieces; a step
+        whose field is a function of the node iterate, since that field is
+        read off the step's own nodes once the sweep is over, which halves
+        would not resolve; and a step at max_halvings whose Bohr spread
+        times |dt| is within _PHASE_SPAN.  A stall there, or a step at
+        max_halvings still longer than that, raises PropagationError.
+
+        A step that is unresolved, or that stalls although given a start,
+        sets the depth that the steps after it are held at: they bisect down to it
+        without a solve at the lengths above, and each piece starts from
+        the one before it.  Every max_picard-th held step tries the full
+        length again, and returns to the held depth if that fails: a failed
+        try costs up to max_picard iterates, and holding a step that no
+        longer needs it costs at least one."""
         retry = False
         if start is not None and not depth and self._hold:
             self._held += 1
@@ -512,13 +578,19 @@ class StepSolver:
                 hold = self._hold
             else:
                 self._held, retry = 0, True
-        if depth >= hold and self.spread * abs(dt) <= _PHASE_SPAN:
+        if depth >= hold:
             if f_vals is None:
                 f_vals = f_eval(t0 + dt * self.s)
             if src_vals is None and src_frac is not None:
                 src_vals = src_frac(self.s)
             u = (self.picard(u0, f_vals, src_vals, dt) if start is None
                  else self.picard(u0, f_vals, src_vals, dt, start))
+            if u is not None and self.estimate > self.zeta_step:
+                self.unresolved = max(self.unresolved, depth + 1)
+                if not (f_eval is None or callable(f_vals) or (
+                        depth >= self.max_halvings
+                        and self.spread * abs(dt) <= _PHASE_SPAN)):
+                    u, self._rejected = None, True
             if u is not None:
                 if not depth:
                     self._hold = 0
@@ -543,10 +615,10 @@ class StepSolver:
                            depth=depth + 1, start=left if held else None,
                            hold=hold)
         out = self._merge(u0, left, right, half)
-        if not depth:  # the deepest stall sets the depth of the next steps
-            if start is not None:
+        if not depth:  # the deepest failure sets the depth of the next steps
+            if start is not None or self._rejected:
                 self._hold = max(hold, self._deep)
-            self._deep = 0
+            self._deep, self._rejected = 0, False
         return out
 
     def _merge(self, u0, left, right, half):
@@ -569,8 +641,11 @@ class StepSolver:
 class PropagationStats:
     """Counts of one propagation: its steps, the Picard iterates of all its
     step solves, the solves that stalled or diverged, the bisections, the
-    most iterates one step took (its bisected pieces included), and the
-    norm drift, max |‖psi_k‖ - ‖psi_0‖| over the step ends."""
+    most iterates one step took (its bisected pieces included), the norm
+    drift, max |‖psi_k‖ - ‖psi_0‖| over the step ends, and truncation, the
+    largest truncation estimate of any converged solve (see StepSolver).
+    A truncation above the run's stop marks steps that were bisected
+    because their lattice did not resolve them."""
 
     steps: int
     iterates: int
@@ -578,6 +653,7 @@ class PropagationStats:
     bisections: int
     max_iterates: int
     norm_drift: float
+    truncation: float
 
 
 def _node_poly(s, values, q, h=0.0, energies=None):
@@ -732,17 +808,22 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     absolute-time order.  Every step after the first starts its Picard
     solve from the previous step's nodes (see StepSolver.picard).  A run
     without a source conserves the norm, so a drift beyond 1e3*zeta raises
-    InstabilityError; every run's stats carry its worst drift and the most
-    iterates one step took.  The run's zeta is split evenly over its steps.
+    InstabilityError; every run's stats carry its worst drift, the most
+    iterates one step took and the worst truncation estimate.  The stop is
+    zeta per grid interval, zeta min(h, dt)/T, however many intervals a
+    step spans.  Its scale has the floor of the run's reference norm: the
+    initial norm, or for a source read off a forward run the initial norm
+    of that run's state if larger.  A costate enters the field and the
+    gradient only through <chi|.|psi>, so its error counts against the
+    state's norm; a costate that starts at zero is not held to its own
+    small norm.
     """
     n_steps = _steps_for(config, grid)
     rule = config.rule
-    solver = StepSolver(system, rule, max(config.zeta / n_steps, 100.0 * _EPS),
-                        config.max_picard, config.max_halvings)
     dim, n_c = len(u_init), rule.n_c
+    n_int = grid.n_t - 1
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)
-    step_field = field.steps(n_steps, solver.s, backward)
     # a source read off a forward run is built on its whole node lattice,
     # which must be this run's
     lattice = None
@@ -752,6 +833,16 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                 f"the source's forward run took {source.forward.n_steps} "
                 f"steps, this run takes {n_steps}")
         lattice = source.node_values()
+
+    u = np.array(u_init, dtype=complex)
+    ref = math.sqrt(np.vdot(u, u).real)
+    floor = ref if lattice is None else max(ref,
+                                            float(source.forward.norms[0]))
+    solver = StepSolver(system, rule,
+                        max(config.zeta / max(n_steps, n_int), 100.0 * _EPS),
+                        config.max_picard, config.max_halvings,
+                        max(floor, 1e-300))
+    step_field = field.steps(n_steps, solver.s, backward)
 
     def step_source(k):
         if source is None:
@@ -773,9 +864,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     b_x, norms_x, f_x = boundaries[ex], norms[ex], f_nodes[ex, ex]
     nodes_x = node_states[ex, ex]
 
-    u = np.array(u_init, dtype=complex)
     b_x[0] = u
-    ref = math.sqrt(np.vdot(u, u).real)
     norms_x[0] = ref
     guard = source is None and ref > 0.0
     nodes = None
@@ -801,10 +890,13 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
                 raise InstabilityError(
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
+            if solver.unresolved and config.stop_unresolved:
+                raise UnresolvedStep(t_init + dt * k, solver.unresolved)
             nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections, most,
-                             float(np.abs(norms - ref).max()))
+                             float(np.abs(norms - ref).max()),
+                             solver.truncation)
     return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states,
                       stats, frame=(solver.energies, solver.vecs))
 

@@ -42,6 +42,7 @@ from .dynamics import (
     PropagationError,
     HGSource,
     TDTargetSource,
+    UnresolvedStep,
     default_propagator_config,
     propagate_backward,
     propagate_forward,
@@ -49,6 +50,7 @@ from .dynamics import (
     terminal_chi,
     hg_source_signal,
     _EPS,
+    _long_lattice,
     _node_poly,
     _on_grid,
     _run,
@@ -141,8 +143,9 @@ class Problem:
 
     guess may be a ControlField, RealSignal, Spectrum, scalar, or a sample
     vector interpreted in the formulation's native representation.  A
-    propagator config of None selects the default sized to the optimizer
-    tolerance at run time.  psi0 and the guess must be finite; psi0 need
+    propagator config of None lets the run search its lattice (see _Run);
+    propagator_for gives the default config of a single run at the
+    optimizer's tolerance.  psi0 and the guess must be finite; psi0 need
     not be normalized and is propagated as given.
     """
 
@@ -291,8 +294,20 @@ def _emit(rows, on_row, row):
 class _Run:
     """What one run shares with its step function: system, psi0 and the
     functional in the eigen representation of H0 (basis vecs), the
-    propagator, the propagations started (failed ones count), and score,
-    forward()'s breakdown (evaluate unless the step factory swaps it)."""
+    propagator, the propagations started (failed and redone ones count),
+    and score, forward()'s breakdown (evaluate unless the step factory
+    swaps it).
+
+    A problem without a propagator starts on the longest lattice
+    (dynamics._long_lattice), on which a forward run or sweep stops at the
+    first step that it bisects for resolution: such a lattice is too
+    coarse to read between its nodes, as J, the HG signal and the returned
+    field do.  The run then moves to the lattice that the step's bisection
+    reached and redoes that propagation, and its partner too if the
+    partner is on the old lattice.  Backward runs are read at their nodes
+    only; they bisect and carry on.  The lattice never moves back within
+    one run.
+    """
 
     def __init__(self, problem, config):
         self.problem = problem
@@ -305,32 +320,73 @@ class _Run:
                     lambda t: rotate_operator(np.asarray(op(t)), vecs))
                     if callable(op) else rotate_operator(np.asarray(op), vecs))
         self.ctx = prepare_context(self.system, problem.grid, functional)
-        self.prop = problem.propagator_for(config)
+        self.tau = config.tau
+        self.prop = problem.propagator or _long_lattice(problem.grid,
+                                                        config.tau)
         self.propagations = 0
         self.score = evaluate
 
+    def transform_band(self):
+        """Start a searched lattice no coarser than an update through the
+        node transform (field_from_el_*, gradient_*) resolves: it carries
+        every bin of the f_eps support in the frequency formulation and
+        every grid bin in the time formulation, and a step's nodes
+        integrate a bin's cosine up to omega h = pi.  So a time-form update
+        starts at one step per grid interval: on a longer step the
+        transform's top bins, which the gradient fills, are not integrated,
+        and the next field is unresolved on every lattice."""
+        if self.problem.propagator is None:
+            grid, f_eps = self.problem.grid, self.ctx.f_eps
+            top = math.pi / grid.dt
+            if f_eps is not None:
+                sup = np.flatnonzero(f_eps.values > 0)
+                top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
+            self.prop = _long_lattice(grid, self.tau, top)
+
+    def _launch(self, propagate, backward=False):
+        """propagate(config) on the run's lattice; None if a forward run
+        stopped at an unresolved step, which moves the lattice to the
+        step's depth."""
+        self.propagations += 1
+        if backward:
+            return propagate(replace(self.prop, stop_unresolved=False))
+        try:
+            return propagate(self.prop)
+        except UnresolvedStep as err:
+            self.prop = replace(self.prop, steps=self.prop.steps << err.depth)
+            return None
+
+    def on_lattice(self, traj, field):
+        """traj, or the forward run of field on the run's lattice if traj
+        is on another one."""
+        while traj is None or traj.n_steps != self.prop.steps:
+            traj = self._launch(lambda prop: propagate_forward(
+                self.system, field, self.psi0, prop, grid=self.problem.grid))
+        return traj
+
     def forward(self, field):
         """Trajectory of psi0 under field and the functional it scores."""
-        self.propagations += 1
-        traj = propagate_forward(self.system, field, self.psi0, self.prop,
-                                 grid=self.problem.grid)
+        traj = self.on_lattice(None, field)
         return traj, self.score(self.ctx, traj, field)
 
     def backward(self, field, traj):
-        """Costate of the forward trajectory traj under field."""
+        """The forward trajectory traj under field and its costate, on one
+        lattice: traj is run again if the lattice has moved."""
+        traj = self.on_lattice(traj, field)
         chi_t, source = _chi_setup(self.ctx, traj)
-        self.propagations += 1
-        return propagate_backward(self.system, field, source, chi_t,
-                                  self.prop, grid=self.problem.grid)
+        return traj, self._launch(lambda prop: propagate_backward(
+            self.system, field, source, chi_t, prop, grid=self.problem.grid),
+            backward=True)
 
     def sweep(self, field, u, backward=False, source=None):
         """One immediate-update sweep of u under field, whose steps give the
         field as a function of the node iterate (_ImmediateField,
         _KernelField); the field it settled on is the trajectory's
-        field_nodes."""
-        self.propagations += 1
-        return _immediate_sweep(self.system, field, u, self.problem.grid,
-                                self.prop, backward=backward, source=source)
+        field_nodes.  None if a forward sweep stopped at an unresolved
+        step: the caller redoes it on the new lattice, with its partner."""
+        return self._launch(lambda prop: _immediate_sweep(
+            self.system, field, u, self.problem.grid, prop,
+            backward=backward, source=source), backward)
 
 
 def _drive(problem, config, on_row, method, make_step, k0=1.0,
@@ -389,20 +445,23 @@ def _drive(problem, config, on_row, method, make_step, k0=1.0,
 
 
 def _naive_step(run, config):
+    run.transform_band()
+
     def step(field, traj, br):
-        el = _el_field(run.ctx, traj, run.backward(field, traj))
+        el = _el_field(run.ctx, *run.backward(field, traj))
         return (el, *run.forward(el), 1.0)
 
     return step
 
 
 def _relaxation_step(run, config):
+    run.transform_band()
     formulation = run.ctx.config.formulation
     k = config.k_init
 
     def step(field, traj, br):
         nonlocal k
-        el = _el_field(run.ctx, traj, run.backward(field, traj))
+        el = _el_field(run.ctx, *run.backward(field, traj))
         while True:
             trial = el.blended_with(field, k)
             try:
@@ -543,16 +602,20 @@ def _krotov_step(run, config, filt_values=None):
     if cfg.target == "spectral":
         raise ValueError("immediate-update schemes support final-time and "
                          "time-dependent targets only")
-    system, grid, prop = run.system, run.problem.grid, run.prop
-    n_steps = _steps_for(prop, grid)
-    alpha = _alpha_at_nodes(cfg.alpha, grid, n_steps, prop.rule.s)
+    system, grid = run.system, run.problem.grid
 
     def step(field, traj, br):
-        chi_t, source = _chi_setup(ctx, traj)
-        chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
-                             chi_t, backward=True, source=source)
-        traj_t = run.sweep(_ImmediateField(system, chi_traj, 1.0, alpha),
-                           run.psi0)
+        traj_t = None
+        while traj_t is None:  # until both sweeps ran on the same lattice
+            traj = run.on_lattice(traj, field)
+            prop = run.prop
+            alpha = _alpha_at_nodes(cfg.alpha, grid, _steps_for(prop, grid),
+                                    prop.rule.s)
+            chi_t, source = _chi_setup(ctx, traj)
+            chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
+                                 chi_t, backward=True, source=source)
+            traj_t = run.sweep(_ImmediateField(system, chi_traj, 1.0, alpha),
+                               run.psi0)
         eps = traj_t.field_nodes  # the field the sweep settled on
         samples = _on_grid(
             np.append(eps[:, 0], eps[-1, -1]), grid.n_t - 1,
@@ -678,11 +741,8 @@ def _degani_step(run, config, alpha_omega):
         raise ValueError("penalty kernel has a vanishing diagonal pivot; "
                          "the per-node solve would break down")
 
-    if prop.steps != n_t - 1:
-        if run.problem.propagator is not None:
-            raise ValueError("the kernel (degani) scheme is defined per grid "
-                             "sample: its config must take one step per "
-                             "grid interval")
+    if run.problem.propagator is None:
+        prop = run.problem.propagator_for(config)
         if prop.steps > n_t - 1:
             raise ValueError("the kernel (degani) scheme takes one step per "
                              "grid interval, and this grid's interval is "
@@ -690,6 +750,10 @@ def _degani_step(run, config, alpha_omega):
                              f"n_t >= {prop.steps + 1}")
         # the default config's long steps, clamped to one per interval
         run.prop = replace(prop, steps=n_t - 1)
+    elif prop.steps != n_t - 1:
+        raise ValueError("the kernel (degani) scheme is defined per grid "
+                         "sample: its config must take one step per grid "
+                         "interval")
     o_map = state_map(ctx.o_full)
 
     def score(ctx, traj, field):
@@ -858,6 +922,7 @@ class _InverseCurvature:
 
 
 def _line_search_step(run, config, keep_pairs):
+    run.transform_band()
     ctx, grid = run.ctx, run.problem.grid
     formulation = ctx.config.formulation
     if formulation == "frequency":
@@ -885,7 +950,7 @@ def _line_search_step(run, config, keep_pairs):
 
     def step(field, traj, br):
         nonlocal last, k_cap, k_seed
-        chi = run.backward(field, traj)
+        traj, chi = run.backward(field, traj)
         # functional gradient w.r.t. the reduced field vector
         gamma = wq * gradient(run.system, field, traj, chi,
                               penalty).values[support]

@@ -92,8 +92,10 @@ def test_grid_run_is_monotone_restricted_and_deterministic(run):
 
 
 def test_grid_trajectory_comes_back_in_the_grid_basis():
-    problem = hcl_problem()
+    # on the default config's lattice, which the run keeps when given it
     config = OptimizerConfig(budget=1, k_init=0.25)
+    problem = replace(hcl_problem(),
+                      propagator=hcl_problem().propagator_for(config))
     trace = optimize_relaxation(problem, config)
     traj = trace.trajectory
     assert traj.boundary_states.shape == (N_T, N_GRID)
@@ -109,6 +111,33 @@ def test_grid_trajectory_comes_back_in_the_grid_basis():
     again = evaluate(ctx, traj, trace.field)
     assert again.j_max == pytest.approx(trace.breakdown.j_max, rel=1e-10)
     assert again.j_forb == pytest.approx(trace.breakdown.j_forb, rel=1e-10)
+
+
+def test_searched_lattice_moves_where_a_forward_run_is_unresolved():
+    """Without a propagator the run starts at 16 grid intervals per step.
+    The guess and the costate pass there; the first trial field does not,
+    so its run stops, moves to 8 intervals per step and is redone; the
+    second trial stays there.  The rows match a run on the default
+    config's lattice of one step per interval."""
+    problem = hcl_problem()
+    config = OptimizerConfig(budget=1, k_init=0.25)
+    trace = optimize_relaxation(problem, config)
+    fixed = optimize_relaxation(
+        replace(problem, propagator=problem.propagator_for(config)), config)
+    assert problem.propagator_for(config).steps == N_T - 1
+    assert trace.propagations == fixed.propagations + 1 == 5
+    assert trace.trajectory.n_steps == (N_T - 1) // 8
+    stats = trace.trajectory.stats
+    assert stats.bisections == 0
+    assert stats.truncation <= problem.propagator_for(config).zeta / (N_T - 1)
+    assert [row.k for row in trace.rows] == [row.k for row in fixed.rows]
+    # J reaches 0.008; the final states of both agree to about 1e-11
+    assert np.abs(trace.js() - fixed.js()).max() <= 1e-10
+    tight = propagate_forward(problem.system, trace.field, problem.psi0,
+                              replace(problem.propagator_for(config),
+                                      steps=4 * (N_T - 1), zeta=1e-13))
+    assert np.linalg.norm(trace.trajectory.final_state
+                          - tight.final_state) <= 1e-10
 
 
 def test_eigen_representation_has_diagonal_projectors():

@@ -202,6 +202,28 @@ def test_long_step_grid_states_at_large_absolute_energies(energies):
     assert np.abs(long.grid_states() - one.grid_states()).max() < 1e-9
 
 
+@pytest.mark.parametrize("omega", [30.0, 60.0, 120.0])
+def test_fast_field_on_long_steps_is_bisected_by_its_estimate(omega):
+    # spread*dt = 0.0098 gives the default config 16 intervals per step,
+    # which do not resolve a field at 30 to 120 times the Bohr frequency:
+    # the steps' truncation estimates exceed the stop, and the bisected
+    # run lands within zeta of one step per interval (a field-blind run
+    # missed it by 2.4e-7 to 5.5e-3)
+    grid = TimeGrid(10.0, 1025)
+    system = build_level_system([1.0, 2.0], SX)
+    field = 0.2 * np.cos(omega * grid.nodes)
+    config = default_propagator_config(system, grid)
+    assert config.steps == 64
+    long = propagate_forward(system, field, [1.0, 0.0], config, grid=grid)
+    one = propagate_forward(system, field, [1.0, 0.0], PropagatorConfig(
+        1024, config.rule, 1e-12), grid=grid)
+    stop = config.zeta / 1024
+    assert long.stats.bisections > 0 and long.stats.stalls == 0
+    assert long.stats.truncation > 100.0 * stop
+    assert (np.linalg.norm(long.final_state - one.final_state)
+            <= config.zeta)
+
+
 def hg_setup():
     system = build_level_system([1.0, 1.0 + 7 * math.pi / T], SX)
     grid = TimeGrid(T, 65)

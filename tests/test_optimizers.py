@@ -280,12 +280,31 @@ def test_final_target_with_forbidden_states(optimizer):
 
 
 def test_krotov_monotone_and_propagation_count():
-    tr = optimize_krotov(s2s_problem(), OptimizerConfig(max_iterations=120))
+    # on a fixed lattice, where no sweep is redone
+    p = s2s_problem()
+    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
+    tr = optimize_krotov(p, OptimizerConfig(max_iterations=120))
     assert tr.status == CONVERGED
     assert tr.j_monotone
     n_iter = len(tr.rows) - 1
     assert tr.propagations == 1 + 2 * n_iter
     assert tr.breakdown.j > tr.rows[0].breakdown.j
+
+
+def test_krotov_redoes_the_partner_of_an_unresolved_sweep():
+    # without a propagator the run starts at 16 grid intervals per step.
+    # The guess's run moves to 4; the first forward sweep is unresolved
+    # there and moves to one interval per step, so its partner, the
+    # backward sweep, is redone there too, from the guess's forward run
+    p = s2s_problem()
+    fixed = optimize_krotov(
+        replace(p, propagator=p.propagator_for(OptimizerConfig())),
+        OptimizerConfig(budget=2))
+    tr = optimize_krotov(p, OptimizerConfig(budget=2))
+    assert tr.trajectory.n_steps == fixed.trajectory.n_steps == 64
+    assert tr.propagations == fixed.propagations + 4
+    assert tr.j_monotone
+    assert np.abs(tr.js() - fixed.js()).max() <= 1e-6
 
 
 def test_krotov_sampled_alpha_matches_constant_alpha():
@@ -390,7 +409,9 @@ def test_filtered_rectangular_support_is_exact():
 
 
 def test_filtered_extra_propagation_per_iteration():
+    # on a fixed lattice, where no sweep is redone
     p = s2s_problem()
+    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
     tf = optimize_krotov_filtered(p, np.ones(p.grid.n_t),
                                   OptimizerConfig(budget=4))
     assert tf.propagations == 1 + 3 * (len(tf.rows) - 1)

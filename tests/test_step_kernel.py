@@ -220,7 +220,7 @@ def test_eigen_krotov_update_step_matches_substeps():
             < iterates(_Counting(system), u0, update, None, dt, zeta_step))
 
 
-def test_unresolved_step_is_bisected_before_picard(monkeypatch):
+def test_unresolved_step_is_bisected_by_its_truncation_estimate(monkeypatch):
     system = build_level_system([1.0, 4.0], [[0.0, 1.0], [1.0, 0.0]])
     seen = []
     picard = StepSolver.picard
@@ -230,20 +230,27 @@ def test_unresolved_step_is_bisected_before_picard(monkeypatch):
         return picard(self, u0, f_vals, src, dt)
 
     monkeypatch.setattr(StepSolver, "picard", recording)
-    solver = StepSolver(system, RULE, 1e-12)
-    assert solver.spread == 3.0
+    solver = StepSolver(system, RULE, 1e-11)
     u0 = np.array([1.0, 0.0], dtype=complex)
 
     def f_eval(t):
         return 0.1 * np.cos(np.asarray(t))
 
-    solver.solve(u0, 0.0, 0.2, f_eval)  # spread * dt = 0.6: one solve
+    solver.solve(u0, 0.0, 0.2, f_eval)  # estimate 1.6e-12: one solve
     assert seen == [0.2]
+    assert solver.bisections == solver.unresolved == 0
     seen.clear()
-    nodes = solver.solve(u0, 0.0, -0.4, f_eval)  # 1.2: one halving
-    assert seen == [-0.2, -0.2]
+    nodes = solver.solve(u0, 0.0, -0.4, f_eval)  # 4.0e-10: one halving
+    assert seen == [-0.4, -0.2, -0.2]
+    assert solver.bisections == solver.unresolved == 1
+    assert solver.stalls == 0
+    assert solver.truncation > 10.0 * solver.zeta_step
+    assert solver.estimate <= solver.zeta_step
     assert nodes.shape == (RULE.n_c, 2)
     assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() < 1e-10
+    ref = substepped_end(system, u0, lambda s: f_eval(-0.4 * np.asarray(s)),
+                         None, -0.4, 16)
+    assert np.linalg.norm(nodes[-1] - ref) <= 1e-11
 
 
 def test_default_config_takes_one_step_per_interval_on_hcl_grid():
@@ -383,17 +390,20 @@ def hcl_runs(zeta=1e-6):
 
 
 def test_bisected_step_merges_its_halves_in_the_interaction_picture():
-    # spread*dt = 1 > 0.7 bisects the step.  Without a field the state is
-    # e^{-iE tau} psi0 exactly, which the merged nodes keep although psi
-    # turns 15 rad over each half
-    energies = np.array([30.0, 31.0])
-    system = build_level_system(energies, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # a constant field 0.5 on the diagonal coupling diag(1, -1) leaves the
+    # step's truncation estimate at 3e-12, above the stop of 1e-13, and its
+    # halves' at 1e-14: one bisection.  The state is e^{-i(E - 0.5 m) tau}
+    # psi0 exactly, which the merged nodes keep although psi turns 15 rad
+    # over each half
+    energies, m = np.array([30.0, 31.0]), np.array([1.0, -1.0])
+    system = build_level_system(energies, np.diag(m))
     u0 = np.array([0.6, 0.8j])
     for dt in (1.0, -1.0):
         solver = StepSolver(system, RULE, 1e-13)
-        nodes = solver.solve(u0, 0.0, dt, lambda t: np.zeros(np.shape(t)))
-        assert solver.bisections == 1
-        exact = np.exp(-1j * dt * np.multiply.outer(RULE.s, energies)) * u0
+        nodes = solver.solve(u0, 0.0, dt, lambda t: np.full(np.shape(t), 0.5))
+        assert solver.bisections == solver.unresolved == 1
+        exact = np.exp(-1j * dt * np.multiply.outer(RULE.s,
+                                                    energies - 0.5 * m)) * u0
         assert np.abs(nodes - exact).max() < 1e-12
 
 
@@ -406,6 +416,19 @@ def test_predicted_start_takes_about_one_iterate_per_hcl_step():
     tight, _ = hcl_runs(zeta=1e-13)
     assert (np.linalg.norm(forward.final_state - tight.final_state)
             <= 1e-10 * np.linalg.norm(tight.final_state))
+
+
+def test_costate_from_zero_takes_about_one_iterate_per_hcl_step():
+    # the costate grows from zero under the weak -P_f psi source; its stop
+    # is scaled by the forward state's norm, not by its own small one
+    # (which took 2,048 iterates)
+    _, backward = hcl_runs()
+    assert np.abs(backward.boundary_states[-1]).max() == 0.0
+    assert backward.stats.iterates <= 1.1 * backward.stats.steps
+    # within 1e-10 of a tight run, against the unit norm of the state
+    _, tight = hcl_runs(zeta=1e-13)
+    assert np.linalg.norm(backward.boundary_states - tight.boundary_states,
+                          axis=1).max() <= 1e-10
 
 
 def test_predicted_start_reruns_are_bitwise_equal():
