@@ -27,14 +27,12 @@ optimizers' runs is the eigenbasis of H0 itself (V = I).
 
 import math
 import numbers
-import warnings
 from collections import namedtuple
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.integrate
 
 from .spectral import (
     RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
@@ -942,19 +940,8 @@ def propagate_backward(system, field, source, chi_T, config, grid=None):
                 source=source)
 
 
-ExpectationSignal = namedtuple("ExpectationSignal", "signal nodes")
-
-
 def _grid_expectation(traj, apply_op):
     return _block_expectation(traj.grid_states(), apply_op)
-
-
-def expectation_signal(traj, op):
-    """Re<psi|O|psi> on the TimeGrid plus all internal nodes."""
-    apply_op = state_map(op)
-    grid_vals = _grid_expectation(traj, apply_op)
-    node_vals = traj.node_expectation(apply_op)
-    return ExpectationSignal(RealSignal(traj.grid, grid_vals), node_vals)
 
 
 @dataclass(frozen=True)
@@ -1092,11 +1079,3 @@ class TDTargetSource(_ForwardSource):
         out *= np.asarray(self._w_eval(times))[:, None]
         return out
 
-
-def td_target_source(w, op_of_t, traj):
-    """Build the time-dependent-target source; warns unless int w dt = 1."""
-    total = scipy.integrate.trapezoid(w.values, dx=w.grid.dt)
-    if abs(total - 1.0) > 1e-6:
-        warnings.warn(f"weight function integrates to {total:.6g}, not 1",
-                      stacklevel=2)
-    return TDTargetSource(w, op_of_t, traj)

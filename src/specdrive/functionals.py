@@ -253,13 +253,6 @@ def alpha_from_filter(f_eps):
     return out
 
 
-def cross_mu_signal(system, psi_traj, chi_traj):
-    """Im <chi(t)|mu|psi(t)> on the TimeGrid."""
-    psi = psi_traj.grid_states()
-    chi = chi_traj.grid_states()
-    return np.imag(np.einsum("ij,ij->i", chi.conj(), apply_mu(system, psi)))
-
-
 def cross_mu_nodes(system, psi_traj, chi_traj):
     """Im <chi|mu|psi> at every internal node, shape (n_steps, n_c)."""
     if psi_traj.n_steps != chi_traj.n_steps:
@@ -362,7 +355,9 @@ def build_beta_kernel(alpha_omega, grid):
 
 @dataclass
 class EvalContext:
-    """Prepared operators and sampled filters for repeated evaluation."""
+    """Prepared operators and sampled filters for repeated evaluation.
+    o_full_map, o_a_map and p_f_map apply the target, O_a and P_f^gamma
+    by their structure (see dynamics.state_map), built once per context."""
 
     system: object
     grid: object
@@ -374,6 +369,9 @@ class EvalContext:
     f_eps: Spectrum
     alpha_omega: np.ndarray
     comm: np.ndarray
+    o_full_map: object = None
+    o_a_map: object = None
+    p_f_map: object = None
 
 
 def prepare_context(system, grid, config):
@@ -395,8 +393,11 @@ def prepare_context(system, grid, config):
     f_eps = make_filter(config.f_eps, fgrid) if config.f_eps is not None else None
     alpha_omega = alpha_from_filter(f_eps) if f_eps is not None else None
     comm = commutator_H0_O(system) if config.kappa > 0 else None
+    o_full_map = state_map(o_full)
+    o_a_map = o_full_map if o_a is o_full else state_map(o_a)
     return EvalContext(system, grid, config, o_full, o_a, p_f, f_o, f_eps,
-                       alpha_omega, comm)
+                       alpha_omega, comm, o_full_map, o_a_map,
+                       state_map(p_f))
 
 
 def _constraint_residual(ctx, traj, chi_traj, s_signal):
@@ -407,9 +408,9 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
     if cfg.target == "spectral" and s_signal is not None:
         h = traj.dt_step
         svals = s_signal.on_lattice(traj.n_steps, traj.s_nodes)
-        inner = svals * traj.node_expectation(state_map(ctx.o_a))
+        inner = svals * traj.node_expectation(ctx.o_a_map)
         if ctx.p_f is not None:
-            inner = inner - traj.node_expectation(state_map(ctx.p_f))
+            inner = inner - traj.node_expectation(ctx.p_f_map)
         integral = integrate_time(inner, traj.rule, h)
     elif cfg.target == "td":
         integral = j_max_td(traj, cfg.weight, cfg.op_of_t)
@@ -422,11 +423,11 @@ def evaluate(ctx, traj, field, chi_traj=None, s_signal=None):
     if cfg.target == "final":
         jm = j_max_final(traj.final_state, ctx.o_full)
     elif cfg.target == "spectral":
-        jm = j_max_spectral(traj, ctx.o_a, ctx.f_o)
+        jm = j_max_spectral(traj, ctx.o_a_map, ctx.f_o)
     else:
         jm = j_max_td(traj, cfg.weight, cfg.op_of_t)
     jb = j_bound(traj.final_state, cfg.kappa, ctx.system, ctx.comm)
-    jf = j_forb(traj, ctx.p_f)
+    jf = j_forb(traj, ctx.p_f_map)
     if cfg.formulation == "time":
         jp = j_penal_time(field, cfg.alpha, ctx.grid)
     else:

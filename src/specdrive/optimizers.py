@@ -46,7 +46,6 @@ from .dynamics import (
     default_propagator_config,
     propagate_backward,
     propagate_forward,
-    state_map,
     terminal_chi,
     hg_source_signal,
     _EPS,
@@ -261,14 +260,14 @@ def _chi_setup(ctx, traj):
     psi_t = traj.final_state
     chi_t = terminal_chi(cfg.kappa, ctx.system, psi_t)
     if cfg.target == "final":
-        chi_t = chi_t + state_map(ctx.o_full)(psi_t[None, :])[0]
+        chi_t = chi_t + ctx.o_full_map(psi_t[None, :])[0]
         source = None
         if ctx.p_f is not None:
-            source = HGSource(traj, None, ctx.o_a, ctx.p_f)
+            source = HGSource(traj, None, ctx.o_a_map, ctx.p_f_map)
         return chi_t, source
     if cfg.target == "spectral":
-        signal = hg_source_signal(traj, ctx.o_a, ctx.f_o)
-        return chi_t, HGSource(traj, signal, ctx.o_a, ctx.p_f)
+        signal = hg_source_signal(traj, ctx.o_a_map, ctx.f_o)
+        return chi_t, HGSource(traj, signal, ctx.o_a_map, ctx.p_f_map)
     if ctx.p_f is not None:
         raise ValueError("state restriction is incompatible with a "
                          "time-dependent target")
@@ -754,7 +753,7 @@ def _degani_step(run, config, alpha_omega):
         raise ValueError("the kernel (degani) scheme is defined per grid "
                          "sample: its config must take one step per grid "
                          "interval")
-    o_map = state_map(ctx.o_full)
+    o_map = ctx.o_full_map
 
     def score(ctx, traj, field):
         # the kernel replaces the problem's penalty term

@@ -2,19 +2,26 @@
 
 Each one computes by the plain definition what the package computes by a
 faster route: a dense midpoint-exponential propagator, the direct cosine
-sum of a spectrum, a one-shot functional evaluation and the grid
-Hamiltonian applied to one state.
+sum of a spectrum, a one-shot functional evaluation, the grid Hamiltonian
+applied to one state, an expectation signal, the time-dependent-target
+source with its weight check, and the cross signal Im<chi|mu|psi> on the
+grid.
 """
 
 import math
+import warnings
+from collections import namedtuple
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
-from specdrive.dynamics import _FieldEval
+from specdrive.dynamics import (
+    TDTargetSource, _FieldEval, _grid_expectation, state_map,
+)
 from specdrive.functionals import evaluate, prepare_context
-from specdrive.spectral import endpoint_factors
-from specdrive.system import dense_h0, dense_mu
+from specdrive.spectral import RealSignal, endpoint_factors
+from specdrive.system import apply_mu, dense_h0, dense_mu
 
 
 def expm_stepper(system, field, psi0, grid, substeps=64):
@@ -64,3 +71,30 @@ def apply_grid_hamiltonian(system, state, field_value):
         raise ValueError("state length does not match the grid")
     return system.h_apply(np.atleast_2d(state), float(field_value))[0] \
         if state.ndim == 1 else system.h_apply(state, field_value)
+
+
+ExpectationSignal = namedtuple("ExpectationSignal", "signal nodes")
+
+
+def expectation_signal(traj, op):
+    """Re<psi|O|psi> on the TimeGrid plus all internal nodes."""
+    apply_op = state_map(op)
+    grid_vals = _grid_expectation(traj, apply_op)
+    node_vals = traj.node_expectation(apply_op)
+    return ExpectationSignal(RealSignal(traj.grid, grid_vals), node_vals)
+
+
+def td_target_source(w, op_of_t, traj):
+    """Build the time-dependent-target source; warns unless int w dt = 1."""
+    total = scipy.integrate.trapezoid(w.values, dx=w.grid.dt)
+    if abs(total - 1.0) > 1e-6:
+        warnings.warn(f"weight function integrates to {total:.6g}, not 1",
+                      stacklevel=2)
+    return TDTargetSource(w, op_of_t, traj)
+
+
+def cross_mu_signal(system, psi_traj, chi_traj):
+    """Im <chi(t)|mu|psi(t)> on the TimeGrid."""
+    psi = psi_traj.grid_states()
+    chi = chi_traj.grid_states()
+    return np.imag(np.einsum("ij,ij->i", chi.conj(), apply_mu(system, psi)))

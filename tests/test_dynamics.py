@@ -15,11 +15,13 @@ from specdrive.system import (
 from specdrive.dynamics import (
     HGSource, InstabilityError, PropagationError, PropagatorConfig,
     _block_expectation,
-    default_propagator_config, expectation_signal,
+    default_propagator_config,
     hg_source_signal, propagate_backward, propagate_forward, state_map,
-    td_target_source, terminal_chi,
+    terminal_chi,
 )
-from oracles import eval_cosine_series, expm_stepper
+from oracles import (
+    eval_cosine_series, expectation_signal, expm_stepper, td_target_source,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 RULE = chebyshev_rule(9)

@@ -17,12 +17,12 @@ from specdrive.dynamics import (
 )
 from specdrive.functionals import (
     ControlField, FunctionalBreakdown,
-    FunctionalConfig, alpha_from_filter, build_beta_kernel, cross_mu_signal,
+    FunctionalConfig, alpha_from_filter, build_beta_kernel,
     evaluate, field_from_el_freq, field_from_el_time, gradient_freq,
     gradient_time, j_bound, j_forb, j_max_final, j_max_spectral, j_max_td,
     j_penal_freq, j_penal_time, prepare_context,
 )
-from oracles import j_total
+from oracles import cross_mu_signal, j_total
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
