@@ -125,18 +125,14 @@ def default_propagator_config(system, grid, tau=1e-3):
 def _long_lattice(grid, tau=1e-3, omega=0.0):
     """The optimizers' first config: one step spans the most grid intervals
     r, a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
-    omega r dt <= pi, and the default config's nodes and zeta.  Its runs
-    stop at a step they do not resolve, so that the optimizer can move to
-    the finer lattice that does; bisection may go as deep below one grid
-    interval as the default's."""
+    omega r dt <= pi, and the default config's nodes and zeta."""
     n_int, r = grid.n_t - 1, 1
     while (2 * r <= _LONG_INTERVALS and n_int % (2 * r) == 0
            and omega * 2 * r * grid.dt <= math.pi):
         r *= 2
-    return PropagatorConfig(
-        steps=n_int // r, rule=chebyshev_rule(_DEFAULT_NODES),
-        zeta=1e-3 * tau, max_halvings=PropagatorConfig.max_halvings
-        + r.bit_length() - 1, stop_unresolved=True)
+    return PropagatorConfig(steps=n_int // r,
+                            rule=chebyshev_rule(_DEFAULT_NODES),
+                            zeta=1e-3 * tau)
 
 
 def state_map(op):

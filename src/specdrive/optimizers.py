@@ -40,6 +40,7 @@ from .system import apply_mu, rotate_operator
 from .dynamics import (
     InstabilityError,
     PropagationError,
+    PropagatorConfig,
     HGSource,
     TDTargetSource,
     UnresolvedStep,
@@ -305,7 +306,9 @@ class _Run:
     reached and redoes that propagation, and its partner too if the
     partner is on the old lattice.  Backward runs are read at their nodes
     only; they bisect and carry on.  The lattice never moves back within
-    one run.
+    one run, nor past the default config's (see _search_from).  A time-
+    form update through the node transform starts at one step per grid
+    interval (see transform_band).
     """
 
     def __init__(self, problem, config):
@@ -320,10 +323,24 @@ class _Run:
                     if callable(op) else rotate_operator(np.asarray(op), vecs))
         self.ctx = prepare_context(self.system, problem.grid, functional)
         self.tau = config.tau
-        self.prop = problem.propagator or _long_lattice(problem.grid,
-                                                        config.tau)
+        self.prop = problem.propagator
+        if self.prop is None:
+            self.finest = problem.propagator_for(config).steps
+            self._search_from(_long_lattice(problem.grid, config.tau))
         self.propagations = 0
         self.score = evaluate
+
+    def _search_from(self, prop):
+        """Go on with the lattice search at prop, whose forward runs stop at
+        an unresolved step.  The search goes no finer than the default
+        config's lattice (or the first one, if finer): there runs bisect
+        and carry on, as a single run does.  Bisection may go as deep below
+        one grid interval as the default's."""
+        self.finest = max(self.finest, prop.steps)
+        r = max(1, (self.problem.grid.n_t - 1) // prop.steps)
+        self.prop = replace(
+            prop, stop_unresolved=prop.steps < self.finest,
+            max_halvings=PropagatorConfig.max_halvings + r.bit_length() - 1)
 
     def transform_band(self):
         """Start a searched lattice no coarser than an update through the
@@ -340,7 +357,7 @@ class _Run:
             if f_eps is not None:
                 sup = np.flatnonzero(f_eps.values > 0)
                 top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
-            self.prop = _long_lattice(grid, self.tau, top)
+            self._search_from(_long_lattice(grid, self.tau, top))
 
     def _launch(self, propagate, backward=False):
         """propagate(config) on the run's lattice; None if a forward run
@@ -352,7 +369,8 @@ class _Run:
         try:
             return propagate(self.prop)
         except UnresolvedStep as err:
-            self.prop = replace(self.prop, steps=self.prop.steps << err.depth)
+            self._search_from(replace(self.prop, steps=min(
+                self.prop.steps << err.depth, self.finest)))
             return None
 
     def on_lattice(self, traj, field):

@@ -755,6 +755,21 @@ def test_bisection_depth_is_remembered_under_a_strong_field():
             <= 1e-9)
 
 
+def test_searched_lattice_goes_no_finer_than_the_default_config():
+    # under 100x its guess hg_problem()'s field is unresolved at 16 grid
+    # intervals per step, and at one (see above).  The run that stops at
+    # 16 moves to the default config's lattice of one step per interval,
+    # where the runs bisect and carry on instead of moving again
+    p = hg_problem()
+    strong = replace(p, guess=p.guess.with_spectrum_values(
+        100.0 * p.guess.spectrum().values))
+    tr = optimize_relaxation(strong, OptimizerConfig(budget=1))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert tr.propagations == 4  # the stopped run, guess, costate, trial
+    assert (tr.trajectory.n_steps
+            == p.propagator_for(OptimizerConfig()).steps == 128)
+
+
 @pytest.mark.parametrize("method", _METHODS)
 def test_on_row_sees_every_row_in_order(method):
     p = s2s_problem(n_t=33)
