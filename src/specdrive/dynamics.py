@@ -67,8 +67,9 @@ class InstabilityError(RuntimeError):
 
 class UnresolvedStep(RuntimeError):
     """A run under stop_unresolved met a step that its lattice does not
-    resolve; depth is the bisection depth at which that step's pieces
-    passed their truncation estimate."""
+    resolve.  depth counts the halvings the step needed: the depth at which
+    its pieces passed their truncation estimate, or one more than the
+    depth at which a step kept whole (a sweep's) failed it."""
 
     def __init__(self, t, depth):
         super().__init__(f"step at t={t:.6g} resolved only at bisection "
@@ -559,12 +560,12 @@ class StepSolver:
         max_halvings still longer than that, raises PropagationError.
 
         A step that is unresolved, or that stalls although given a start,
-        sets the depth that the steps after it are held at: they bisect down to it
-        without a solve at the lengths above, and each piece starts from
-        the one before it.  Every max_picard-th held step tries the full
-        length again, and returns to the held depth if that fails: a failed
-        try costs up to max_picard iterates, and holding a step that no
-        longer needs it costs at least one."""
+        sets the depth that the steps after it are held at: they bisect
+        down to it without a solve at the lengths above, and each piece
+        starts from the one before it.  Every max_picard-th held step tries
+        the full length again, and returns to the held depth if that fails:
+        a failed try costs up to max_picard iterates, and holding a step
+        that no longer needs it costs at least one."""
         retry = False
         if start is not None and not depth and self._hold:
             self._held += 1

@@ -55,7 +55,6 @@ from .dynamics import (
     _on_grid,
     _run,
     _sample_interp,
-    _steps_for,
 )
 from .functionals import (
     ControlField,
@@ -323,8 +322,9 @@ class _Run:
                     if callable(op) else rotate_operator(np.asarray(op), vecs))
         self.ctx = prepare_context(self.system, problem.grid, functional)
         self.tau = config.tau
-        self.prop = problem.propagator
-        if self.prop is None:
+        if problem.propagator is not None:  # keeps its lattice
+            self.prop = replace(problem.propagator, stop_unresolved=False)
+        else:
             self.finest = problem.propagator_for(config).steps
             self._search_from(_long_lattice(problem.grid, config.tau))
         self.propagations = 0
@@ -350,7 +350,8 @@ class _Run:
         integrate a bin's cosine up to omega h = pi.  So a time-form update
         starts at one step per grid interval: on a longer step the
         transform's top bins, which the gradient fills, are not integrated,
-        and the next field is unresolved on every lattice."""
+        and the next field is not resolved even at one step per
+        interval."""
         if self.problem.propagator is None:
             grid, f_eps = self.problem.grid, self.ctx.f_eps
             top = math.pi / grid.dt
@@ -626,8 +627,7 @@ def _krotov_step(run, config, filt_values=None):
         while traj_t is None:  # until both sweeps ran on the same lattice
             traj = run.on_lattice(traj, field)
             prop = run.prop
-            alpha = _alpha_at_nodes(cfg.alpha, grid, _steps_for(prop, grid),
-                                    prop.rule.s)
+            alpha = _alpha_at_nodes(cfg.alpha, grid, prop.steps, prop.rule.s)
             chi_t, source = _chi_setup(ctx, traj)
             chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
                                  chi_t, backward=True, source=source)

@@ -231,6 +231,7 @@ def test_unresolved_step_is_bisected_by_its_truncation_estimate(monkeypatch):
 
     monkeypatch.setattr(StepSolver, "picard", recording)
     solver = StepSolver(system, RULE, 1e-11)
+    assert solver.spread == 3.0
     u0 = np.array([1.0, 0.0], dtype=complex)
 
     def f_eval(t):
