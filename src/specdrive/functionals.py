@@ -369,9 +369,9 @@ class EvalContext:
     f_eps: Spectrum
     alpha_omega: np.ndarray
     comm: np.ndarray
-    o_full_map: object = None
-    o_a_map: object = None
-    p_f_map: object = None
+    o_full_map: object
+    o_a_map: object
+    p_f_map: object
 
 
 def prepare_context(system, grid, config):
