@@ -65,11 +65,11 @@ class InstabilityError(RuntimeError):
     """Norm blow-up while propagating a homogeneous equation."""
 
 
-class UnresolvedStep(RuntimeError):
-    """A run under stop_unresolved met a step that its lattice does not
-    resolve.  depth counts the halvings the step needed: the depth at which
-    its pieces passed their truncation estimate, or one more than the
-    depth at which a step kept whole (a sweep's) failed it."""
+class _Unresolved(RuntimeError):
+    """A forward run under a _Searched config met a step that its lattice
+    does not resolve.  depth counts the halvings the step needed: the depth
+    at which its pieces passed their truncation estimate, or one more than
+    the depth at which a step kept whole (a sweep's) failed it."""
 
     def __init__(self, t, depth):
         super().__init__(f"step at t={t:.6g} resolved only at bisection "
@@ -81,16 +81,13 @@ class UnresolvedStep(RuntimeError):
 class PropagatorConfig:
     """Stepping parameters.  steps is a multiple of the grid intervals
     n_t - 1 (m steps per interval) or divides them (one step spans
-    r = (n_t - 1)/steps intervals).  A run under stop_unresolved ends with
-    UnresolvedStep after the first step that it bisected for resolution,
-    instead of carrying on with the bisected step."""
+    r = (n_t - 1)/steps intervals)."""
 
     steps: int
     rule: object
     zeta: float
     max_picard: int = 40
     max_halvings: int = 6
-    stop_unresolved: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -99,41 +96,45 @@ class PropagatorConfig:
             raise ValueError("propagator tolerance must be positive")
 
 
+class _Searched(PropagatorConfig):
+    """A lattice of the optimizers' search (optimizers._Run), which a finer
+    lattice can redo: a forward run under it ends with _Unresolved at its
+    first step bisected for resolution, instead of carrying on."""
+
+
 def default_propagator_config(system, grid, tau=1e-3):
     """Steps from the Bohr spread times the grid interval, spread*dt, with
     nine nodes and zeta = 1e-3*tau.
 
     While spread*dt/m exceeds _PHASE_SPAN, each interval takes m substeps
-    (m a power of two).  Otherwise one step spans the most grid intervals r,
-    a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
-    spread*dt*r <= _LONG_SPAN, and r = 1 when even one interval exceeds
-    it.  The field does not enter: a step that it leaves unresolved, or
-    whose iteration it stalls, is bisected by the solver.  This is the
-    lattice of a single run, which cannot be redone; the optimizers search
-    their own from _long_lattice."""
+    (m a power of two).  Otherwise one step spans the most grid intervals
+    that _long_steps allows with spread*dt*r <= _LONG_SPAN.  The field does
+    not enter: a step that it leaves unresolved, or whose iteration it
+    stalls, is bisected by the solver.  This is the lattice of a single
+    run, which cannot be redone; the optimizers search from a longer one
+    (see optimizers._Run)."""
     spread = float(np.ptp(system.eigen()[0]))
     span, n_int = spread * grid.dt, grid.n_t - 1
     steps = n_int
     while span * n_int / steps > _PHASE_SPAN:
         steps *= 2
-    while (steps % 2 == 0 and 2 * n_int <= _LONG_INTERVALS * steps
-           and span * n_int / (steps // 2) <= _LONG_SPAN):
-        steps //= 2
+    if steps == n_int:
+        steps = _long_steps(grid, span, _LONG_SPAN)
     return PropagatorConfig(steps=steps, rule=chebyshev_rule(_DEFAULT_NODES),
                             zeta=1e-3 * tau)
 
 
-def _long_lattice(grid, tau=1e-3, omega=0.0):
-    """The optimizers' first config: one step spans the most grid intervals
-    r, a power of two dividing n_t - 1 and at most _LONG_INTERVALS, with
-    omega r dt <= pi, and the default config's nodes and zeta."""
-    n_int, r = grid.n_t - 1, 1
-    while (2 * r <= _LONG_INTERVALS and n_int % (2 * r) == 0
-           and omega * 2 * r * grid.dt <= math.pi):
-        r *= 2
-    return PropagatorConfig(steps=n_int // r,
-                            rule=chebyshev_rule(_DEFAULT_NODES),
-                            zeta=1e-3 * tau)
+def _long_steps(grid, span, bound):
+    """Steps of the longest lattice on grid: one step spans the most grid
+    intervals r, a power of two dividing n_t - 1 and at most
+    _LONG_INTERVALS, with span*r <= bound (span per grid interval), and
+    r = 1 when even one interval exceeds it."""
+    n_int = grid.n_t - 1
+    steps = n_int
+    while (steps % 2 == 0 and 2 * n_int <= _LONG_INTERVALS * steps
+           and span * n_int / (steps // 2) <= bound):
+        steps //= 2
+    return steps
 
 
 def state_map(op):
@@ -838,6 +839,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                         config.max_picard, config.max_halvings,
                         max(floor, 1e-300))
     step_field = field.steps(n_steps, solver.s, backward)
+    searched = isinstance(config, _Searched) and not backward
 
     def step_source(k):
         if source is None:
@@ -885,8 +887,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
                 raise InstabilityError(
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
-            if solver.unresolved and config.stop_unresolved:
-                raise UnresolvedStep(t_init + dt * k, solver.unresolved)
+            if solver.unresolved and searched:
+                raise _Unresolved(t_init + dt * k, solver.unresolved)
             nodes_x[k] = nodes
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections, most,

@@ -43,14 +43,15 @@ from .dynamics import (
     PropagatorConfig,
     HGSource,
     TDTargetSource,
-    UnresolvedStep,
     default_propagator_config,
     propagate_backward,
     propagate_forward,
     terminal_chi,
     hg_source_signal,
     _EPS,
-    _long_lattice,
+    _Searched,
+    _Unresolved,
+    _long_steps,
     _node_poly,
     _on_grid,
     _run,
@@ -298,16 +299,16 @@ class _Run:
     swaps it).
 
     A problem without a propagator starts on the longest lattice
-    (dynamics._long_lattice), on which a forward run or sweep stops at the
-    first step that it bisects for resolution: such a lattice is too
-    coarse to read between its nodes, as J, the HG signal and the returned
-    field do.  The run then moves to the lattice that the step's bisection
-    reached and redoes that propagation, and its partner too if the
-    partner is on the old lattice.  Backward runs are read at their nodes
-    only; they bisect and carry on.  The lattice never moves back within
-    one run, nor past the default config's (see _search_from).  A time-
-    form update through the node transform starts at one step per grid
-    interval (see transform_band).
+    (dynamics._long_steps), on which a forward run or sweep stops at the
+    first step that it bisects for resolution (dynamics._Searched): such a
+    lattice is too coarse to read between its nodes, as J, the HG signal
+    and the returned field do.  The run then moves to the lattice that the
+    step's bisection reached and redoes that propagation, and its partner
+    too if the partner is on the old lattice.  Backward runs are read at
+    their nodes only; they bisect and carry on.  The lattice never moves
+    back within one run, nor past the default config's (see _move).  An
+    update through the node transform starts no coarser than the transform
+    resolves (see transform_band).
     """
 
     def __init__(self, problem, config):
@@ -321,57 +322,53 @@ class _Run:
                     lambda t: rotate_operator(np.asarray(op(t)), vecs))
                     if callable(op) else rotate_operator(np.asarray(op), vecs))
         self.ctx = prepare_context(self.system, problem.grid, functional)
-        self.tau = config.tau
-        if problem.propagator is not None:  # keeps its lattice
-            self.prop = replace(problem.propagator, stop_unresolved=False)
-        else:
-            self.finest = problem.propagator_for(config).steps
-            self._search_from(_long_lattice(problem.grid, config.tau))
+        self.prop = problem.propagator_for(config)
+        if problem.propagator is None:
+            self.finest = self.prop.steps
+            self._move(_long_steps(problem.grid, 0.0, math.pi))
         self.propagations = 0
         self.score = evaluate
 
-    def _search_from(self, prop):
-        """Go on with the lattice search at prop, whose forward runs stop at
-        an unresolved step.  The search goes no finer than the default
-        config's lattice (or the first one, if finer): there runs bisect
-        and carry on, as a single run does.  Bisection may go as deep below
-        one grid interval as the default's."""
-        self.finest = max(self.finest, prop.steps)
-        r = max(1, (self.problem.grid.n_t - 1) // prop.steps)
-        self.prop = replace(
-            prop, stop_unresolved=prop.steps < self.finest,
-            max_halvings=PropagatorConfig.max_halvings + r.bit_length() - 1)
+    def _move(self, steps):
+        """Go on with the search on a lattice of steps.  The search goes no
+        finer than the default config's lattice, or the transform band's if
+        that is finer: there runs bisect and carry on, as a single run
+        does."""
+        steps = min(steps, self.finest)
+        cls = _Searched if steps < self.finest else PropagatorConfig
+        self.prop = cls(**(vars(self.prop) | {"steps": steps}))
 
     def transform_band(self):
         """Start a searched lattice no coarser than an update through the
         node transform (field_from_el_*, gradient_*) resolves: it carries
         every bin of the f_eps support in the frequency formulation and
         every grid bin in the time formulation, and a step's nodes
-        integrate a bin's cosine up to omega h = pi.  So a time-form update
-        starts at one step per grid interval: on a longer step the
+        integrate a bin's cosine up to omega h = pi.  On a longer step the
         transform's top bins, which the gradient fills, are not integrated,
-        and the next field is not resolved even at one step per
-        interval."""
+        and the next field is not resolved.  So a time-form update starts,
+        and stays, at one step per grid interval even where the default
+        config's lattice is coarser: there the next field's runs bisect
+        nearly every step, and the default lattice's J is wrong (see
+        README, The optimizers' lattice)."""
         if self.problem.propagator is None:
             grid, f_eps = self.problem.grid, self.ctx.f_eps
             top = math.pi / grid.dt
             if f_eps is not None:
                 sup = np.flatnonzero(f_eps.values > 0)
                 top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
-            self._search_from(_long_lattice(grid, self.tau, top))
+            steps = _long_steps(grid, top * grid.dt, math.pi)
+            self.finest = max(self.finest, steps)
+            self._move(steps)
 
-    def _launch(self, propagate, backward=False):
+    def _launch(self, propagate):
         """propagate(config) on the run's lattice; None if a forward run
         stopped at an unresolved step, which moves the lattice to the
         step's depth."""
         self.propagations += 1
-        if backward:
-            return propagate(replace(self.prop, stop_unresolved=False))
         try:
             return propagate(self.prop)
-        except UnresolvedStep as err:
-            self._search_from(replace(self.prop, steps=min(
-                self.prop.steps << err.depth, self.finest)))
+        except _Unresolved as err:
+            self._move(self.prop.steps << err.depth)
             return None
 
     def on_lattice(self, traj, field):
@@ -393,8 +390,7 @@ class _Run:
         traj = self.on_lattice(traj, field)
         chi_t, source = _chi_setup(self.ctx, traj)
         return traj, self._launch(lambda prop: propagate_backward(
-            self.system, field, source, chi_t, prop, grid=self.problem.grid),
-            backward=True)
+            self.system, field, source, chi_t, prop, grid=self.problem.grid))
 
     def sweep(self, field, u, backward=False, source=None):
         """One immediate-update sweep of u under field, whose steps give the
@@ -404,7 +400,7 @@ class _Run:
         step: the caller redoes it on the new lattice, with its partner."""
         return self._launch(lambda prop: _immediate_sweep(
             self.system, field, u, self.problem.grid, prop,
-            backward=backward, source=source), backward)
+            backward=backward, source=source))
 
 
 def _drive(problem, config, on_row, method, make_step, k0=1.0,

@@ -91,19 +91,20 @@ def test_grid_run_is_monotone_restricted_and_deterministic(run):
                           again.trajectory.final_state)
 
 
-def test_grid_trajectory_comes_back_in_the_grid_basis():
-    # on the default config's lattice, which the run keeps when given it
-    config = OptimizerConfig(budget=1, k_init=0.25)
-    problem = replace(hcl_problem(),
-                      propagator=hcl_problem().propagator_for(config))
+def check_grid_trajectory_comes_back_in_the_grid_basis(problem, config):
     trace = optimize_relaxation(problem, config)
     traj = trace.trajectory
-    assert traj.boundary_states.shape == (N_T, N_GRID)
+    assert traj.boundary_states.shape == (traj.n_steps + 1, N_GRID)
+    assert traj.grid_states().shape == (N_T, N_GRID)
     assert np.abs(traj.initial_state - problem.psi0).max() <= 1e-14
     ref = propagate_forward(problem.system, trace.field, problem.psi0,
                             problem.propagator_for(config))
     assert np.linalg.norm(traj.final_state - ref.final_state) <= 1e-10
-    k = 100
+    # the nodes against a fresh run on the trajectory's own lattice
+    ref = propagate_forward(problem.system, trace.field, problem.psi0,
+                            replace(problem.propagator_for(config),
+                                    steps=traj.n_steps))
+    k = 100 * traj.n_steps // (N_T - 1)
     assert np.abs(traj.step_nodes(k) - ref.step_nodes(k)).max() <= 1e-10
     # rescored in the grid basis: the node states mapped on first read,
     # under the dense P_f of the grid system
@@ -111,6 +112,20 @@ def test_grid_trajectory_comes_back_in_the_grid_basis():
     again = evaluate(ctx, traj, trace.field)
     assert again.j_max == pytest.approx(trace.breakdown.j_max, rel=1e-10)
     assert again.j_forb == pytest.approx(trace.breakdown.j_forb, rel=1e-10)
+
+
+def test_grid_trajectory_comes_back_in_the_grid_basis():
+    # the default path: the run searches its lattice and ends on 8 grid
+    # intervals per step (see the next test but one)
+    config = OptimizerConfig(budget=1, k_init=0.25)
+    check_grid_trajectory_comes_back_in_the_grid_basis(hcl_problem(), config)
+
+
+def test_grid_trajectory_comes_back_in_the_grid_basis_on_a_fixed_lattice():
+    config = OptimizerConfig(budget=1, k_init=0.25)
+    problem = replace(hcl_problem(),
+                      propagator=hcl_problem().propagator_for(config))
+    check_grid_trajectory_comes_back_in_the_grid_basis(problem, config)
 
 
 def test_searched_lattice_moves_where_a_forward_run_is_unresolved():

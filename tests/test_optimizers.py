@@ -279,16 +279,33 @@ def test_final_target_with_forbidden_states(optimizer):
 # ---------------------------------------------------------------- krotov
 
 
-def test_krotov_monotone_and_propagation_count():
-    # on a fixed lattice, where no sweep is redone
-    p = s2s_problem()
-    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
+# Propagations that the searched lattice of s2s_problem() adds to the
+# 1 + 2 (Krotov) or 1 + 3 (filtered) per iteration of a fixed one: the
+# guess's run stops at 16 grid intervals per step; at 4 intervals the first
+# iteration's backward sweep runs and its forward sweep stops; the guess's
+# run is redone at one interval per step, where the run stays (see
+# test_krotov_redoes_the_partner_of_an_unresolved_sweep).
+S2S_REDONE = 4
+
+
+def check_krotov_monotone_and_propagation_count(p, redone):
     tr = optimize_krotov(p, OptimizerConfig(max_iterations=120))
     assert tr.status == CONVERGED
     assert tr.j_monotone
     n_iter = len(tr.rows) - 1
-    assert tr.propagations == 1 + 2 * n_iter
+    assert tr.propagations == 1 + 2 * n_iter + redone
     assert tr.breakdown.j > tr.rows[0].breakdown.j
+
+
+def test_krotov_monotone_and_propagation_count():
+    # the default path: the run searches its lattice
+    check_krotov_monotone_and_propagation_count(s2s_problem(), S2S_REDONE)
+
+
+def test_krotov_monotone_and_propagation_count_on_a_fixed_lattice():
+    p = s2s_problem()
+    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
+    check_krotov_monotone_and_propagation_count(p, 0)
 
 
 def test_krotov_redoes_the_partner_of_an_unresolved_sweep():
@@ -408,13 +425,21 @@ def test_filtered_rectangular_support_is_exact():
     assert tr.breakdown.j >= tr.rows[-1].breakdown.j - 1e-12
 
 
-def test_filtered_extra_propagation_per_iteration():
-    # on a fixed lattice, where no sweep is redone
-    p = s2s_problem()
-    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
+def check_filtered_extra_propagation_per_iteration(p, redone):
     tf = optimize_krotov_filtered(p, np.ones(p.grid.n_t),
                                   OptimizerConfig(budget=4))
-    assert tf.propagations == 1 + 3 * (len(tf.rows) - 1)
+    assert tf.propagations == 1 + 3 * (len(tf.rows) - 1) + redone
+
+
+def test_filtered_extra_propagation_per_iteration():
+    # the default path: the run searches its lattice
+    check_filtered_extra_propagation_per_iteration(s2s_problem(), S2S_REDONE)
+
+
+def test_filtered_extra_propagation_per_iteration_on_a_fixed_lattice():
+    p = s2s_problem()
+    p = replace(p, propagator=p.propagator_for(OptimizerConfig()))
+    check_filtered_extra_propagation_per_iteration(p, 0)
 
 
 # ---------------------------------------------------------------- degani
@@ -768,6 +793,21 @@ def test_searched_lattice_goes_no_finer_than_the_default_config():
     assert tr.propagations == 4  # the stopped run, guess, costate, trial
     assert (tr.trajectory.n_steps
             == p.propagator_for(OptimizerConfig()).steps == 128)
+
+
+def test_time_form_update_runs_at_one_step_per_interval():
+    # the default config gives this grid 8 intervals per step, which do not
+    # integrate the top bins that a time-form gradient fills: there the
+    # rows' J was 5.9e-3 off a tight run of the same field.  The searched
+    # lattice starts at one step per interval instead
+    p = s2s_problem(n_t=513)
+    assert p.propagator_for(OptimizerConfig()).steps == 64
+    tr = optimize_quasi_newton(p, OptimizerConfig(budget=2))
+    assert tr.trajectory.n_steps == 512
+    tight = propagate_forward(p.system, tr.field, p.psi0, PropagatorConfig(
+        2048, chebyshev_rule(9), 1e-13))
+    assert (np.linalg.norm(tr.trajectory.final_state - tight.final_state)
+            <= 1e-9)
 
 
 @pytest.mark.parametrize("method", _METHODS)
