@@ -812,7 +812,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     of that run's state if larger.  A costate enters the field and the
     gradient only through <chi|.|psi>, so its error counts against the
     state's norm; a costate that starts at zero is not held to its own
-    small norm.
+    small norm.  A forward run under a _Searched config ends with
+    _Unresolved after its first step bisected for resolution.
     """
     n_steps = _steps_for(config, grid)
     rule = config.rule
