@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import RealSignal, Spectrum, dct1, integrate_freq
+from .spectral import Spectrum, _dct1_rows, integrate_freq
 from .system import _HERM_TOL, SpectralBasis, _require_finite, diagonalize
 
 
@@ -66,15 +66,24 @@ class HermitianComponents:
         one_row = c.ndim == 1
         if one_row:
             c = c[None, :]
-        n = self.dim
-        if c.shape[1] != n:
+        if c.shape[1] != self.dim:
             raise ValueError("amplitude rows do not match the operator dimension")
-        out = np.empty((c.shape[0], n))
-        c_bar = c.conj()
+        out = self._bands(c)
+        return out[:, 0] if one_row else out.T
+
+    def _bands(self, c):
+        """The expectations of the (k, dim) amplitude rows c as (dim, k)
+        rows, each band's products formed on contiguous rows of c^T in one
+        work array."""
+        n = self.dim
+        c = np.ascontiguousarray(c.T)
+        work = np.empty_like(c)
+        out = np.empty((n, c.shape[1]))
         for i in range(n):
-            term = (c_bar[:, i:] * c[:, : n - i]) @ self.d[i, : n - i]
-            out[:, i] = (2.0 / _l_weight(i)) * term.real
-        return out[0] if one_row else out
+            prod = np.conj(c[i:], out=work[: n - i])
+            prod *= c[: n - i]
+            out[i] = (2.0 / _l_weight(i)) * (self.d[i, : n - i] @ prod).real
+        return out
 
 
 def hermitian_components(o, basis=None):
@@ -128,9 +137,12 @@ def component_spectra(traj, components, basis=None):
     the full <O>(t) by linearity of the transform.
     """
     c = _eigen_amplitudes(traj, basis)
-    series = components.expectations(c)
-    return [dct1(RealSignal(traj.grid, series[:, n]))
-            for n in range(components.dim)]
+    if c.shape[-1] != components.dim:
+        raise ValueError("amplitude rows do not match the operator dimension")
+    # every band in one transform, row for row bitwise dct1's
+    spectra = _dct1_rows(traj.grid, components._bands(c))
+    fgrid = traj.grid.frequency_grid()
+    return [Spectrum(fgrid, values) for values in spectra]
 
 
 def j_max_per_component(traj, components, f_o, basis=None):

@@ -244,6 +244,12 @@ def _barycentric_interp(xs, values, q):
     return out
 
 
+def _lagrange(s, q):
+    """Lagrange basis of the nodes s at the points q, (len(q), len(s)),
+    complex so that its products with complex node values cast nothing."""
+    return _barycentric_interp(s, np.eye(len(s)), q).astype(complex)
+
+
 def _sample_interp(samples, grid, t):
     """Local polynomial interpolation of equidistant samples (6-point window)."""
     n = grid.n_t
@@ -436,15 +442,12 @@ class StepSolver:
                      / (endpoint_factors(n_c) * (n_c - 1))).astype(complex)
         # Lagrange basis of the nodes s at 1 + s: node values of a step ->
         # its node polynomial's values over the next step of the same length
-        self._extrap = _barycentric_interp(self.s, np.eye(len(self.s)),
-                                           1.0 + self.s)
+        self._extrap = _lagrange(self.s, 1.0 + self.s)
         # Lagrange bases of the nodes s at the parent's nodes in each half
         # (2s for s <= 1/2, 2s - 1 above), for _merge
         left = self.s <= 0.5
-        self._halves = (
-            _barycentric_interp(self.s, np.eye(len(self.s)), 2.0 * self.s[left]),
-            _barycentric_interp(self.s, np.eye(len(self.s)),
-                                2.0 * self.s[~left] - 1.0))
+        self._halves = (_lagrange(self.s, 2.0 * self.s[left]),
+                        _lagrange(self.s, 2.0 * self.s[~left] - 1.0))
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
         self._rejected = False
@@ -620,8 +623,8 @@ class StepSolver:
     def _merge(self, u0, left, right, half):
         """The parent step's node values from its halves' node polynomials,
         taken in the parent's interaction picture c = e^{iE tau} V^dagger
-        psi (see _node_poly): the right half's own picture is turned by
-        e^{iE half} into it."""
+        psi (see Trajectory.between_nodes): the right half's own picture is
+        turned by e^{iE half} into it."""
         tab = self._table(half)
         to_left, to_right = self._halves
         c = np.concatenate([
@@ -652,20 +655,12 @@ class PropagationStats:
     truncation: float
 
 
-def _node_poly(s, values, q, h=0.0, energies=None):
+def _node_poly(s, values, q):
     """Each step's node polynomial read at fractions q: values holds the
-    node values of steps of length h, (..., n_c, d), and the result is
-    (..., len(q), d).  Given the energies, values are the eigen-coefficients
-    of states, and the polynomial is that of the interaction picture,
-    c(tau) = e^{iE tau} psi(tau), which the step solved for: it varies with
-    the Bohr spread, while psi's phases e^{-iE tau} of the absolute
-    energies can turn many times within a step."""
-    lagrange = _barycentric_interp(s, np.eye(len(s)), q)
-    if energies is None:
-        return np.matmul(lagrange, values)
-    turn = np.exp(1j * h * np.multiply.outer(s, energies))
-    back = np.exp(-1j * h * np.multiply.outer(q, energies))
-    return np.matmul(lagrange, values * turn) * back
+    node values of steps, (..., n_c, d), and the result is (..., len(q), d).
+    A plain Lagrange read, for values that carry no phases of H0 (a field);
+    states are read by Trajectory.between_nodes."""
+    return np.matmul(_barycentric_interp(s, np.eye(len(s)), q), values)
 
 
 def _on_grid(ends, n_int, inner):
@@ -701,6 +696,8 @@ class Trajectory:
     holds the run's PropagationStats.
     """
 
+    _frame_maps = None  # (conj(W), W^T) of a framed trajectory, once read
+
     def __init__(self, grid, rule, boundary_states, norms, field_nodes,
                  node_states, stats, basis=None, frame=(None, None)):
         self.grid = grid
@@ -711,6 +708,7 @@ class Trajectory:
         self._nodes = node_states
         self._basis = basis  # vecs still to apply to _nodes, or None
         self._frame = frame  # (E, W) of _nodes, see above
+        self._factors = {}  # fractions -> between_nodes' factors
         self.stats = stats
 
     @property
@@ -754,15 +752,41 @@ class Trajectory:
                         self.between_nodes)
 
     def between_nodes(self, q, steps=slice(None)):
-        """States at the fractions q of the given steps, (n, len(q), dim),
-        read off each step's node polynomial in the interaction picture of
-        H0, where it is smooth whatever the size of the energies."""
-        nodes = self.node_states[steps]
+        """States at the fractions q of the given steps: (n, len(q), dim)
+        for a slice of steps, (len(q), dim) for one step k.  They are read
+        off each step's node polynomial in the interaction picture of H0,
+        where it is smooth whatever the size of the energies:
+        psi(h q) = W [(L(q) (c e^{iEhs})) e^{-iEhq}] with c = W^dagger psi at
+        the nodes s and L(q) their Lagrange rows.  The factors that do not
+        depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are built the
+        first time a fraction set is read and kept, keyed by its fractions,
+        O(len(q) (n_c + dim)) each; the pieces of a bisected backward run
+        read the same few sets at every step, one small product each."""
+        nodes = self.node_states[steps]  # maps the nodes, and so the frame
+        lagrange, turn, back = self._read_factors(q)
         energies, w = self._frame
-        if w is None:
-            return _node_poly(self.s_nodes, nodes, q, self.dt_step, energies)
-        return _node_poly(self.s_nodes, nodes @ w.conj(), q, self.dt_step,
-                          energies) @ w.T
+        if w is not None:
+            if self._frame_maps is None:
+                self._frame_maps = (w.conj(), w.T)
+            nodes = nodes @ self._frame_maps[0]
+        if turn is None:
+            return np.matmul(lagrange, nodes)
+        out = np.matmul(lagrange, nodes * turn)
+        out *= back
+        return out if w is None else out @ self._frame_maps[1]
+
+    def _read_factors(self, q):
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        key = q.tobytes()
+        factors = self._factors.get(key)
+        if factors is None:
+            s, h, energies = self.s_nodes, self.dt_step, self._frame[0]
+            factors = (_lagrange(s, q), None, None) if energies is None else (
+                _lagrange(s, q),
+                np.exp(1j * h * np.multiply.outer(s, energies)),
+                np.exp(-1j * h * np.multiply.outer(q, energies)))
+            self._factors[key] = factors
+        return factors
 
     def step_nodes(self, k):
         return self.node_states[k]
@@ -993,62 +1017,78 @@ class _ForwardSource:
 
     node_values() gives the source at every node of the forward run,
     (n_steps, n_c, dim), built in one batched product the first time it is
-    asked for; step_values(k) is its row k, and step_values(k, s) gives the
-    source at fractions s of forward step k, read off the step's node
-    polynomial (the pieces of a bisected backward step).  Each source
-    supplies _values(psi, times): the source at the states psi, one per
-    row, at the given times, or at the whole node lattice when times is
-    None.
+    asked for; step_values(k) is its row k.  step_values(k, s) gives the
+    source at the fractions s of forward step k, the pieces of a bisected
+    backward step: the states come from the forward run's between_nodes,
+    which keeps its step-independent factors per fraction set, and the
+    source's scalar part, _scalar(s) at h(k + s_i) for every step k
+    (n_steps, len(s)), is evaluated once per fraction set, so that a piece
+    is one small product per step.  Each source supplies _scalar (None for
+    a source without one) and _values(psi, k, s): the source at the states
+    psi, one per row, at the fractions s of the steps k (an index or a
+    slice of all steps, the rows then step by step).
     """
 
-    _lattice = None
+    def __init__(self, forward):
+        self.forward = forward
+        self._lattice = None
+        self._scalars = {}  # fractions -> _scalar at them
 
     def node_values(self):
         if self._lattice is None:
-            nodes = self.forward.node_states
+            fwd = self.forward
+            nodes = fwd.node_states
             self._lattice = self._values(
-                nodes.reshape(-1, self.forward.dim), None).reshape(nodes.shape)
+                nodes.reshape(-1, fwd.dim), slice(None),
+                fwd.s_nodes).reshape(nodes.shape)
         return self._lattice
 
     def step_values(self, k, s=None):
         if s is None:
             return self.node_values()[k]
         s = np.asarray(s, dtype=float)
-        h = self.forward.dt_step
-        psi = self.forward.between_nodes(s, slice(k, k + 1))[0]
-        return self._values(psi, k * h + h * s)
+        return self._values(self.forward.between_nodes(s, k), k, s)
+
+    def _scalar_at(self, k, s):
+        """_scalar(s) for the steps k as one column, (rows, 1)."""
+        key = s.tobytes()
+        values = self._scalars.get(key)
+        if values is None:
+            values = self._scalars[key] = self._scalar(s)
+        return values[k].reshape(-1, 1)
 
 
 class HGSource(_ForwardSource):
     """Backward-equation source {s(t) O_a - P_f^gamma} psi(t) built from the
     stored forward trajectory and the filtered dipole signal.
 
-    filtered is a FilteredSignal, evaluated once on the whole node lattice
-    of the forward run, or None for no signal term: the source of a final
-    target with forbidden states, -P_f^gamma psi(t).  O_a and P_f^gamma are
-    applied by their structure (see state_map): in the eigen representation
-    O_a lives on the allowed block and P_f^gamma is diagonal.
+    filtered is a FilteredSignal, or None for no signal term: the source of
+    a final target with forbidden states, -P_f^gamma psi(t).  s(t) is read
+    from FilteredSignal.on_lattice, exact at every node time, once for the
+    forward run's nodes and once per fraction set of a bisected backward
+    run's pieces.  O_a and P_f^gamma are applied by their structure (see
+    state_map): in the eigen representation O_a lives on the allowed block
+    and P_f^gamma is diagonal.
     """
 
     def __init__(self, forward, filtered, o_a, p_f=None):
         if filtered is None and p_f is None:
             raise ValueError("a source needs a signal or a forbidden-state "
                              "projector")
-        self.forward = forward
+        super().__init__(forward)
         self._filtered = filtered
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 
-    def _values(self, psi, times):
+    def _scalar(self, s):
+        return self._filtered.on_lattice(self.forward.n_steps, s)
+
+    def _values(self, psi, k, s):
         if self._filtered is None:
             out = self._pf(psi)
             return np.negative(out, out=out)
         out = self._oa(psi)
-        if times is None:
-            out *= self._filtered.on_lattice(
-                self.forward.n_steps, self.forward.s_nodes).reshape(-1, 1)
-        else:
-            out *= self._filtered.at(times)[:, None]
+        out *= self._scalar_at(k, s)
         if self._pf is not None:
             out -= self._pf(psi)
         return out
@@ -1056,26 +1096,27 @@ class HGSource(_ForwardSource):
 
 class TDTargetSource(_ForwardSource):
     """Source w(t) O(t) psi(t) for a time-dependent expectation target: one
-    product for a constant O, a product per node for a callable one."""
+    product for a constant O, a product per node for a callable one.  w is
+    read from _FieldEval.on_lattice once per fraction set."""
 
     def __init__(self, w, op_of_t, forward):
-        self.forward = forward
+        super().__init__(forward)
         self._w_eval = _FieldEval(w)
         if callable(op_of_t):
             self._op_of_t, self._const = op_of_t, None
         else:
             self._op_of_t, self._const = None, state_map(op_of_t)
 
-    def _values(self, psi, times):
-        if times is None:
-            h = self.forward.dt_step
-            times = (h * np.arange(self.forward.n_steps)[:, None]
-                     + h * self.forward.s_nodes).ravel()
+    def _scalar(self, s):
+        return self._w_eval.on_lattice(self.forward.n_steps, s)
+
+    def _values(self, psi, k, s):
         if self._const is not None:
             out = self._const(psi)
         else:
+            fwd = self.forward
+            times = fwd.dt_step * (np.arange(fwd.n_steps)[k, None] + s)
             out = np.stack([np.asarray(self._op_of_t(t)) @ p
-                            for t, p in zip(times, psi)])
-        out *= np.asarray(self._w_eval(times))[:, None]
+                            for t, p in zip(times.ravel(), psi)])
+        out *= self._scalar_at(k, s)
         return out
-

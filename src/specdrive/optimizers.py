@@ -566,7 +566,8 @@ class _ImmediateField:
     of the step being solved, eps = sign * Im<u|mu|partner>/alpha, where u
     is the state (sign +1) or the costate (sign -1) and the partner, the
     other one, is read off its trajectory's node states, weighted in one
-    product per sweep."""
+    product per sweep.  The pieces of a bisected step read the partner
+    through its between_nodes, which keeps its factors per fraction set."""
 
     def __init__(self, system, partner, sign, alpha):
         self.system = system
@@ -591,8 +592,10 @@ class _ImmediateField:
 
             def halves(t):
                 t = np.asarray(t, dtype=float)
-                mu_t = apply_mu(self.system, partner.between_nodes(
-                    (t - i * h) / h, slice(i, i + 1))[0])
+                # the piece's fractions of step i, rounded so that a piece
+                # reads the same between_nodes factors at every step
+                q = np.round((t - i * h) / h, 12)
+                mu_t = apply_mu(self.system, partner.between_nodes(q, i))
                 a_t = alpha if scalar else _sample_interp(alpha, grid, t)
                 return _node_field(_node_weights(sign, mu_t, a_t))
 

@@ -114,9 +114,16 @@ def dct1(signal):
     sqrt(2/pi) * integral_0^T g(t) cos(omega_j t) dt on the partner grid.
     """
     grid = signal.grid
-    n = grid.n_t
-    raw = math.sqrt(2.0 / (n - 1)) * _dct1_halved(signal.values)
-    return Spectrum(grid.frequency_grid(), _transform_scale(grid) * raw)
+    return Spectrum(grid.frequency_grid(), _dct1_rows(grid, signal.values))
+
+
+def _dct1_rows(grid, values):
+    """dct1's values for each row of (..., n_t) samples on grid, in one
+    transform: row for row bitwise those of dct1."""
+    out = _dct1_halved(values)
+    out *= math.sqrt(2.0 / (grid.n_t - 1))
+    out *= _transform_scale(grid)
+    return out
 
 
 def idct1(spectrum):

@@ -4,8 +4,9 @@ Each one computes by the plain definition what the package computes by a
 faster route: a dense midpoint-exponential propagator, the direct cosine
 sum of a spectrum, a one-shot functional evaluation, the grid Hamiltonian
 applied to one state, an expectation signal, the time-dependent-target
-source with its weight check, and the cross signal Im<chi|mu|psi> on the
-grid.
+source with its weight check, the cross signal Im<chi|mu|psi> on the grid,
+and the states and backward sources between a trajectory's nodes, read
+without the factors a trajectory keeps per fraction set.
 """
 
 import math
@@ -17,11 +18,12 @@ import scipy.integrate
 import scipy.linalg
 
 from specdrive.dynamics import (
-    TDTargetSource, _FieldEval, _grid_expectation, state_map,
+    TDTargetSource, _barycentric_interp, _FieldEval, _grid_expectation,
+    state_map,
 )
 from specdrive.functionals import evaluate, prepare_context
 from specdrive.spectral import RealSignal, endpoint_factors
-from specdrive.system import apply_mu, dense_h0, dense_mu
+from specdrive.system import apply_mu, apply_operator, dense_h0, dense_mu
 
 
 def expm_stepper(system, field, psi0, grid, substeps=64):
@@ -98,3 +100,47 @@ def cross_mu_signal(system, psi_traj, chi_traj):
     psi = psi_traj.grid_states()
     chi = chi_traj.grid_states()
     return np.imag(np.einsum("ij,ij->i", chi.conj(), apply_mu(system, psi)))
+
+
+def node_poly(s, values, q, h=0.0, energies=None):
+    """Each step's node polynomial read at fractions q, its Lagrange matrix
+    and phases built at every call: values holds the node values of steps
+    of length h, (..., n_c, d), and the result is (..., len(q), d).  Given
+    the energies, values are eigen-coefficients of states, read in the
+    interaction picture c(tau) = e^{iE tau} psi(tau)."""
+    lagrange = _barycentric_interp(s, np.eye(len(s)), q)
+    if energies is None:
+        return np.matmul(lagrange, values)
+    turn = np.exp(1j * h * np.multiply.outer(s, energies))
+    back = np.exp(-1j * h * np.multiply.outer(q, energies))
+    return np.matmul(lagrange, values * turn) * back
+
+
+def between_nodes(traj, q, k):
+    """States at the fractions q of step k of traj, (len(q), dim)."""
+    nodes = traj.node_states[k]  # maps a pending basis into the frame
+    energies, w = traj._frame
+    if w is None:
+        return node_poly(traj.s_nodes, nodes, q, traj.dt_step, energies)
+    return node_poly(traj.s_nodes, nodes @ w.conj(), q, traj.dt_step,
+                     energies) @ w.T
+
+
+def hg_step_values(forward, filtered, o_a, p_f, k, s):
+    """{s(t) O_a - P_f} psi(t) at the fractions s of forward step k, with
+    s(t) the direct cosine sum of the filtered spectrum."""
+    psi = between_nodes(forward, s, k)
+    times = forward.dt_step * (k + np.asarray(s, dtype=float))
+    out = apply_operator(np.asarray(o_a), psi) * eval_cosine_series(
+        filtered.spectrum, times)[:, None]
+    if p_f is not None:
+        out -= apply_operator(np.asarray(p_f), psi)
+    return out
+
+
+def td_step_values(forward, w, op, k, s):
+    """w(t) O psi(t) at the fractions s of forward step k, for a constant
+    O and w evaluated at the node times."""
+    psi = between_nodes(forward, s, k)
+    times = forward.dt_step * (k + np.asarray(s, dtype=float))
+    return apply_operator(np.asarray(op), psi) * _FieldEval(w)(times)[:, None]

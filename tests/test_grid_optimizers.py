@@ -13,21 +13,23 @@ from specdrive.spectral import (
     FilterSpec, RealSignal, TimeGrid, dct1, make_filter,
 )
 from specdrive.system import (
-    StateRestriction, build_grid_system, build_level_system, choose_x_domain,
-    hcl_dipole, morse_potential,
+    StateRestriction, apply_mu, build_grid_system, build_level_system,
+    choose_x_domain, diagonalize, hcl_dipole, morse_potential,
 )
 from specdrive.spectral import endpoint_factors
+from specdrive.analysis import component_spectra, hermitian_components
 from specdrive.dynamics import (
-    HGSource, default_propagator_config, hg_source_signal, propagate_backward,
-    propagate_forward,
+    HGSource, TDTargetSource, default_propagator_config, hg_source_signal,
+    propagate_backward, propagate_forward,
 )
 from specdrive.functionals import (
     FunctionalConfig, evaluate, gradient_freq, prepare_context,
 )
 from specdrive.optimizers import (
-    BUDGET_EXHAUSTED, OptimizerConfig, Problem, optimize_gradient,
-    optimize_quasi_newton, optimize_relaxation,
+    BUDGET_EXHAUSTED, OptimizerConfig, Problem, _ImmediateField,
+    optimize_gradient, optimize_quasi_newton, optimize_relaxation,
 )
+from oracles import between_nodes, hg_step_values, td_step_values
 
 N_GRID, L = 32, 3
 HCL_MASS = 1785.0
@@ -274,3 +276,141 @@ def test_hg_source_lattice_matches_its_step_reads():
         assert np.array_equal(src.step_values(k), lattice[k])
         assert np.abs(lattice[k]
                       - src.step_values(k, traj.s_nodes)).max() < 1e-13
+
+
+def level_run(r):
+    """The guess's forward run on the eigen level system of the grid
+    problem, r grid intervals per step, with the problem and its context."""
+    problem = eigen_level_problem(hcl_problem())
+    level, grid = problem.system, problem.grid
+    ctx = prepare_context(level, grid, problem.functional)
+    config = replace(default_propagator_config(level, grid, tau=1e-7),
+                     steps=(N_T - 1) // r)
+    traj = propagate_forward(level, problem.guess, problem.psi0, config)
+    return problem, ctx, traj
+
+
+def piece_fractions(s, depth):
+    """The fractions of a step at which its pieces depth halvings deep
+    have their nodes s."""
+    return [(j + s) / 2 ** depth for j in range(2 ** depth)]
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["forward", "reversed"])
+@pytest.mark.parametrize("r", [1, 4])
+def test_source_piece_reads_match_the_uncached_read(r, reverse):
+    """HGSource and TDTargetSource at the fractions of the pieces one and
+    two halvings deep, as a forward step holds them and as a backward run
+    reads them (1 - s), against the node polynomial built at every read
+    and the direct cosine sum of the filtered signal (tests/oracles.py),
+    relative to the largest entry."""
+    problem, ctx, traj = level_run(r)
+    grid = problem.grid
+    signal = hg_source_signal(traj, ctx.o_a, ctx.f_o)
+    hg = HGSource(traj, signal, ctx.o_a, ctx.p_f)
+    w = RealSignal(grid, (1.0 + 0.5 * np.cos(3.0 * np.pi * grid.nodes / T))
+                   / T)
+    td = TDTargetSource(w, ctx.o_a, traj)
+    for depth in (1, 2):
+        for frac in piece_fractions(traj.s_nodes, depth):
+            if reverse:
+                frac = 1.0 - frac
+            for k in (0, traj.n_steps // 3, traj.n_steps - 1):
+                ref = hg_step_values(traj, signal, ctx.o_a, ctx.p_f, k, frac)
+                assert (np.abs(hg.step_values(k, frac) - ref).max()
+                        <= 1e-13 * np.abs(ref).max())
+                ref = td_step_values(traj, w, ctx.o_a, k, frac)
+                assert (np.abs(td.step_values(k, frac) - ref).max()
+                        <= 1e-13 * np.abs(ref).max())
+
+
+def test_interleaved_fraction_sets_read_as_from_a_fresh_trajectory():
+    """The left and right pieces of a backward step read in turn (left,
+    right, left, ...), each against the same read of a fresh run: a kept
+    fraction set serves its own fractions only."""
+    problem, ctx, traj = level_run(4)
+    signal = hg_source_signal(traj, ctx.o_a, ctx.f_o)
+    src = HGSource(traj, signal, ctx.o_a, ctx.p_f)
+    s = traj.s_nodes
+    left, right = 1.0 - 0.5 * s, 0.5 - 0.5 * s
+    for q, k in ((left, 5), (right, 5), (left, 6), (right, 40), (left, 40)):
+        fresh = level_run(4)[2]
+        assert np.array_equal(traj.between_nodes(q, k),
+                              fresh.between_nodes(q, k))
+        assert np.array_equal(
+            src.step_values(k, q),
+            HGSource(fresh, signal, ctx.o_a, ctx.p_f).step_values(k, q))
+
+
+def test_framed_trajectory_reads_as_its_parent_mapped_by_v():
+    """The level run taken to a basis V by in_basis(V) reads, between its
+    nodes and on the grid, as the level run mapped by V, and a run of the
+    grid system itself, whose frame is its eigenbasis, as the uncached
+    read."""
+    problem, _, traj = level_run(4)
+    grid_problem = hcl_problem()
+    # a complex unitary, so that conj(V) and V differ
+    vecs = grid_problem.system.eigen()[1] * np.exp(0.1j * np.arange(N_GRID))
+    framed = traj.in_basis(vecs)
+    direct = propagate_forward(grid_problem.system, grid_problem.guess,
+                               grid_problem.psi0,
+                               replace(default_propagator_config(
+                                   problem.system, problem.grid, tau=1e-7),
+                                   steps=(N_T - 1) // 4))
+    assert direct._frame[1] is not None
+    s = traj.s_nodes
+    for q in (0.5 * s, 1.0 - 0.25 * s, np.arange(1, 4) / 4):
+        for k in (0, 77, traj.n_steps - 1):
+            mapped = traj.between_nodes(q, k) @ vecs.T
+            assert np.abs(framed.between_nodes(q, k) - mapped).max() < 1e-13
+            assert np.abs(framed.between_nodes(q, k)
+                          - between_nodes(framed, q, k)).max() < 1e-13
+            assert np.abs(direct.between_nodes(q, k)
+                          - between_nodes(direct, q, k)).max() < 1e-13
+    assert np.abs(framed.grid_states()
+                  - traj.grid_states() @ vecs.T).max() < 1e-13
+
+
+def test_krotov_pieces_read_the_partner_between_its_nodes():
+    """Krotov's field on the pieces two halvings deep of a bisected step,
+    in a forward and a backward sweep, against sign Im<u|mu|partner>/alpha
+    with the partner read by the uncached node polynomial at the pieces'
+    exact fractions (the field rounds them to 12 decimals)."""
+    problem, _, traj = level_run(4)
+    level, n, h = problem.system, traj.n_steps, traj.dt_step
+    u = np.random.default_rng(5).standard_normal((traj.rule.n_c, 2 * N_GRID))
+    u = u.view(complex)
+    for sign, backward in ((1.0, False), (-1.0, True)):
+        step = _ImmediateField(level, traj, sign, (0.5, 0.5)).steps(
+            n, traj.s_nodes, backward)
+        for k in (0, 50, n - 1):
+            i = n - 1 - k if backward else k
+            t0, dt = (traj.grid.T - h * k, -h) if backward else (h * k, h)
+            for j, piece in enumerate(piece_fractions(traj.s_nodes, 2)):
+                # the piece's node times, as StepSolver.solve forms them
+                t = (t0 + 0.25 * dt * j) + 0.25 * dt * traj.s_nodes
+                frac = 1.0 - piece if backward else piece
+                mu_p = apply_mu(level, between_nodes(traj, frac, i))
+                want = sign * np.einsum("ij,ij->i", u.conj(), mu_p).imag / 0.5
+                got = step(k)[1](t)(u)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_one_pass_band_spectra_match_the_per_band_transforms():
+    """component_spectra's one transform over all bands against dct1 of
+    each band's expectation, <O^(n)> summed from the band operator itself,
+    on the grid-basis trajectory that the optimizers return."""
+    problem, _, traj = level_run(4)
+    system = hcl_problem().system
+    ctx = prepare_context(system, problem.grid, problem.functional)
+    framed = traj.in_basis(system.eigen()[1])
+    comps = hermitian_components(ctx.o_a, system)
+    c = diagonalize(system).coefficients(framed.grid_states())
+    loop = np.array([
+        dct1(RealSignal(problem.grid, np.einsum(
+            "ti,ij,tj->t", c.conj(), comps[n], c).real)).values
+        for n in range(comps.dim)])
+    one = np.array([sp.values for sp in
+                    component_spectra(framed, comps, basis=system)])
+    assert np.abs(one - loop).max() <= 1e-15 * np.abs(loop).max()
