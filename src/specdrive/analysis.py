@@ -64,11 +64,7 @@ class HermitianComponents:
         """
         c = np.asarray(amplitudes, dtype=complex)
         one_row = c.ndim == 1
-        if one_row:
-            c = c[None, :]
-        if c.shape[1] != self.dim:
-            raise ValueError("amplitude rows do not match the operator dimension")
-        out = self._bands(c)
+        out = self._bands(c[None, :] if one_row else c)
         return out[:, 0] if one_row else out.T
 
     def _bands(self, c):
@@ -76,6 +72,8 @@ class HermitianComponents:
         rows, each band's products formed on contiguous rows of c^T in one
         work array."""
         n = self.dim
+        if c.shape[1] != n:
+            raise ValueError("amplitude rows do not match the operator dimension")
         c = np.ascontiguousarray(c.T)
         work = np.empty_like(c)
         out = np.empty((n, c.shape[1]))
@@ -137,8 +135,6 @@ def component_spectra(traj, components, basis=None):
     the full <O>(t) by linearity of the transform.
     """
     c = _eigen_amplitudes(traj, basis)
-    if c.shape[-1] != components.dim:
-        raise ValueError("amplitude rows do not match the operator dimension")
     # every band in one transform, row for row bitwise dct1's
     spectra = _dct1_rows(traj.grid, components._bands(c))
     fgrid = traj.grid.frequency_grid()

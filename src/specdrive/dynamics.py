@@ -764,7 +764,7 @@ class Trajectory:
         read the same few sets at every step, one small product each."""
         nodes = self.node_states[steps]  # maps the nodes, and so the frame
         lagrange, turn, back = self._read_factors(q)
-        energies, w = self._frame
+        w = self._frame[1]
         if w is not None:
             if self._frame_maps is None:
                 self._frame_maps = (w.conj(), w.T)
