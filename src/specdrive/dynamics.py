@@ -827,9 +827,12 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     arrays, node states included, are filled from the end to keep
     absolute-time order.  Every step after the first starts its Picard
     solve from the previous step's nodes (see StepSolver.picard).  A run
-    without a source conserves the norm, so a drift beyond 1e3*zeta raises
-    InstabilityError; every run's stats carry its worst drift, the most
-    iterates one step took and the worst truncation estimate.  The stop is
+    without a source conserves the norm, so a drift beyond 1e3 times what
+    its steps allow raises InstabilityError: zeta, or the steps times the
+    worst truncation estimate so far if that is larger, since a step kept
+    whatever its estimate (an immediate-update sweep's) errs by it.  Every
+    run's stats carry its worst drift, the most iterates one step took and
+    the worst truncation estimate.  The stop is
     zeta per grid interval, zeta min(h, dt)/T, however many intervals a
     step spans.  Its scale has the floor of the run's reference norm: the
     initial norm, or for a source read off a forward run the initial norm
@@ -888,7 +891,10 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
 
     b_x[0] = u
     norms_x[0] = ref
-    guard = source is None and ref > 0.0
+    guard, limit = source is None and ref > 0.0, 1e3 * config.zeta * ref
+    # the same limit per unit of truncation estimate: the stop is
+    # zeta / max(n_steps, n_int), and a kept step errs by its estimate
+    kept = 1e3 * max(n_steps, n_int) * ref
     nodes = None
     most = 0  # the most iterates one step took
     # a diverging iterate overflows the norm; picard's finiteness test
@@ -909,7 +915,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             u = b_x[k + 1]
             nn = math.sqrt(np.vdot(u, u).real)
             norms_x[k + 1] = nn
-            if guard and abs(nn - ref) > 1e3 * config.zeta * ref:
+            if (guard and abs(nn - ref) > limit
+                    and abs(nn - ref) > solver.truncation * kept):
                 raise InstabilityError(
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
             if solver.unresolved and searched:

@@ -296,17 +296,20 @@ def _cross_transform(system, psi_traj, chi_traj, bins=None):
     return node_cosine_transform(nodes, psi_traj, bins)
 
 
-def field_from_el_time(system, psi_traj, chi_traj, alpha):
+def field_from_el_time(system, psi_traj, chi_traj, alpha, bins=None):
     """eps(t) = -Im<chi|mu|psi>(t)/alpha on the TimeGrid.
 
     The cross signal is taken in its band-limited form (transform by the
     step rule, then back), which is what the discrete functional is
     stationary against; at grid resolution the two agree to O(dt^2).
+    bins, if given, keeps only those bins of the transform (the
+    optimizers pass the band that their lattice integrates); the default,
+    every bin, is the exact discrete map.
     """
     a = np.asarray(alpha, dtype=float)
     if not (a > 0).all():
         raise ValueError("alpha must be positive")
-    cross = idct1(_cross_transform(system, psi_traj, chi_traj)).values
+    cross = idct1(_cross_transform(system, psi_traj, chi_traj, bins)).values
     return ControlField.from_time(psi_traj.grid, -cross / a)
 
 
@@ -319,12 +322,14 @@ def field_from_el_freq(system, psi_traj, chi_traj, f_eps):
     return ControlField.from_spectrum(psi_traj.grid, -f_eps.values * bar.values)
 
 
-def gradient_time(system, field, psi_traj, chi_traj, alpha):
+def gradient_time(system, field, psi_traj, chi_traj, alpha, bins=None):
     """-2 [alpha eps(t) + Im<chi|mu|psi>(t)] on the TimeGrid (band-limited
-    cross signal, the exact discrete adjoint)."""
+    cross signal, the exact discrete adjoint).  bins, if given, keeps only
+    those bins of the cross signal, as in field_from_el_time; the alpha
+    eps part is not filtered."""
     values = field.time_values() if isinstance(field, ControlField) \
         else np.asarray(field, dtype=float)
-    cross = idct1(_cross_transform(system, psi_traj, chi_traj)).values
+    cross = idct1(_cross_transform(system, psi_traj, chi_traj, bins)).values
     return RealSignal(psi_traj.grid, -2.0 * (np.asarray(alpha) * values + cross))
 
 

@@ -275,10 +275,20 @@ def _chi_setup(ctx, traj):
     return chi_t, TDTargetSource(cfg.weight, cfg.op_of_t, traj)
 
 
+def _lattice_band(traj):
+    """The bins whose cosines a step of traj's lattice integrates,
+    omega_j h <= pi with h = T/n_steps, or j <= n_steps: the band of a
+    time-form update.  None, every bin, at one step per grid interval or
+    finer."""
+    n = traj.n_steps
+    return None if n >= traj.grid.n_t - 1 else np.arange(n + 1)
+
+
 def _el_field(ctx, traj, chi_traj):
     if ctx.config.formulation == "frequency":
         return field_from_el_freq(ctx.system, traj, chi_traj, ctx.f_eps)
-    return field_from_el_time(ctx.system, traj, chi_traj, ctx.config.alpha)
+    return field_from_el_time(ctx.system, traj, chi_traj, ctx.config.alpha,
+                              _lattice_band(traj))
 
 
 def _emit(rows, on_row, row):
@@ -306,9 +316,11 @@ class _Run:
     step's bisection reached and redoes that propagation, and its partner
     too if the partner is on the old lattice.  Backward runs are read at
     their nodes only; they bisect and carry on.  The lattice never moves
-    back within one run, nor past the default config's (see _move).  An
-    update through the node transform starts no coarser than the transform
-    resolves (see transform_band).
+    back within one run, nor past the default config's (see _move).  A
+    frequency-form update starts no coarser than its f_eps support's band
+    resolves (see transform_band); a time-form update carries the band of
+    its costate's lattice, omega_j h <= pi (see _lattice_band), so a
+    time-form run searches from the longest lattice.
     """
 
     def __init__(self, problem, config):
@@ -339,23 +351,18 @@ class _Run:
         self.prop = cls(**(vars(self.prop) | {"steps": steps}))
 
     def transform_band(self):
-        """Start a searched lattice no coarser than an update through the
-        node transform (field_from_el_*, gradient_*) resolves: it carries
-        every bin of the f_eps support in the frequency formulation and
-        every grid bin in the time formulation, and a step's nodes
-        integrate a bin's cosine up to omega h = pi.  On a longer step the
-        transform's top bins, which the gradient fills, are not integrated,
-        and the next field is not resolved.  So a time-form update starts,
-        and stays, at one step per grid interval even where the default
-        config's lattice is coarser: there the next field's runs bisect
-        nearly every step, and the default lattice's J is wrong (see
-        README, The optimizers' lattice)."""
-        if self.problem.propagator is None:
-            grid, f_eps = self.problem.grid, self.ctx.f_eps
-            top = math.pi / grid.dt
-            if f_eps is not None:
-                sup = np.flatnonzero(f_eps.values > 0)
-                top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
+        """Start a searched lattice no coarser than a frequency-form update
+        (field_from_el_freq, gradient_freq) resolves: it carries every bin
+        of the f_eps support, and a step's nodes integrate a bin's cosine
+        up to omega h = pi.  On a longer step the support's top bins are
+        not integrated, and the next field is not resolved.  A time-form
+        update has no such band: it carries the bins that its costate's
+        lattice integrates (_lattice_band), so the lattice sets the band
+        and the search starts on the longest lattice."""
+        grid, f_eps = self.problem.grid, self.ctx.f_eps
+        if self.problem.propagator is None and f_eps is not None:
+            sup = np.flatnonzero(f_eps.values > 0)
+            top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
             steps = _long_steps(grid, top * grid.dt, math.pi)
             self.finest = max(self.finest, steps)
             self._move(steps)
@@ -515,7 +522,9 @@ def optimize_relaxation(problem, config=None, on_row=None):
 
     The trial field is K*el + (1-K)*current in the formulation's native
     representation; K halves until the functional strictly improves and is
-    never raised again.
+    never raised again.  A time-form el carries the bins that the costate's
+    lattice integrates, omega_j h <= pi with h = T/n_steps: every grid bin
+    at one step per grid interval or finer.
     """
     config = config or OptimizerConfig(method="relaxation")
     return _drive(problem, config, on_row, "relaxation", _relaxation_step,
@@ -947,8 +956,11 @@ def _line_search_step(run, config, keep_pairs):
                                         gradient_freq,
                                         ControlField.from_spectrum)
     else:
-        penalty, dx, gradient, build = (ctx.config.alpha, grid.dt,
-                                        gradient_time, ControlField.from_time)
+        penalty, dx, build = ctx.config.alpha, grid.dt, ControlField.from_time
+
+        def gradient(system, field, traj, chi, alpha):
+            return gradient_time(system, field, traj, chi, alpha,
+                                 _lattice_band(traj))
     # the reduced field vector: the samples or bins where alpha is finite
     alpha = np.broadcast_to(np.asarray(penalty, dtype=float), (grid.n_t,))
     support = np.flatnonzero(np.isfinite(alpha))
@@ -1002,6 +1014,8 @@ def optimize_gradient(problem, config=None, on_row=None):
     optimize_quasi_newton) and b0 = 1/(2 alpha w), w the quadrature weights,
     inverts the diagonal penalty Hessian.  So K = 1 is a relaxation-sized
     step, and bins that a hat-sech tail pins (alpha up to 1e300) stay put.
+    In the time formulation gamma's cross term carries the band of the
+    costate's lattice (see optimize_quasi_newton).
     A zero gradient converges immediately; accepted steps strictly increase J.
     """
     config = config or OptimizerConfig(method="gradient")
@@ -1012,11 +1026,15 @@ def optimize_gradient(problem, config=None, on_row=None):
 
 def optimize_quasi_newton(problem, config=None, on_row=None):
     """BFGS ascent on the reduced field vector: penalty-support bins in the
-    frequency formulation, all samples in the time formulation.  The two-loop
-    L-BFGS recursion refines optimize_gradient's b0 * gamma by every accepted
-    curvature pair; with no memory limit it equals dense BFGS started from
-    diag(b0) (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  So the
-    first direction is the relaxation one; a non-ascent direction drops the
+    frequency formulation, the time samples in the time formulation.  There
+    the gradient's cross term Im<chi|mu|psi> carries the bins that the
+    costate's lattice integrates, omega_j h <= pi with h = T/n_steps (every
+    grid bin at one step per grid interval or finer), and its alpha eps
+    part is not filtered.  The two-loop L-BFGS recursion refines
+    optimize_gradient's b0 * gamma by every accepted curvature pair; with
+    no memory limit it equals dense BFGS started from diag(b0) (de
+    Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  So the first
+    direction is the relaxation one; a non-ascent direction drops the
     pairs.
     """
     config = config or OptimizerConfig(method="quasi-newton")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specdrive.spectral import (
-    FilterSpec, RealSignal, TimeGrid, dct1, make_filter,
+    FilterSpec, RealSignal, TimeGrid, chebyshev_rule, dct1, make_filter,
 )
 from specdrive.system import (
     StateRestriction, apply_mu, build_grid_system, build_level_system,
@@ -19,8 +19,8 @@ from specdrive.system import (
 from specdrive.spectral import endpoint_factors
 from specdrive.analysis import component_spectra, hermitian_components
 from specdrive.dynamics import (
-    HGSource, TDTargetSource, default_propagator_config, hg_source_signal,
-    propagate_backward, propagate_forward,
+    HGSource, PropagatorConfig, TDTargetSource, default_propagator_config,
+    hg_source_signal, propagate_backward, propagate_forward,
 )
 from specdrive.functionals import (
     FunctionalConfig, evaluate, gradient_freq, prepare_context,
@@ -414,3 +414,33 @@ def test_one_pass_band_spectra_match_the_per_band_transforms():
     one = np.array([sp.values for sp in
                     component_spectra(framed, comps, basis=system)])
     assert np.abs(one - loop).max() <= 1e-15 * np.abs(loop).max()
+
+
+def test_ladder_time_form_quasi_newton_searches_long_steps():
+    """The benchmark's six-level ladder (anharmonic, mu_k,k+1 = sqrt(k+1),
+    target level 2) at n_t = 513: its time-form updates carry the bins
+    their lattice integrates, so the run ends coarser than one step per
+    grid interval (the default config takes two per interval here), at
+    the J of a tight run of the field it returns."""
+    n = np.arange(6)
+    energies = n - 0.04 * n * (n - 1)
+    mu = np.diag(np.sqrt(n[1:] + 0.0), 1)
+    system = build_level_system(energies, mu + mu.T,
+                                target=np.diag((n == 2).astype(float)))
+    grid = TimeGrid(100.0, 513)
+    t = grid.nodes
+    guess = 0.05 * np.sin(np.pi * t / 100.0) ** 2 * (
+        np.cos(energies[1] * t) + np.cos((energies[2] - energies[1]) * t))
+    psi0 = np.eye(6, dtype=complex)[0]
+    problem = Problem(system, grid, FunctionalConfig("time", "final", alpha=1.0),
+                      psi0, guess)
+    tr = optimize_quasi_newton(problem, OptimizerConfig(
+        method="quasi-newton", budget=1, ls_refine=0, k_init=0.045))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert tr.js()[-1] > tr.js()[0]
+    assert tr.trajectory.n_steps < grid.n_t - 1
+    tight = propagate_forward(system, tr.field, psi0, PropagatorConfig(
+        8192, chebyshev_rule(9), 1e-13))
+    ctx = prepare_context(system, grid, problem.functional)
+    j_tight = evaluate(ctx, tight, tr.field).j
+    assert abs(tr.breakdown.j - j_tight) <= 1e-9 * abs(j_tight)

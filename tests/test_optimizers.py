@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from specdrive.spectral import FilterSpec, TimeGrid, chebyshev_rule, make_filter
+from specdrive.spectral import (
+    FilterSpec, RealSignal, TimeGrid, chebyshev_rule, dct1, make_filter,
+)
 from specdrive.system import StateRestriction, build_level_system
 from specdrive.functionals import (
-    FunctionalBreakdown, FunctionalConfig, field_from_el_time,
+    FunctionalBreakdown, FunctionalConfig, evaluate, field_from_el_time,
     prepare_context,
 )
 from specdrive.dynamics import (
@@ -32,6 +34,13 @@ def s2s_problem(n_t=65, alpha=0.1, e1=2.0, guess=1.0):
     system = build_level_system([1.0, e1], SX, target=TARGET)
     config = FunctionalConfig(formulation="time", target="final", alpha=alpha)
     return Problem(system, TimeGrid(10.0, n_t), config, GROUND, guess)
+
+
+def on_default_config(p):
+    """p with the default config of a single run as its propagator: one
+    step per grid interval for s2s_problem() at n_t = 65."""
+    return Problem(p.system, p.grid, p.functional, p.psi0, p.guess,
+                   p.propagator_for(OptimizerConfig()))
 
 
 def null_mu_problem(n_t=65, alpha=0.1, guess=0.0):
@@ -183,7 +192,7 @@ def test_convergence_check_scaled_pair(delta, tau):
 
 
 def test_relaxation_s2s():
-    tr = optimize_relaxation(s2s_problem())
+    tr = optimize_relaxation(on_default_config(s2s_problem()))
     assert tr.status == CONVERGED
     assert tr.breakdown.j_max > 0.9
     js = tr.js()
@@ -194,6 +203,18 @@ def test_relaxation_s2s():
     assert props[0] == 1
     # each iteration costs one backward pass plus at least one trial
     assert np.all(np.diff(props) >= 2)
+
+
+def test_relaxation_s2s_on_the_searched_lattice():
+    # the guess's run stops at 4 steps and is redone at 16, where the first
+    # costate runs; the first trial stops at 16 and at 32 steps and runs at
+    # the default config's 64, where the run stays: then one backward pass
+    # and at least one trial per iteration
+    tr = optimize_relaxation(s2s_problem(), OptimizerConfig(budget=3))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert np.all(np.diff(tr.js()) > 0)
+    assert [row.propagations for row in tr.rows] == [2, 8, 11, 14]
+    assert tr.trajectory.n_steps == 64
 
 
 def test_relaxation_beats_krotov_at_equal_propagations():
@@ -215,7 +236,7 @@ def test_k_underflow_reported():
 
 
 def test_naive_single_step_is_el_field():
-    p = s2s_problem()
+    p = on_default_config(s2s_problem())
     ctx = prepare_context(p.system, p.grid, p.functional)
     prop = p.propagator_for(OptimizerConfig())
     traj = propagate_forward(p.system, p.guess, p.psi0, prop, grid=p.grid)
@@ -226,6 +247,17 @@ def test_naive_single_step_is_el_field():
 
     tr = optimize_naive(p, OptimizerConfig(budget=1))
     assert np.abs(tr.field.time_values() - el.time_values()).max() < 1e-13
+
+
+def test_naive_step_carries_the_band_of_its_costate_lattice():
+    # on the searched lattice the costate runs at 16 steps, so the EL field
+    # carries bins 0..16 of the 65: omega_j h <= pi for h = T/16
+    p = s2s_problem()
+    tr = optimize_naive(p, OptimizerConfig(budget=1))
+    assert [row.propagations for row in tr.rows] == [2, 6]
+    spec = dct1(RealSignal(p.grid, tr.field.time_values())).values
+    assert np.abs(spec[17:]).max() <= 1e-12 * np.abs(spec).max()
+    assert np.abs(spec[:17]).min() > 0.0
 
 
 def test_naive_diverges_from_constant_guess():
@@ -662,7 +694,7 @@ def test_quasi_newton_penalty_only_needs_at_most_two_searches():
 
 
 def test_quasi_newton_first_step_is_relaxation_direction():
-    p = s2s_problem()
+    p = on_default_config(s2s_problem())
     ctx = prepare_context(p.system, p.grid, p.functional)
     prop = p.propagator_for(OptimizerConfig())
     traj = propagate_forward(p.system, p.guess, p.psi0, prop, grid=p.grid)
@@ -733,12 +765,33 @@ def test_failed_last_iteration_counts_its_propagations(monkeypatch):
 
         monkeypatch.setattr(optimizers, name, counted)
     # forward, backward, then trials at K = 1 and K = 0.5 both lose
-    tr = optimize_relaxation(s2s_problem(alpha=1e-10),
+    tr = optimize_relaxation(on_default_config(s2s_problem(alpha=1e-10)),
                              OptimizerConfig(k_floor=0.5))
     assert tr.status == K_UNDERFLOW
     assert len(calls) == 4
     assert tr.propagations == 4
     assert [row.propagations for row in tr.rows] == [1]
+    # on the searched lattice the guess's run stops at 4 steps first
+    calls.clear()
+    tr = optimize_relaxation(s2s_problem(alpha=1e-10),
+                             OptimizerConfig(k_floor=0.5))
+    assert tr.status == K_UNDERFLOW
+    assert len(calls) == 5
+    assert tr.propagations == 5
+    assert [row.propagations for row in tr.rows] == [2]
+
+
+def test_krotov_at_a_tight_tolerance_is_no_instability():
+    # a 32-step sweep under Krotov's field conserves the norm only to about
+    # 2e-10, far above 1e3 zeta here: its kept steps' truncation estimates
+    # (up to 3e-7 of the stop's scale) allow that drift, an instability
+    # would not stay within them
+    p = s2s_problem(n_t=33)
+    p = Problem(p.system, p.grid, p.functional, p.psi0, p.guess,
+                PropagatorConfig(32, chebyshev_rule(9), 1e-12))
+    tr = optimize_krotov(p, OptimizerConfig(method="krotov", budget=2))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert np.all(np.diff(tr.js()) > 0)
 
 
 def test_krotov_bisects_a_stalled_sweep_step():
@@ -795,19 +848,40 @@ def test_searched_lattice_goes_no_finer_than_the_default_config():
             == p.propagator_for(OptimizerConfig()).steps == 128)
 
 
-def test_time_form_update_runs_at_one_step_per_interval():
-    # the default config gives this grid 8 intervals per step, which do not
-    # integrate the top bins that a time-form gradient fills: there the
-    # rows' J was 5.9e-3 off a tight run of the same field.  The searched
-    # lattice starts at one step per interval instead
+def test_time_form_update_carries_the_band_of_its_lattice():
+    # the default config gives this grid 8 intervals per step.  A time-form
+    # gradient that fills every grid bin is not integrated there (the rows'
+    # J was 5.9e-3 off a tight run of the same field); one that carries
+    # only the bins its costate's lattice integrates lets the search stay
+    # coarser than one step per interval
     p = s2s_problem(n_t=513)
     assert p.propagator_for(OptimizerConfig()).steps == 64
     tr = optimize_quasi_newton(p, OptimizerConfig(budget=2))
-    assert tr.trajectory.n_steps == 512
+    assert tr.trajectory.n_steps < 512
     tight = propagate_forward(p.system, tr.field, p.psi0, PropagatorConfig(
         2048, chebyshev_rule(9), 1e-13))
     assert (np.linalg.norm(tr.trajectory.final_state - tight.final_state)
             <= 1e-9)
+    ctx = prepare_context(p.system, p.grid, p.functional)
+    j_tight = evaluate(ctx, tight, tr.field).j
+    assert abs(tr.breakdown.j - j_tight) <= 1e-9 * abs(j_tight)
+
+
+def test_time_form_update_on_an_explicit_long_step_config():
+    # an explicit config of 8 intervals per step: the updates carry the
+    # bins its steps integrate, so no run bisects (863 bisections, and a
+    # truncation estimate 1e4 times the stop, with every grid bin)
+    p = s2s_problem(n_t=513)
+    p = Problem(p.system, p.grid, p.functional, p.psi0, p.guess,
+                PropagatorConfig(64, chebyshev_rule(9), 1e-6))
+    tr = optimize_quasi_newton(p, OptimizerConfig(budget=2))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert tr.trajectory.stats.bisections == 0
+    tight = propagate_forward(p.system, tr.field, p.psi0, PropagatorConfig(
+        2048, chebyshev_rule(9), 1e-13))
+    ctx = prepare_context(p.system, p.grid, p.functional)
+    j_tight = evaluate(ctx, tight, tr.field).j
+    assert abs(tr.breakdown.j - j_tight) <= 1e-9 * abs(j_tight)
 
 
 @pytest.mark.parametrize("method", _METHODS)
