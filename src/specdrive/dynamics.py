@@ -282,10 +282,11 @@ class _CosineEval:
     h = T/n_steps.  With omega_j = j pi/T the phase is pi j (k + s_i)/n_steps,
     so for each fraction s_i the series over k is one inverse FFT of length
     2 n_steps of the coefficients c_j exp(i pi j s_i/n_steps); the result is
-    exact, not interpolated.  A lattice whose step spans r > 1 grid
-    intervals is read off the lattice of n_t - 1 steps, whose FFT holds
-    every bin.  Calling the evaluator sums the series directly and serves
-    the off-lattice times (bisected half-steps, spot checks).
+    exact, not interpolated.  That sum is periodic in j with period
+    2 n_steps, so on a lattice of steps longer than the grid interval
+    (2 n_steps < n_t) bin j is folded onto j mod 2 n_steps, keeping its
+    phase, as node_cosine_transform reads it.  Calling the evaluator sums
+    the series directly at any times (FilteredSignal.at, the test oracles).
     """
 
     def __init__(self, spectrum):
@@ -296,7 +297,6 @@ class _CosineEval:
         self._omega = grid.nodes[idx]
         self._coef = spectrum.values[idx] / h[idx]
         self._scale = math.sqrt(2.0 * math.pi) / grid.T
-        self._n_int = grid.n_t - 1
 
     def __call__(self, times):
         t = np.asarray(times, dtype=float)
@@ -316,34 +316,36 @@ class _CosineEval:
         s = np.atleast_1d(np.asarray(fractions, dtype=float))
         if self._bins.size == 0:
             return np.zeros((n_steps, s.size))
-        r = self._n_int // n_steps
-        if r > 1 and r * n_steps == self._n_int:
-            # h(k + s_i) = dt(r k + w_i + f_i): row r k + w_i of the grid
-            # lattice at the fraction f_i = r s_i - w_i, with s_i = 1 as w_i
-            # = r - 1, f_i = 1 so that every row lies below n_t - 1
-            whole = np.minimum(np.floor(r * s), r - 1)
-            fine = self.on_lattice(self._n_int, r * s - whole)
-            rows = r * np.arange(n_steps)[:, None] + whole.astype(int)
-            return fine[rows, np.arange(s.size)]
-        # with n_steps >= n_t - 1 every bin lies below 2*n_steps
-        coef = np.zeros((s.size, 2 * n_steps), dtype=complex)
-        coef[:, self._bins] = self._coef * np.exp(
-            (1j * math.pi / n_steps) * np.multiply.outer(s, self._bins))
+        period = 2 * n_steps
+        blocks = -(-(int(self._bins[-1]) + 1) // period)
+        coef = np.zeros((s.size, blocks * period), dtype=complex)
+        # e^{i phase} as cos + i sin: the same bits as a complex exp, which
+        # takes most of the read otherwise
+        phase = (math.pi / n_steps) * np.multiply.outer(s, self._bins)
+        coef[:, self._bins] = self._coef * (np.cos(phase) + 1j * np.sin(phase))
+        if blocks > 1:  # a sum over one block would only copy
+            coef = coef.reshape(s.size, blocks, period).sum(axis=1)
         vals = scipy.fft.ifft(coef, axis=-1, norm="forward")[:, :n_steps]
         return self._scale * vals.real.T
 
 
 class _FieldEval:
-    """Uniform field evaluator: zero, constant, sampled, or cosine series.
+    """Uniform evaluator of a scalar function of time: zero, constant,
+    sampled, or cosine series (the field, the HG source's s(t), the TD
+    source's w(t), Krotov's sampled alpha).
 
     Fields that carry a spectrum (Spectrum objects and two-view drive
     fields) are evaluated exactly through their cosine series; bare sample
     arrays through local polynomial interpolation.  on_lattice() gives the
-    values at every node time of a propagation, __call__ at any times.
+    values at the fractions s of every step of a lattice, and keeps them
+    per (n_steps, fractions): a bisected run's pieces read the same few
+    fraction sets at every step, one lattice read each.  __call__ reads any
+    times; no propagation uses it.
     """
 
     def __init__(self, field, grid=None):
         self.grid = grid
+        self._lattice = {}  # (n_steps, fraction bytes) -> on_lattice
         if field is None:
             self._const, self._mode = 0.0, "const"
         elif isinstance(field, numbers.Number):
@@ -376,24 +378,33 @@ class _FieldEval:
         return _sample_interp(self._samples, self.grid, t)
 
     def on_lattice(self, n_steps, fractions):
-        """Field at h(k + s_i), h = T/n_steps, k < n_steps: (n_steps, len(s))."""
+        """Values at h(k + s_i), h = T/n_steps, k < n_steps: (n_steps, len(s)),
+        kept per fraction set; callers must not write to them."""
         s = np.atleast_1d(np.asarray(fractions, dtype=float))
-        if self._mode == "const":
-            return np.full((n_steps, s.size), self._const)
-        if self._mode == "series":
-            return self._cos.on_lattice(n_steps, s)
-        h = self.grid.T / n_steps
-        return _sample_interp(self._samples, self.grid,
-                              h * (np.arange(n_steps)[:, None] + s[None, :]))
+        key = (n_steps, s.tobytes())
+        if key not in self._lattice:
+            if self._mode == "const":
+                vals = np.full((n_steps, s.size), self._const)
+            elif self._mode == "series":
+                vals = self._cos.on_lattice(n_steps, s)
+            else:
+                h = self.grid.T / n_steps
+                vals = _sample_interp(self._samples, self.grid,
+                                      h * (np.arange(n_steps)[:, None] + s))
+            self._lattice[key] = vals
+        return self._lattice[key]
 
     def steps(self, n_steps, s, backward):
-        """Execution step k -> (field at its nodes, evaluator for bisected
-        halves); a backward run executes the lattice from T down."""
-        if backward:  # T - h(k + s) = h((n_steps - 1 - k) + (1 - s))
+        """Execution step k -> (field at its nodes, reader of the field at
+        fractions q of the step, for bisected pieces).  A backward run
+        executes the lattice from T down: fractions q of its step k are
+        fractions 1 - q of forward step n_steps - 1 - k."""
+        if backward:
             f_all = self.on_lattice(n_steps, 1.0 - s)[::-1]
-        else:
-            f_all = self.on_lattice(n_steps, s)
-        return lambda k: (f_all[k], self)
+            return lambda k: (f_all[k], lambda q: self.on_lattice(
+                n_steps, 1.0 - q)[n_steps - 1 - k])
+        f_all = self.on_lattice(n_steps, s)
+        return lambda k: (f_all[k], lambda q: self.on_lattice(n_steps, q)[k])
 
 
 _StepTable = namedtuple("_StepTable", "ph ph_bar q dq ph_end")
@@ -401,6 +412,11 @@ _StepTable = namedtuple("_StepTable", "ph ph_bar q dq ph_end")
 
 def _same(states):
     return states
+
+
+def _half(frac, lo):
+    """The reader of the half of a step from its fraction lo on."""
+    return None if frac is None else (lambda q: frac(lo + 0.5 * q))
 
 
 class StepSolver:
@@ -544,19 +560,22 @@ class StepSolver:
         self.stalls += 1
         return None
 
-    def solve(self, u0, t0, dt, f_eval, src_frac=None, f_vals=None,
+    def solve(self, u0, t0, dt, f_frac, src_frac=None, f_vals=None,
               src_vals=None, depth=0, start=None, hold=0):
-        """f_vals/src_vals, when given, are the field and source at this
-        step's own nodes; f_eval and src_frac serve bisected pieces.  The
+        """The step [t0, t0 + dt]; t0 serves only error messages.
+        f_vals/src_vals, when given, are the field and source at this
+        step's own nodes; f_frac(q) and src_frac(q) give them at fractions q
+        of the step, for its nodes otherwise and for bisected pieces, whose
+        fractions each halving maps into its parent's as lo + q/2.  The
         field may be a function of the node iterate (see picard), and so
-        may what f_eval returns.  start, the previous step's nodes, seeds
+        may what f_frac returns.  start, the previous step's nodes, seeds
         picard (see there); bisected halves start from the constant.
 
         A converged step whose truncation estimate exceeds zeta_step is
         not resolved by its node polynomial: unresolved keeps the deepest
         bisection that would start, and the step is bisected like a stalled
         one.  Some steps are kept whatever their estimate (truncation
-        reports them): a step without f_eval, which has no pieces; a step
+        reports them): a step without f_frac, which has no pieces; a step
         whose field is a function of the node iterate, since that field is
         read off the step's own nodes once the sweep is over, which halves
         would not resolve; and a step at max_halvings whose Bohr spread
@@ -579,14 +598,14 @@ class StepSolver:
                 self._held, retry = 0, True
         if depth >= hold:
             if f_vals is None:
-                f_vals = f_eval(t0 + dt * self.s)
+                f_vals = f_frac(self.s)
             if src_vals is None and src_frac is not None:
                 src_vals = src_frac(self.s)
             u = (self.picard(u0, f_vals, src_vals, dt) if start is None
                  else self.picard(u0, f_vals, src_vals, dt, start))
             if u is not None and self.estimate > self.zeta_step:
                 self.unresolved = max(self.unresolved, depth + 1)
-                if not (f_eval is None or callable(f_vals) or (
+                if not (f_frac is None or callable(f_vals) or (
                         depth >= self.max_halvings
                         and self.spread * abs(dt) <= _PHASE_SPAN)):
                     u, self._rejected = None, True
@@ -603,16 +622,15 @@ class StepSolver:
                 f"{self.max_halvings} bisections")
         self.bisections += 1
         half = 0.5 * dt
-        s_left = None if src_frac is None else (lambda s: src_frac(0.5 * s))
-        s_right = None if src_frac is None else (lambda s: src_frac(0.5 + 0.5 * s))
         held = depth < hold
         last, _, last_dt = self._last
-        left = self.solve(u0, t0, half, f_eval, s_left, depth=depth + 1,
+        left = self.solve(u0, t0, half, _half(f_frac, 0.0),
+                          _half(src_frac, 0.0), depth=depth + 1,
                           start=last if held and last_dt == half else None,
                           hold=hold)
-        right = self.solve(left[-1], t0 + half, half, f_eval, s_right,
-                           depth=depth + 1, start=left if held else None,
-                           hold=hold)
+        right = self.solve(left[-1], t0 + half, half, _half(f_frac, 0.5),
+                           _half(src_frac, 0.5), depth=depth + 1,
+                           start=left if held else None, hold=hold)
         out = self._merge(u0, left, right, half)
         if not depth:  # the deepest failure sets the depth of the next steps
             if start is not None or self._rejected:
@@ -821,7 +839,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
 
     field.steps() gives, for execution step k, the field at the step's
     nodes (values, or a function of the node iterate for an immediate
-    update) and an evaluator for bisected halves.  A forward run starts at
+    update) and its reader at fractions of the step, for bisected pieces;
+    the source is read by fractions too.  A forward run starts at
     0; a backward one starts at T and carries the source, so execution step
     k covers forward step n_steps - 1 - k of the same node lattice, and the
     arrays, node states included, are filled from the end to keep
@@ -901,10 +920,10 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     # rejects the step, so the overflow itself needs no warning
     with np.errstate(over="ignore"):
         for k in range(n_steps):
-            f_vals, f_at = step_field(k)
+            f_vals, f_frac = step_field(k)
             src_vals, src_frac = step_source(k)
             before = solver.iterates
-            nodes = solver.solve(u, t_init + dt * k, dt, f_at, src_frac,
+            nodes = solver.solve(u, t_init + dt * k, dt, f_frac, src_frac,
                                  f_vals=f_vals, src_vals=src_vals,
                                  start=nodes)
             took = solver.iterates - before
@@ -977,21 +996,22 @@ def _grid_expectation(traj, apply_op):
 
 @dataclass(frozen=True)
 class FilteredSignal:
-    """A spectrally filtered real signal with exact off-grid evaluation."""
+    """A spectrally filtered real signal with exact off-grid evaluation;
+    the HG source and the constraint residual share its lattice reads."""
 
     spectrum: Spectrum
     signal: RealSignal
-    _eval: _CosineEval = dataclasses.field(init=False, repr=False,
-                                           compare=False)
+    _eval: _FieldEval = dataclasses.field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_eval", _CosineEval(self.spectrum))
+        object.__setattr__(self, "_eval", _FieldEval(self.spectrum))
 
     def at(self, times):
         return self._eval(times)
 
     def on_lattice(self, n_steps, fractions):
-        """Values at the node times h(k + s_i), h = T/n_steps."""
+        """Values at the node times h(k + s_i) (see _FieldEval.on_lattice)."""
         return self._eval.on_lattice(n_steps, fractions)
 
 
@@ -1027,19 +1047,18 @@ class _ForwardSource:
     asked for; step_values(k) is its row k.  step_values(k, s) gives the
     source at the fractions s of forward step k, the pieces of a bisected
     backward step: the states come from the forward run's between_nodes,
-    which keeps its step-independent factors per fraction set, and the
-    source's scalar part, _scalar(s) at h(k + s_i) for every step k
-    (n_steps, len(s)), is evaluated once per fraction set, so that a piece
-    is one small product per step.  Each source supplies _scalar (None for
-    a source without one) and _values(psi, k, s): the source at the states
-    psi, one per row, at the fractions s of the steps k (an index or a
-    slice of all steps, the rows then step by step).
+    and the source's scalar part from scalar.on_lattice (a _FieldEval or a
+    FilteredSignal; None for a source without one), both of which keep
+    what they read per fraction set, so that a piece is one small product
+    per step.  Each source supplies _values(psi, k, s): the source at the
+    states psi, one per row, at the fractions s of the steps k (an index
+    or a slice of all steps, the rows then step by step).
     """
 
-    def __init__(self, forward):
+    def __init__(self, forward, scalar):
         self.forward = forward
+        self._scalar = scalar
         self._lattice = None
-        self._scalars = {}  # fractions -> _scalar at them
 
     def node_values(self):
         if self._lattice is None:
@@ -1057,12 +1076,9 @@ class _ForwardSource:
         return self._values(self.forward.between_nodes(s, k), k, s)
 
     def _scalar_at(self, k, s):
-        """_scalar(s) for the steps k as one column, (rows, 1)."""
-        key = s.tobytes()
-        values = self._scalars.get(key)
-        if values is None:
-            values = self._scalars[key] = self._scalar(s)
-        return values[k].reshape(-1, 1)
+        """The scalar part at the fractions s of the steps k, one column."""
+        return self._scalar.on_lattice(self.forward.n_steps, s)[k].reshape(
+            -1, 1)
 
 
 class HGSource(_ForwardSource):
@@ -1082,16 +1098,12 @@ class HGSource(_ForwardSource):
         if filtered is None and p_f is None:
             raise ValueError("a source needs a signal or a forbidden-state "
                              "projector")
-        super().__init__(forward)
-        self._filtered = filtered
+        super().__init__(forward, filtered)
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 
-    def _scalar(self, s):
-        return self._filtered.on_lattice(self.forward.n_steps, s)
-
     def _values(self, psi, k, s):
-        if self._filtered is None:
+        if self._scalar is None:
             out = self._pf(psi)
             return np.negative(out, out=out)
         out = self._oa(psi)
@@ -1107,15 +1119,11 @@ class TDTargetSource(_ForwardSource):
     read from _FieldEval.on_lattice once per fraction set."""
 
     def __init__(self, w, op_of_t, forward):
-        super().__init__(forward)
-        self._w_eval = _FieldEval(w)
+        super().__init__(forward, _FieldEval(w))
         if callable(op_of_t):
             self._op_of_t, self._const = op_of_t, None
         else:
             self._op_of_t, self._const = None, state_map(op_of_t)
-
-    def _scalar(self, s):
-        return self._w_eval.on_lattice(self.forward.n_steps, s)
 
     def _values(self, psi, k, s):
         if self._const is not None:

@@ -19,7 +19,7 @@ from .system import (
     StateRestriction, _require_hermitian, apply_mu, apply_operator,
     commutator_H0_O, dense_target, diagonalize, projectors,
 )
-from .dynamics import _grid_expectation, _sample_interp, state_map
+from .dynamics import _FieldEval, _grid_expectation, state_map
 
 
 class ControlField:
@@ -166,7 +166,8 @@ def j_max_spectral(traj, o_a, f_o):
 
 
 def j_max_td(traj, weight, op_of_t):
-    """Integral of w(t) <O(t)>(t) over the run, by per-step quadrature."""
+    """Integral of w(t) <O(t)>(t) over the run, by per-step quadrature;
+    w is read at the nodes by _FieldEval.on_lattice."""
     rule = traj.rule
     h = traj.dt_step
     s = traj.s_nodes
@@ -180,8 +181,7 @@ def j_max_td(traj, weight, op_of_t):
     else:
         vals = traj.node_expectation(state_map(
             _require_hermitian(op_of_t, "operator", diagonal=True)))
-    times = (np.arange(traj.n_steps)[:, None] + s[None, :]) * h
-    wvals = _sample_interp(weight.values, weight.grid, times)
+    wvals = _FieldEval(weight).on_lattice(traj.n_steps, s)
     return integrate_time(wvals * vals, rule, h)
 
 

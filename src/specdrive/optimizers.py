@@ -55,7 +55,7 @@ from .dynamics import (
     _node_poly,
     _on_grid,
     _run,
-    _sample_interp,
+    _FieldEval,
 )
 from .functionals import (
     ControlField,
@@ -317,10 +317,12 @@ class _Run:
     too if the partner is on the old lattice.  Backward runs are read at
     their nodes only; they bisect and carry on.  The lattice never moves
     back within one run, nor past the default config's (see _move).  A
-    frequency-form update starts no coarser than its f_eps support's band
-    resolves (see transform_band); a time-form update carries the band of
-    its costate's lattice, omega_j h <= pi (see _lattice_band), so a
-    time-form run searches from the longest lattice.
+    frequency-form run starts no coarser than its update resolves: the
+    update (field_from_el_freq, gradient_freq) carries every bin of the
+    f_eps support, and a step's nodes integrate a bin's cosine up to
+    omega h = pi.  A time-form update carries the band of its costate's
+    lattice, omega_j h <= pi (see _lattice_band), so a time-form run
+    searches from the longest lattice.
     """
 
     def __init__(self, problem, config):
@@ -336,36 +338,23 @@ class _Run:
         self.ctx = prepare_context(self.system, problem.grid, functional)
         self.prop = problem.propagator_for(config)
         if problem.propagator is None:
-            self.finest = self.prop.steps
-            self._move(_long_steps(problem.grid, 0.0, math.pi))
+            grid, f_eps = problem.grid, self.ctx.f_eps
+            sup = [] if f_eps is None else np.flatnonzero(f_eps.values > 0)
+            top = grid.frequency_grid().nodes[sup[-1]] if len(sup) else 0.0
+            steps = _long_steps(grid, top * grid.dt, math.pi)
+            self.finest = max(self.prop.steps, steps)
+            self._move(steps)
         self.propagations = 0
         self.score = evaluate
 
     def _move(self, steps):
         """Go on with the search on a lattice of steps.  The search goes no
-        finer than the default config's lattice, or the transform band's if
-        that is finer: there runs bisect and carry on, as a single run
-        does."""
+        finer than the default config's lattice, or the frequency-form
+        band's if that is finer: there runs bisect and carry on, as a single
+        run does."""
         steps = min(steps, self.finest)
         cls = _Searched if steps < self.finest else PropagatorConfig
         self.prop = cls(**(vars(self.prop) | {"steps": steps}))
-
-    def transform_band(self):
-        """Start a searched lattice no coarser than a frequency-form update
-        (field_from_el_freq, gradient_freq) resolves: it carries every bin
-        of the f_eps support, and a step's nodes integrate a bin's cosine
-        up to omega h = pi.  On a longer step the support's top bins are
-        not integrated, and the next field is not resolved.  A time-form
-        update has no such band: it carries the bins that its costate's
-        lattice integrates (_lattice_band), so the lattice sets the band
-        and the search starts on the longest lattice."""
-        grid, f_eps = self.problem.grid, self.ctx.f_eps
-        if self.problem.propagator is None and f_eps is not None:
-            sup = np.flatnonzero(f_eps.values > 0)
-            top = grid.frequency_grid().nodes[sup[-1]] if sup.size else 0.0
-            steps = _long_steps(grid, top * grid.dt, math.pi)
-            self.finest = max(self.finest, steps)
-            self._move(steps)
 
     def _launch(self, propagate):
         """propagate(config) on the run's lattice; None if a forward run
@@ -466,8 +455,6 @@ def _drive(problem, config, on_row, method, make_step, k0=1.0,
 
 
 def _naive_step(run, config):
-    run.transform_band()
-
     def step(field, traj, br):
         el = _el_field(run.ctx, *run.backward(field, traj))
         return (el, *run.forward(el), 1.0)
@@ -476,7 +463,6 @@ def _naive_step(run, config):
 
 
 def _relaxation_step(run, config):
-    run.transform_band()
     formulation = run.ctx.config.formulation
     k = config.k_init
 
@@ -535,25 +521,22 @@ def optimize_relaxation(problem, config=None, on_row=None):
 # immediate-update sweeps (Krotov and variants)
 
 
-def _alpha_at_nodes(alpha, grid, n_steps, s_nodes):
-    """Penalty weight as (alpha, alpha at the internal node times): two
-    floats for a constant, sampled or not, the samples and an
-    (n_steps, n_c) array else."""
+def _alpha_at_nodes(alpha, grid):
+    """Penalty weight for _ImmediateField: a float for a constant, sampled
+    or not, else a _FieldEval of the samples, which reads them at the
+    nodes and pieces of any lattice."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:
         if not a > 0.0:
             raise ValueError("alpha must be positive")
-        return float(a), float(a)
+        return float(a)
     if a.shape != (grid.n_t,):
         raise ValueError("alpha samples do not match the grid")
     if not np.all(a > 0.0):
         raise ValueError("alpha must be positive everywhere")
     if np.all(a == a[0]):  # interpolation would move it in the last bit
-        return float(a[0]), float(a[0])
-    h = grid.T / n_steps
-    times = ((np.arange(n_steps)[:, None] + s_nodes[None, :]) * h).ravel()
-    vals = _sample_interp(a, grid, times).reshape(n_steps, len(s_nodes))
-    return a, vals
+        return float(a[0])
+    return _FieldEval(a, grid)
 
 
 def _node_weights(sign, mu_partner, alpha):
@@ -575,38 +558,36 @@ class _ImmediateField:
     of the step being solved, eps = sign * Im<u|mu|partner>/alpha, where u
     is the state (sign +1) or the costate (sign -1) and the partner, the
     other one, is read off its trajectory's node states, weighted in one
-    product per sweep.  The pieces of a bisected step read the partner
-    through its between_nodes, which keeps its factors per fraction set."""
+    product per sweep.  alpha is _alpha_at_nodes' float or _FieldEval.
+    The pieces of a bisected step read the partner through its
+    between_nodes, and a sampled alpha through its on_lattice, both keyed
+    by the pieces' fractions of the step."""
 
     def __init__(self, system, partner, sign, alpha):
         self.system = system
         self.partner = partner
         self.sign = sign
-        self.alpha, self.alpha_nodes = alpha
+        self.alpha = alpha
 
     def steps(self, n_steps, s, backward):
         partner, sign, alpha = self.partner, self.sign, self.alpha
-        grid = partner.grid
-        h = grid.T / n_steps
         scalar = isinstance(alpha, float)
         nodes = partner.node_states
         mu_all = apply_mu(self.system, nodes.reshape(-1, partner.dim))
-        w_all = _node_weights(sign, mu_all.reshape(nodes.shape),
-                              self.alpha_nodes)
+        a_nodes = alpha if scalar else alpha.on_lattice(n_steps, s)
+        w_all = _node_weights(sign, mu_all.reshape(nodes.shape), a_nodes)
         if backward:  # execution step k runs forward step n_steps - 1 - k
             w_all = w_all[::-1, ::-1]
 
         def step(k):
             i = n_steps - 1 - k if backward else k
 
-            def halves(t):
-                t = np.asarray(t, dtype=float)
-                # the piece's fractions of step i, rounded so that a piece
-                # reads the same between_nodes factors at every step
-                q = np.round((t - i * h) / h, 12)
-                mu_t = apply_mu(self.system, partner.between_nodes(q, i))
-                a_t = alpha if scalar else _sample_interp(alpha, grid, t)
-                return _node_field(_node_weights(sign, mu_t, a_t))
+            def halves(q):
+                if backward:  # fractions 1 - q of forward step i
+                    q = 1.0 - q
+                mu_q = apply_mu(self.system, partner.between_nodes(q, i))
+                a_q = alpha if scalar else alpha.on_lattice(n_steps, q)[i]
+                return _node_field(_node_weights(sign, mu_q, a_q))
 
             return _node_field(w_all[k]), halves
 
@@ -629,13 +610,13 @@ def _krotov_step(run, config, filt_values=None):
         raise ValueError("immediate-update schemes support final-time and "
                          "time-dependent targets only")
     system, grid = run.system, run.problem.grid
+    alpha = _alpha_at_nodes(cfg.alpha, grid)
 
     def step(field, traj, br):
         traj_t = None
         while traj_t is None:  # until both sweeps ran on the same lattice
             traj = run.on_lattice(traj, field)
             prop = run.prop
-            alpha = _alpha_at_nodes(cfg.alpha, grid, prop.steps, prop.rule.s)
             chi_t, source = _chi_setup(ctx, traj)
             chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
                                  chi_t, backward=True, source=source)
@@ -721,7 +702,7 @@ class _KernelField:
     def steps(self, n_steps, s, backward):
         work, solve = self.work, self.solve
 
-        def halves(t):
+        def halves(q):
             raise PropagationError("a kernel sweep step cannot be bisected")
 
         def step(k):
@@ -947,7 +928,6 @@ class _InverseCurvature:
 
 
 def _line_search_step(run, config, keep_pairs):
-    run.transform_band()
     ctx, grid = run.ctx, run.problem.grid
     formulation = ctx.config.formulation
     if formulation == "frequency":

@@ -376,24 +376,23 @@ def test_krotov_pieces_read_the_partner_between_its_nodes():
     """Krotov's field on the pieces two halvings deep of a bisected step,
     in a forward and a backward sweep, against sign Im<u|mu|partner>/alpha
     with the partner read by the uncached node polynomial at the pieces'
-    exact fractions (the field rounds them to 12 decimals)."""
+    fractions."""
     problem, _, traj = level_run(4)
-    level, n, h = problem.system, traj.n_steps, traj.dt_step
+    level, n = problem.system, traj.n_steps
     u = np.random.default_rng(5).standard_normal((traj.rule.n_c, 2 * N_GRID))
     u = u.view(complex)
     for sign, backward in ((1.0, False), (-1.0, True)):
-        step = _ImmediateField(level, traj, sign, (0.5, 0.5)).steps(
+        step = _ImmediateField(level, traj, sign, 0.5).steps(
             n, traj.s_nodes, backward)
         for k in (0, 50, n - 1):
             i = n - 1 - k if backward else k
-            t0, dt = (traj.grid.T - h * k, -h) if backward else (h * k, h)
-            for j, piece in enumerate(piece_fractions(traj.s_nodes, 2)):
-                # the piece's node times, as StepSolver.solve forms them
-                t = (t0 + 0.25 * dt * j) + 0.25 * dt * traj.s_nodes
+            for j in range(4):
+                # the fractions of the step at piece j's nodes
+                piece = 0.25 * j + 0.25 * traj.s_nodes
                 frac = 1.0 - piece if backward else piece
                 mu_p = apply_mu(level, between_nodes(traj, frac, i))
                 want = sign * np.einsum("ij,ij->i", u.conj(), mu_p).imag / 0.5
-                got = step(k)[1](t)(u)
+                got = step(k)[1](piece)(u)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

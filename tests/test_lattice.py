@@ -9,6 +9,7 @@ step spans r grid intervals; the long steps' grid-time readers are held to
 a run of one step per interval.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from specdrive.spectral import (
     FilterSpec, TimeGrid, chebyshev_rule, make_filter, step_node_times,
 )
 from specdrive.system import build_level_system
+from specdrive import dynamics
 from specdrive.dynamics import (
     HGSource, PropagatorConfig, StepSolver, _CosineEval,
     default_propagator_config, hg_source_signal, propagate_backward,
@@ -71,9 +73,11 @@ def test_propagation_node_fields_match_direct_sum(kind, m, n_c):
     assert np.abs(bwd.field_nodes - oracle).max() < tol
 
 
-@pytest.mark.parametrize("n_steps", [65, 128, 512])
+@pytest.mark.parametrize("n_steps", [24, 65, 128, 512])
 def test_lattice_matches_direct_sum_for_each_step_count(n_steps):
-    # exact whenever every bin j < n_t lies below 2*n_steps
+    # exact for every step count: bin j is read at j mod 2*n_steps, which
+    # folds the bins when 2*n_steps < n_t (24 steps, which neither divide
+    # the 128 grid intervals nor are a multiple of them)
     grid = TimeGrid(T, N_T)
     spectrum = dense_time_field(grid).spectrum()
     s = 0.5 * (1.0 - chebyshev_rule(5).y)
@@ -86,10 +90,10 @@ def test_lattice_matches_direct_sum_for_each_step_count(n_steps):
         assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize("r", [2, 4, 8])
+@pytest.mark.parametrize("r", [2, 4, 8, 16])
 def test_long_step_lattice_matches_direct_sum(r):
-    # steps of r grid intervals: 2*n_steps < n_t, so bins alias on the
-    # step lattice and are read off the lattice of n_t - 1 steps
+    # steps of r grid intervals, up to the search's longest: 2*n_steps < n_t,
+    # so the bins fold onto j mod 2*n_steps, each with its own phase
     grid = TimeGrid(T, N_T)
     n_steps = (N_T - 1) // r
     rule = chebyshev_rule(9)
@@ -244,6 +248,38 @@ def test_hg_source_node_rows_match_fraction_path():
     for k in (0, 21, 63):
         assert np.abs(src.step_values(k)
                       - src.step_values(k, traj.s_nodes)).max() < 1e-13
+
+
+def test_propagation_sums_no_cosine_series_directly(monkeypatch):
+    # bisected pieces read the field and s(t) off the node lattice, as the
+    # steps' own nodes do: a backward run bisected by stalls and a forward
+    # run of steps too long for the field
+    def direct(self, times):
+        raise AssertionError("direct cosine sum on the propagation path")
+
+    monkeypatch.setattr(dynamics._CosineEval, "__call__", direct)
+    system, grid, field, psi0, filt = hg_setup()
+    rule = chebyshev_rule(9)
+    chi_T = np.array([0.2, -0.4j])
+
+    def runs(steps, zeta, max_picard):
+        config = PropagatorConfig(steps=steps, rule=rule, zeta=zeta)
+        traj = propagate_forward(system, field, psi0, config)
+        src = HGSource(traj, hg_source_signal(traj, SX, filt), SX,
+                       p_f=np.diag([0.0, 0.5]))
+        return traj, propagate_backward(
+            system, field, src, chi_T,
+            dataclasses.replace(config, max_picard=max_picard))
+
+    _, bisected = runs(64, 1e-10, 5)
+    tight_fwd, tight = runs(512, 1e-12, 40)
+    assert bisected.stats.bisections > 0
+    assert np.abs(bisected.boundary_states[::8]
+                  - tight.boundary_states[::64]).max() < 1e-7
+    long = propagate_forward(system, field, psi0, PropagatorConfig(
+        steps=8, rule=rule, zeta=1e-10))
+    assert long.stats.bisections > 0
+    assert np.abs(long.final_state - tight_fwd.final_state).max() < 1e-9
 
 
 def test_bisected_hg_backward_matches_tight_run(monkeypatch):

@@ -237,11 +237,13 @@ def test_unresolved_step_is_bisected_by_its_truncation_estimate(monkeypatch):
     def f_eval(t):
         return 0.1 * np.cos(np.asarray(t))
 
-    solver.solve(u0, 0.0, 0.2, f_eval)  # estimate 1.6e-12: one solve
+    # estimate 1.6e-12: one solve
+    solver.solve(u0, 0.0, 0.2, lambda s: f_eval(0.2 * s))
     assert seen == [0.2]
     assert solver.bisections == solver.unresolved == 0
     seen.clear()
-    nodes = solver.solve(u0, 0.0, -0.4, f_eval)  # 4.0e-10: one halving
+    # estimate 4.0e-10: one halving
+    nodes = solver.solve(u0, 0.0, -0.4, lambda s: f_eval(-0.4 * s))
     assert seen == [-0.4, -0.2, -0.2]
     assert solver.bisections == solver.unresolved == 1
     assert solver.stalls == 0
@@ -354,21 +356,19 @@ def test_full_step_after_a_bisected_one_starts_from_the_merged_nodes():
     def field(s):
         return 0.01 * np.cos(w10 * HCL_DT * np.asarray(s))
 
-    def f_eval(t):
-        return field(np.asarray(t) / HCL_DT)
-
     zeta_step = 1e-6 / 1024
     solver = StepSolver(system, RULE, zeta_step, max_picard=2)
     s = solver.s
-    first = solver.solve(vecs[:, 0].astype(complex), 0.0, HCL_DT, f_eval,
+    first = solver.solve(vecs[:, 0].astype(complex), 0.0, HCL_DT, field,
                          f_vals=field(s))
     bisections = solver.bisections
     assert bisections > 0
-    second = solver.solve(first[-1], HCL_DT, HCL_DT, f_eval,
+    second = solver.solve(first[-1], HCL_DT, HCL_DT, lambda q: field(1.0 + q),
                           f_vals=field(1.0 + s), start=first)
     assert solver.bisections == bisections
     ref = StepSolver(system, RULE, zeta_step).solve(
-        first[-1], HCL_DT, HCL_DT, f_eval, f_vals=field(1.0 + s))
+        first[-1], HCL_DT, HCL_DT, lambda q: field(1.0 + q),
+        f_vals=field(1.0 + s))
     assert np.linalg.norm(second - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
