@@ -120,10 +120,10 @@ def hermitian_components(o, basis=None):
 
 
 def _eigen_amplitudes(traj, basis):
-    states = traj.grid_states()
-    if basis is None:
-        return states
-    return _as_basis(basis).coefficients(states)
+    """Grid-time amplitudes in the basis, read off the trajectory's own
+    frame when the basis is its eigenbasis (see Trajectory.grid_states)."""
+    return traj.grid_states(None if basis is None
+                            else _as_basis(basis).states)
 
 
 def component_spectra(traj, components, basis=None):
@@ -198,8 +198,7 @@ class OccupationRecord:
 def occupations(traj, basis):
     """Project the stored trajectory onto an eigenbasis at every grid node."""
     b = _as_basis(basis)
-    return OccupationRecord(traj.grid, b.energies,
-                            b.coefficients(traj.grid_states()))
+    return OccupationRecord(traj.grid, b.energies, _eigen_amplitudes(traj, b))
 
 
 def equal_occupation_optimum_scan(pair, coupling, n_theta=101):

@@ -414,6 +414,10 @@ def _same(states):
     return states
 
 
+def _transpose(states):
+    return states.T
+
+
 def _half(frac, lo):
     """The reader of the half of a step from its fraction lo on."""
     return None if frac is None else (lambda q: frac(lo + 0.5 * q))
@@ -439,6 +443,18 @@ class StepSolver:
     this solver's work, truncation holds the largest estimate of any
     converged solve, and unresolved the deepest bisection that a rejected
     estimate started since it was last reset.
+
+    The iterate c is kept in one of two layouts, picked here once from the
+    system.  Node rows, (n_c, dim), take the coupling product u (-M)^T in
+    complex arithmetic.  Node columns, (dim, n_c), serve a coupling matrix
+    with no imaginary part (a grid's M = V^dagger mu V) on more levels than
+    nodes: the product -M u is then one real (dim x dim)(dim x 2 n_c) GEMM
+    on the float view of u, about two thirds of the time of the complex
+    one at dim = 64, while up to about n_c levels the rows are the
+    cheaper.  The step tables, the extrapolation and merge matrices, the
+    truncation row and the c kept in _last follow the layout; node states
+    enter and leave as rows, (ph c)^T in columns, so nothing outside the
+    solver sees it.
     """
 
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6,
@@ -451,55 +467,91 @@ class StepSolver:
         self.max_halvings = max_halvings
         self.floor = floor
         self._tables = {}  # step length -> _StepTable
+        eigen = getattr(system, "eigen", None)
+        energies, vecs, coupling = eigen() if eigen else (None,) * 3
+        n_c = len(self.s)
+        self._cols = (energies is not None and np.ndim(coupling) == 2
+                      and len(energies) > n_c
+                      and not np.imag(coupling).any())
+        self._end = (slice(None), -1) if self._cols else -1  # the last node
         # node values -> their top (degree n_c - 1) Chebyshev coefficient,
         # complex so that the product casts nothing
-        n_c = len(self.s)
         self._top = ((-1.0) ** np.arange(n_c)
                      / (endpoint_factors(n_c) * (n_c - 1))).astype(complex)
         # Lagrange basis of the nodes s at 1 + s: node values of a step ->
         # its node polynomial's values over the next step of the same length
-        self._extrap = _lagrange(self.s, 1.0 + self.s)
+        self._extrap = self._layout(_lagrange(self.s, 1.0 + self.s))
         # Lagrange bases of the nodes s at the parent's nodes in each half
         # (2s for s <= 1/2, 2s - 1 above), for _merge
         left = self.s <= 0.5
-        self._halves = (_lagrange(self.s, 2.0 * self.s[left]),
-                        _lagrange(self.s, 2.0 * self.s[~left] - 1.0))
+        self._halves = (self._layout(_lagrange(self.s, 2.0 * self.s[left])),
+                        self._layout(_lagrange(self.s,
+                                               2.0 * self.s[~left] - 1.0)))
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
         self._rejected = False
         self.iterates = self.stalls = self.bisections = self.unresolved = 0
         self.estimate = self.truncation = 0.0
-        eigen = getattr(system, "eigen", None)
-        energies, vecs, coupling = eigen() if eigen else (None,) * 3
         self.energies, self.vecs = energies, vecs
         self.spread = 0.0 if energies is None else float(np.ptp(energies))
         # c = c0 - i dt Q conj(ph) H_I(ph c) + the source part: H_I = -eps M
-        # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0
+        # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0.
+        # _couple(u, weight, q) is q applied to that product
         if energies is None:
-            self._weight, self._rhs = (lambda f, ph_bar: f), system.h_apply
+            self._weight = lambda f, ph_bar: f
+            self._couple = lambda u, f, q: q @ system.h_apply(u, f)
+        elif self._cols:
+            minus_m = -np.real(coupling)  # contiguous, real
+
+            def couple(u, w, q):
+                r = (minus_m @ u.view(float)).view(complex)
+                r *= w
+                return r @ q
+
+            self._weight = lambda f, ph_bar: ph_bar * f
+            self._couple = couple
         else:
             minus_m = -coupling.astype(complex)  # no cast per iterate
             self._weight = lambda f, ph_bar: f[:, None] * ph_bar
-            self._rhs = lambda u, w: w * apply_operator(minus_m, u)
-        self._to_eigen = self._to_system = _same
+            self._couple = lambda u, w, q: q @ (
+                w * apply_operator(minus_m, u))
+        self._to_eigen = _same
+        self._to_system = _transpose if self._cols else _same
         if vecs is not None:
             v_conj, v_t = vecs.conj(), vecs.T.copy()
             self._to_eigen = lambda u: u @ v_conj
-            self._to_system = lambda c: c @ v_t
+            self._to_system = ((lambda c: c.T @ v_t) if self._cols
+                               else (lambda c: c @ v_t))
+
+    def _layout(self, rows):
+        """Node rows, or a matrix acting on them from the left, in the
+        iterate's layout: transposed for node columns (a view)."""
+        return rows.T if self._cols else rows
+
+    def _apply(self, m, c):
+        """The node-axis matrix m, kept in the layout, applied to c."""
+        return c @ m if self._cols else m @ c
 
     def _table(self, dt):
         """Phases e^{-iE tau_j}, their conjugates, the integration matrices
         and the end phase e^{-iE dt} of a step of length dt, built once per
-        length."""
+        length in the iterate's layout."""
         tab = self._tables.get(dt)
         if tab is None:
-            ph = 1.0 if self.energies is None else np.exp(
-                -1j * np.multiply.outer(dt * self.s, self.energies))
             qmat = self.rule.qmat
             # dq is complex so that the source product casts nothing
-            tab = _StepTable(ph, np.conj(ph), (-1j * dt) * qmat,
-                             (dt * qmat).astype(complex),
-                             1.0 if self.energies is None else ph[-1])
+            q, dq = (-1j * dt) * qmat, (dt * qmat).astype(complex)
+            if self.energies is None:  # E = 0, one phase column
+                ph = np.ones((len(self.s), 1))
+            else:
+                ph = np.exp(-1j * np.multiply.outer(dt * self.s,
+                                                    self.energies))
+            # ph_end multiplies node values: a row, or a column
+            ph_end = ph[-1]
+            if self._cols:
+                ph, q, dq = ph.T.copy(), q.T.copy(), dq.T.copy()
+                ph_end = ph_end[:, None]
+            tab = _StepTable(ph, np.conj(ph), q, dq, ph_end)
             self._tables[dt] = tab
         return tab
 
@@ -509,9 +561,9 @@ class StepSolver:
         f_vals is the field at the nodes, or a function of the node iterate
         that gives it (an immediate update).  Such a function is called once
         per iterate, in order, with the iterate's node states in the system
-        basis, and _run calls it once more on the converged nodes; a field
-        that carries state from one call to the next (the kernel sweep's
-        secant on its front sample) relies on that order.
+        basis, as rows, and _run calls it once more on the converged nodes;
+        a field that carries state from one call to the next (the kernel
+        sweep's secant on its front sample) relies on that order.
         Without start the iteration starts from the constant c(tau) = c0.
         start is the node states of the step of the same length just before
         this one: the iteration then starts from their node polynomial in
@@ -523,16 +575,21 @@ class StepSolver:
         """
         ph, ph_bar, q, dq, ph_end = self._table(dt)
         to_eigen, to_system = self._to_eigen, self._to_system
-        c0 = to_eigen(u0)
+        couple, last_node, cols = self._couple, self._end, self._cols
+        # c0 at every node, as a row or a column that broadcasts
+        c = end_prev = to_eigen(u0)
+        if cols:
+            c = c[:, None]
         # the source part, dq conj(ph) V^dagger src, is fixed for the step
-        base = c0 if src is None else c0 + dq @ (ph_bar * to_eigen(src))
-        if start is None:
-            c = np.repeat(c0[None, :], len(self.s), axis=0)
-        else:
+        base = c if src is None else c + self._apply(
+            dq, ph_bar * self._layout(to_eigen(src)))
+        if start is not None:
             last, c_last, _ = self._last
-            c_prev = c_last if start is last else ph_bar * to_eigen(start)
-            c = (self._extrap @ c_prev) * ph_end
-        end_prev = c[-1]
+            c_prev = c_last if start is last else ph_bar * self._layout(
+                to_eigen(start))
+            c = (c_prev @ self._extrap if cols
+                 else self._extrap @ c_prev) * ph_end
+            end_prev = c[last_node]
         update = f_vals if callable(f_vals) else None
         weight = None if update is not None else self._weight(f_vals, ph_bar)
         for _ in range(self.max_picard):
@@ -540,9 +597,9 @@ class StepSolver:
             u = ph * c
             if update is not None:
                 weight = self._weight(update(to_system(u)), ph_bar)
-            c = q @ self._rhs(u, weight)
+            c = couple(u, weight, q)
             c += base
-            end = c[-1]
+            end = c[last_node]
             diff = end - end_prev
             delta = math.sqrt(np.vdot(diff, diff).real)
             end_prev = end
@@ -550,7 +607,7 @@ class StepSolver:
                 break
             scale = max(math.sqrt(np.vdot(end, end).real), self.floor)
             if delta <= self.zeta_step * scale:
-                top = self._top @ c
+                top = c @ self._top if cols else self._top @ c
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
                 if self.estimate > self.truncation:
                     self.truncation = self.estimate
@@ -645,10 +702,11 @@ class StepSolver:
         turned by e^{iE half} into it."""
         tab = self._table(half)
         to_left, to_right = self._halves
+        layout, to_eigen = self._layout, self._to_eigen
         c = np.concatenate([
-            to_left @ (tab.ph_bar * self._to_eigen(left)),
-            (to_right @ (tab.ph_bar * self._to_eigen(right)))
-            * np.conj(tab.ph_end)])
+            self._apply(to_left, tab.ph_bar * layout(to_eigen(left))),
+            self._apply(to_right, tab.ph_bar * layout(to_eigen(right)))
+            * np.conj(tab.ph_end)], axis=int(self._cols))
         out = self._to_system(self._table(2.0 * half).ph * c)
         out[0], out[-1] = u0, right[-1]
         return out
@@ -710,11 +768,12 @@ class Trajectory:
     between_nodes).  frame = (E, W) gives that picture: the node states are
     W e^{-iE tau} c(tau), with W unitary (None for the identity) and E None
     for a system without an eigenbasis.  A trajectory from in_basis maps
-    its node states in one product the first time they are read.  stats
-    holds the run's PropagationStats.
+    its node states in one product the first time node_states is read;
+    between_nodes and grid_states read the stored nodes in their own frame
+    and map only what they return.  stats holds the run's PropagationStats.
     """
 
-    _frame_maps = None  # (conj(W), W^T) of a framed trajectory, once read
+    _frame_maps = None  # see _maps
 
     def __init__(self, grid, rule, boundary_states, norms, field_nodes,
                  node_states, stats, basis=None, frame=(None, None)):
@@ -734,11 +793,28 @@ class Trajectory:
         """Internal node states, shape (n_steps, n_c, dim)."""
         if self._basis is not None:
             flat = self._nodes.reshape(-1, self.dim) @ self._basis.T
-            energies, w = self._frame
-            self._frame = (energies,
-                           self._basis if w is None else self._basis @ w)
+            self._frame = (self._frame[0], self._states_frame())
             self._nodes, self._basis = flat.reshape(self._nodes.shape), None
+            self._frame_maps = None
         return self._nodes
+
+    def _states_frame(self):
+        """W of the states as they are read: the stored nodes' frame with
+        the basis still to apply, None for the identity."""
+        w, basis = self._frame[1], self._basis
+        if basis is None:
+            return w
+        return basis if w is None else basis @ w
+
+    def _maps(self):
+        """(conj(W) of the stored nodes' frame, W^T of the states as read),
+        None for an identity; built once, and again after node_states maps
+        the nodes."""
+        if self._frame_maps is None:
+            w, out = self._frame[1], self._states_frame()
+            self._frame_maps = (None if w is None else w.conj(),
+                                None if out is None else out.T)
+        return self._frame_maps
 
     @property
     def n_steps(self):
@@ -764,10 +840,25 @@ class Trajectory:
     def final_state(self):
         return self.boundary_states[-1]
 
-    def grid_states(self):
-        """States at the TimeGrid nodes, shape (n_t, dim)."""
-        return _on_grid(self.boundary_states, self.grid.n_t - 1,
-                        self.between_nodes)
+    def grid_states(self, vecs=None):
+        """States at the TimeGrid nodes, shape (n_t, dim); given a unitary
+        vecs, their coefficients vecs^dagger psi.  When vecs is the frame W
+        of this trajectory's states (the eigenbasis that in_basis gave it,
+        its nodes mapped or not), those are the frame amplitudes, read off
+        the stored nodes without mapping the states out of the frame and
+        back."""
+        n_int = self.grid.n_t - 1
+        if vecs is None:
+            return _on_grid(self.boundary_states, n_int, self.between_nodes)
+        w = self._states_frame()
+        if w is None or not np.array_equal(vecs, w):
+            return self.grid_states() @ vecs.conj()
+        # a step's last node is the boundary state after it
+        to_frame = self._maps()[0]
+        ends = self._nodes[:, -1] if to_frame is None else (
+            self._nodes[:, -1] @ to_frame)
+        ends = np.concatenate([self.boundary_states[:1] @ vecs.conj(), ends])
+        return _on_grid(ends, n_int, self._in_frame)
 
     def between_nodes(self, q, steps=slice(None)):
         """States at the fractions q of the given steps: (n, len(q), dim)
@@ -779,19 +870,26 @@ class Trajectory:
         depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are built the
         first time a fraction set is read and kept, keyed by its fractions,
         O(len(q) (n_c + dim)) each; the pieces of a bisected backward run
-        read the same few sets at every step, one small product each."""
-        nodes = self.node_states[steps]  # maps the nodes, and so the frame
+        read the same few sets at every step, one small product each.  The
+        stored nodes are read in their own frame, so a basis still to apply
+        is applied to the result only."""
+        out = self._in_frame(q, steps)
+        to_states = self._maps()[1]
+        return out if to_states is None else out @ to_states
+
+    def _in_frame(self, q, steps=slice(None)):
+        """The frame amplitudes W^dagger psi at the fractions q of the
+        steps (see between_nodes)."""
+        nodes = self._nodes[steps]
+        to_frame = self._maps()[0]
+        if to_frame is not None:
+            nodes = nodes @ to_frame
         lagrange, turn, back = self._read_factors(q)
-        w = self._frame[1]
-        if w is not None:
-            if self._frame_maps is None:
-                self._frame_maps = (w.conj(), w.T)
-            nodes = nodes @ self._frame_maps[0]
         if turn is None:
             return np.matmul(lagrange, nodes)
         out = np.matmul(lagrange, nodes * turn)
         out *= back
-        return out if w is None else out @ self._frame_maps[1]
+        return out
 
     def _read_factors(self, q):
         q = np.atleast_1d(np.asarray(q, dtype=float))

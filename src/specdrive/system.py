@@ -232,10 +232,6 @@ class SpectralBasis:
     def dim(self):
         return len(self.energies)
 
-    def coefficients(self, psi):
-        """c_n = <phi_n|psi>; psi is (dim,) or (k, dim) row-wise."""
-        return np.asarray(psi) @ self.states.conj()
-
     def reconstruct(self, coeffs):
         return np.asarray(coeffs) @ self.states.T
 

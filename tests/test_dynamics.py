@@ -289,6 +289,34 @@ def test_instability_guard():
                           grid=grid)
 
 
+class _BareTwoLevel:
+    """tls()'s generator through h_apply alone: stepped with E = 0."""
+
+    dim = 2
+
+    def h_apply(self, states, field_values):
+        return tls().h_apply(states, field_values)
+
+
+def test_bare_system_trajectory_in_a_basis_reads_its_mapped_states():
+    # a trajectory without energies, taken to a complex basis V, reads
+    # between its nodes and on the grid as the original mapped by V, with
+    # its nodes mapped (node_states read) or not
+    grid = TimeGrid(1.0, 9)
+    traj = propagate_forward(_BareTwoLevel(), 0.1, [1.0, 0.0], cfg(8),
+                             grid=grid)
+    vecs = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+    q = np.array([0.3, 0.7])
+    for read_nodes in (False, True):
+        framed = traj.in_basis(vecs)
+        if read_nodes:
+            framed.node_states
+        assert np.abs(framed.between_nodes(q, 3)
+                      - traj.between_nodes(q, 3) @ vecs.T).max() < 1e-15
+        assert np.abs(framed.grid_states()
+                      - traj.grid_states() @ vecs.T).max() < 1e-15
+
+
 def test_heisenberg_derivative_at_final_time():
     sys2 = tls(1.0, 4.0)
     grid = TimeGrid(3.0, 513)

@@ -13,8 +13,9 @@ from specdrive.spectral import (
     FilterSpec, RealSignal, TimeGrid, chebyshev_rule, dct1, make_filter,
 )
 from specdrive.system import (
-    StateRestriction, apply_mu, build_grid_system, build_level_system,
-    choose_x_domain, diagonalize, hcl_dipole, morse_potential,
+    SpectralBasis, StateRestriction, apply_mu, build_grid_system,
+    build_level_system, choose_x_domain, diagonalize, hcl_dipole,
+    morse_potential,
 )
 from specdrive.spectral import endpoint_factors
 from specdrive.analysis import component_spectra, hermitian_components
@@ -399,13 +400,14 @@ def test_krotov_pieces_read_the_partner_between_its_nodes():
 def test_one_pass_band_spectra_match_the_per_band_transforms():
     """component_spectra's one transform over all bands against dct1 of
     each band's expectation, <O^(n)> summed from the band operator itself,
-    on the grid-basis trajectory that the optimizers return."""
+    on the grid-basis trajectory that the optimizers return, from the
+    eigen amplitudes that component_spectra reads off its frame."""
     problem, _, traj = level_run(4)
     system = hcl_problem().system
     ctx = prepare_context(system, problem.grid, problem.functional)
     framed = traj.in_basis(system.eigen()[1])
     comps = hermitian_components(ctx.o_a, system)
-    c = diagonalize(system).coefficients(framed.grid_states())
+    c = framed.grid_states(diagonalize(system).states)
     loop = np.array([
         dct1(RealSignal(problem.grid, np.einsum(
             "ti,ij,tj->t", c.conj(), comps[n], c).real)).values
@@ -413,6 +415,34 @@ def test_one_pass_band_spectra_match_the_per_band_transforms():
     one = np.array([sp.values for sp in
                     component_spectra(framed, comps, basis=system)])
     assert np.abs(one - loop).max() <= 1e-15 * np.abs(loop).max()
+
+
+def test_band_spectra_read_off_the_frame_match_the_mapped_states():
+    """component_spectra on the grid-basis trajectory in its own eigenbasis
+    reads the frame's amplitudes; in the same eigenbasis with every other
+    vector's sign flipped it maps the grid states into that basis.  Both
+    give the same spectra, before and after node_states is read."""
+    problem, _, traj = level_run(4)
+    system = hcl_problem().system
+    ctx = prepare_context(system, problem.grid, problem.functional)
+    framed = traj.in_basis(system.eigen()[1])
+    basis = diagonalize(system)
+    flipped = SpectralBasis(basis.energies,
+                            basis.states * (-1.0) ** np.arange(N_GRID))
+
+    def spectra(b):
+        comps = hermitian_components(ctx.o_a, b)
+        return np.array([sp.values
+                         for sp in component_spectra(framed, comps, basis=b)])
+
+    mapped = spectra(flipped)
+    scale = np.abs(mapped).max()
+    assert framed._basis is not None  # the nodes are still to be mapped
+    assert np.abs(spectra(basis) - mapped).max() <= 1e-12 * scale
+    framed.node_states
+    assert framed._basis is None
+    assert np.abs(spectra(basis) - mapped).max() <= 1e-12 * scale
+    assert np.abs(spectra(flipped) - mapped).max() <= 1e-12 * scale
 
 
 def test_ladder_time_form_quasi_newton_searches_long_steps():

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from specdrive.spectral import (
     FilterSpec, TimeGrid, chebyshev_rule, make_filter, step_node_times,
@@ -163,6 +164,40 @@ def test_long_step_node_cosine_transform_matches_direct_sum(r):
     part = node_cosine_transform(g, traj, bins)
     assert np.abs(part.values[bins] - direct_node_transform(g, traj, bins)).max() \
         < 1e-13 * scale
+
+
+def exp_phase_node_transform(node_values, traj, bins=None):
+    """node_cosine_transform with its phases from a complex exp."""
+    fgrid = traj.grid.frequency_grid()
+    n = traj.n_steps
+    g = np.asarray(node_values, dtype=float).reshape(n, traj.rule.n_c)
+    spec = scipy.fft.fft((traj.dt_step * traj.rule.w) * g, n=2 * n, axis=0)
+    idx = np.arange(fgrid.n_t) if bins is None else np.asarray(bins)
+    phase = np.exp((-1j * math.pi / n) * np.multiply.outer(idx, traj.s_nodes))
+    vals = np.einsum("ji,ji->j", phase, spec[idx % (2 * n)]).real
+    vals *= math.sqrt(2.0 / math.pi)
+    if bins is None:
+        return vals
+    out = np.zeros(fgrid.n_t)
+    out[bins] = vals
+    return out
+
+
+@pytest.mark.parametrize("n_t, steps", [(N_T, 2 * (N_T - 1)), (N_T, 16),
+                                        (2049, 512)])
+def test_node_cosine_transform_phases_are_the_complex_exp_bits(n_t, steps):
+    # cos - i sin gives every phase bit for bit, so the transform is the
+    # complex-exp one exactly, on every bin and on a band of bins
+    grid = TimeGrid(T, n_t)
+    system = build_level_system([1.0, 2.0], SX)
+    config = PropagatorConfig(steps=steps, rule=chebyshev_rule(9), zeta=1e-8)
+    traj = propagate_forward(system, None, [1.0, 0.0], config, grid=grid)
+    g = np.random.default_rng(11).standard_normal((steps, 9))
+    assert np.array_equal(node_cosine_transform(g, traj).values,
+                          exp_phase_node_transform(g, traj))
+    bins = np.arange(0, n_t, 7)
+    assert np.array_equal(node_cosine_transform(g, traj, bins).values,
+                          exp_phase_node_transform(g, traj, bins))
 
 
 @pytest.mark.parametrize("r", [2, 4, 8])

@@ -9,15 +9,20 @@ import math
 import numpy as np
 import pytest
 
-from specdrive.spectral import TimeGrid, chebyshev_rule
+from specdrive.spectral import (
+    FilterSpec, RealSignal, Spectrum, TimeGrid, chebyshev_rule, dct1,
+    make_filter,
+)
 from specdrive.system import (
     apply_mu, build_grid_system, build_level_system, choose_x_domain,
     dense_h0, diagonalize, hcl_dipole, morse_potential,
 )
 from specdrive.dynamics import (
-    HGSource, StepSolver, default_propagator_config, propagate_backward,
-    propagate_forward,
+    HGSource, PropagatorConfig, StepSolver, default_propagator_config,
+    hg_source_signal, propagate_backward, propagate_forward,
 )
+from specdrive.functionals import FunctionalConfig
+from specdrive.optimizers import OptimizerConfig, Problem, optimize_krotov
 
 RULE = chebyshev_rule(9)
 HCL_MASS = 1785.0
@@ -438,3 +443,115 @@ def test_predicted_start_reruns_are_bitwise_equal():
         assert np.array_equal(a.boundary_states, b.boundary_states)
         assert np.array_equal(a.node_states, b.node_states)
         assert a.stats == b.stats
+
+
+# The two iterate layouts.  A real coupling on more levels than nodes is
+# iterated in node columns, a complex one in node rows.  The HCl eigen
+# system turned by fixed diagonal phases D, mu' = D^dagger M D,
+# O' = D^dagger O D, psi' = D^dagger psi, is the same physics with a
+# complex Hermitian coupling, so its runs, turned back by D, must match the
+# real system's.
+
+PHASES = np.exp(0.7j * np.arange(64))
+
+
+def hcl_eigen_level(n_grid):
+    return hcl_system(n_grid).eigen_system()[0]
+
+
+def phase_turned(level, d):
+    """The level system in the basis turned by the diagonal phases d."""
+    return build_level_system(level.energies,
+                              d.conj()[:, None] * level.mu * d,
+                              d.conj()[:, None] * level.target * d)
+
+
+def layout_pair(n_grid):
+    real = hcl_eigen_level(n_grid)
+    d = PHASES[:n_grid]
+    turned = phase_turned(real, d)
+    assert StepSolver(real, RULE, 1e-9)._cols
+    assert not StepSolver(turned, RULE, 1e-9)._cols
+    return real, turned, d
+
+
+def bench_form_guess(energies, grid):
+    """A line at omega_10 and a weak one just above it, shaped by the
+    penalty filter, as the benchmark's HCl guess (fixed phases)."""
+    w10 = float(energies[1] - energies[0])
+    fgrid = grid.frequency_grid()
+    f_eps = make_filter(FilterSpec.hat_sech(w10, 4.0e9, amplitude=1e3),
+                        fgrid).values
+    t = grid.nodes
+    g = 0.01 * (np.cos(w10 * t + 0.3) + 0.1 * np.cos(1.02 * w10 * t + 1.1))
+    return Spectrum(fgrid, dct1(RealSignal(grid, g)).values
+                    * f_eps / f_eps.max())
+
+
+def assert_same_run(a, b, d):
+    assert a.stats.iterates == b.stats.iterates
+    assert a.stats.bisections == b.stats.bisections
+    assert np.abs(b.node_states * d - a.node_states).max() <= 1e-12
+    assert np.abs(b.boundary_states * d - a.boundary_states).max() <= 1e-12
+
+
+def layout_forward_runs():
+    real, turned, d = layout_pair(64)
+    grid = TimeGrid(2000.0, 1025)
+    field = bench_form_guess(real.energies, grid)
+    config = PropagatorConfig(128, RULE, 1e-6)  # the benchmark's last lattice
+    psi0 = np.eye(64, dtype=complex)[0]
+    return (real, turned, d, field, config,
+            propagate_forward(real, field, psi0, config),
+            propagate_forward(turned, field, d.conj() * psi0, config))
+
+
+def test_layouts_agree_forward():
+    *_, d, _, _, a, b = layout_forward_runs()
+    assert_same_run(a, b, d)
+
+
+def test_layouts_agree_backward_with_the_hg_source():
+    real, turned, d, field, config, a, b = layout_forward_runs()
+    w10 = float(real.energies[1] - real.energies[0])
+    fgrid = field.grid
+    f_o = make_filter(FilterSpec.gaussian(2.0 * w10,
+                                          1.0 / (3.0 * fgrid.dw) ** 2), fgrid)
+    allowed = (np.arange(64) <= 5).astype(float)
+    o_a = allowed[:, None] * real.target * allowed
+    p_f = 1.0 - allowed
+
+    def costate(system, forward, o):
+        source = HGSource(forward, hg_source_signal(forward, o, f_o), o, p_f)
+        return propagate_backward(system, field, source,
+                                  0.1 * forward.final_state, config)
+
+    assert_same_run(costate(real, a, o_a),
+                    costate(turned, b, d.conj()[:, None] * o_a * d), d)
+
+
+def test_grid_krotov_is_monotone_and_agrees_in_either_layout():
+    """Three Krotov iterations on the 32-point HCl eigen system, ground
+    state to the first excited state, without a restriction."""
+    real, turned, d = layout_pair(32)
+    grid = TimeGrid(1000.0, 513)
+    target = np.diag(np.eye(32)[1])
+    guess = 0.01 * np.cos(float(real.energies[1] - real.energies[0])
+                          * grid.nodes)
+    functional = FunctionalConfig("time", "final", alpha=0.1)
+    config = PropagatorConfig(128, RULE, 1e-7)
+    psi0 = np.eye(32, dtype=complex)[0]
+
+    def krotov(system, psi):
+        system = build_level_system(system.energies, system.mu, target)
+        return optimize_krotov(Problem(system, grid, functional, psi, guess,
+                                       config), OptimizerConfig(budget=3))
+
+    a, b = krotov(real, psi0), krotov(turned, d.conj() * psi0)
+    j_a = np.array([row.breakdown.j for row in a.rows])
+    j_b = np.array([row.breakdown.j for row in b.rows])
+    assert len(j_a) == 4 and np.all(np.diff(j_a) > 0)
+    assert j_a[-1] > 10.0 * j_a[0]
+    assert np.abs(j_b - j_a).max() <= 1e-10
+    assert a.propagations == b.propagations
+    assert_same_run(a.trajectory, b.trajectory, d)
