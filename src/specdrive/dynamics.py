@@ -46,14 +46,10 @@ _DEFAULT_NODES = 9  # Chebyshev nodes per step of the default propagator
 # e^{i(E_a - E_b) tau} of the rotated coupling.  The default config's
 # substeps hold to it; the solver bisects by its measured estimate instead.
 _PHASE_SPAN = 0.7
-# Largest Bohr spread times the step length of a default step that spans
-# several grid intervals; calibrated by an error-per-second sweep (see
-# default_propagator_config).
-_LONG_SPAN = 0.25
-# Most grid intervals a default step spans, and the optimizers' first
-# lattice.  The default rule does not see the field, so with a small Bohr
-# spread nothing else would bound its step against the field's own time
-# scale, which only the grid reflects.
+# Most grid intervals a step of the optimizers' first lattice spans (see
+# _long_steps).  The first lattice does not see the field, so with a small
+# Bohr spread nothing else would bound its step against the field's own
+# time scale, which only the grid reflects.
 _LONG_INTERVALS = 16
 
 
@@ -103,36 +99,30 @@ class _Searched(PropagatorConfig):
 
 
 def default_propagator_config(system, grid, tau=1e-3):
-    """Steps from the Bohr spread times the grid interval, spread*dt, with
-    nine nodes and zeta = 1e-3*tau.
-
-    While spread*dt/m exceeds _PHASE_SPAN, each interval takes m substeps
-    (m a power of two).  Otherwise one step spans the most grid intervals
-    that _long_steps allows with spread*dt*r <= _LONG_SPAN.  The field does
-    not enter: a step that it leaves unresolved, or whose iteration it
-    stalls, is bisected by the solver.  This is the lattice of a single
-    run, which cannot be redone; the optimizers search from a longer one
-    (see optimizers._Run)."""
-    spread = float(np.ptp(system.eigen()[0]))
-    span, n_int = spread * grid.dt, grid.n_t - 1
+    """The floor lattice, with nine nodes and zeta = 1e-3*tau: one step per
+    grid interval, or m substeps per interval (m a power of two) while the
+    Bohr spread times the substep, spread*dt/m, exceeds _PHASE_SPAN.  The
+    field does not enter: a step that it leaves unresolved, or whose
+    iteration it stalls, is bisected by the solver.  A single run takes this
+    lattice; the optimizers search from a longer one down to it (see
+    optimizers._Run)."""
+    span, n_int = float(np.ptp(system.eigen()[0])) * grid.dt, grid.n_t - 1
     steps = n_int
     while span * n_int / steps > _PHASE_SPAN:
         steps *= 2
-    if steps == n_int:
-        steps = _long_steps(grid, span, _LONG_SPAN)
     return PropagatorConfig(steps=steps, rule=chebyshev_rule(_DEFAULT_NODES),
                             zeta=1e-3 * tau)
 
 
-def _long_steps(grid, span, bound):
+def _long_steps(grid, span):
     """Steps of the longest lattice on grid: one step spans the most grid
     intervals r, a power of two dividing n_t - 1 and at most
-    _LONG_INTERVALS, with span*r <= bound (span per grid interval), and
-    r = 1 when even one interval exceeds it."""
+    _LONG_INTERVALS, with span*r <= pi (span per grid interval), and r = 1
+    when even one interval exceeds it."""
     n_int = grid.n_t - 1
     steps = n_int
     while (steps % 2 == 0 and 2 * n_int <= _LONG_INTERVALS * steps
-           and span * n_int / (steps // 2) <= bound):
+           and span * n_int / (steps // 2) <= math.pi):
         steps //= 2
     return steps
 

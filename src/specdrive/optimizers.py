@@ -143,10 +143,10 @@ class Problem:
 
     guess may be a ControlField, RealSignal, Spectrum, scalar, or a sample
     vector interpreted in the formulation's native representation.  A
-    propagator config of None lets the run search its lattice (see _Run);
-    propagator_for gives the default config of a single run at the
-    optimizer's tolerance.  psi0 and the guess must be finite; psi0 need
-    not be normalized and is propagated as given.
+    propagator config of None lets the run search its lattice (see _Run)
+    down to propagator_for's: the default config, the floor lattice that a
+    single run takes, at the optimizer's tolerance.  psi0 and the guess
+    must be finite; psi0 need not be normalized and is propagated as given.
     """
 
     system: object
@@ -316,10 +316,11 @@ class _Run:
     step's bisection reached and redoes that propagation, and its partner
     too if the partner is on the old lattice.  Backward runs are read at
     their nodes only; they bisect and carry on.  The lattice never moves
-    back within one run, nor past the default config's (see _move).  A
-    frequency-form run starts no coarser than its update resolves: the
-    update (field_from_el_freq, gradient_freq) carries every bin of the
-    f_eps support, and a step's nodes integrate a bin's cosine up to
+    back within one run, nor past the floor, the default config's lattice
+    of one step per grid interval or finer (see _move).  A frequency-form
+    run starts no coarser than its update resolves: the update
+    (field_from_el_freq, gradient_freq) carries every bin of the f_eps
+    support, and a step's nodes integrate a bin's cosine up to
     omega h = pi.  A time-form update carries the band of its costate's
     lattice, omega_j h <= pi (see _lattice_band), so a time-form run
     searches from the longest lattice.
@@ -341,19 +342,17 @@ class _Run:
             grid, f_eps = problem.grid, self.ctx.f_eps
             sup = [] if f_eps is None else np.flatnonzero(f_eps.values > 0)
             top = grid.frequency_grid().nodes[sup[-1]] if len(sup) else 0.0
-            steps = _long_steps(grid, top * grid.dt, math.pi)
-            self.finest = max(self.prop.steps, steps)
-            self._move(steps)
+            self.floor = self.prop.steps
+            self._move(_long_steps(grid, top * grid.dt))
         self.propagations = 0
         self.score = evaluate
 
     def _move(self, steps):
         """Go on with the search on a lattice of steps.  The search goes no
-        finer than the default config's lattice, or the frequency-form
-        band's if that is finer: there runs bisect and carry on, as a single
-        run does."""
-        steps = min(steps, self.finest)
-        cls = _Searched if steps < self.finest else PropagatorConfig
+        finer than the default config's floor lattice: there runs bisect and
+        carry on, as a single run does."""
+        steps = min(steps, self.floor)
+        cls = _Searched if steps < self.floor else PropagatorConfig
         self.prop = cls(**(vars(self.prop) | {"steps": steps}))
 
     def _launch(self, propagate):
@@ -754,8 +753,7 @@ def _degani_step(run, config, alpha_omega):
                              "grid interval, and this grid's interval is "
                              "longer than one step resolves: it needs "
                              f"n_t >= {prop.steps + 1}")
-        # the default config's long steps, clamped to one per interval
-        run.prop = replace(prop, steps=n_t - 1)
+        run.prop = prop
     elif prop.steps != n_t - 1:
         raise ValueError("the kernel (degani) scheme is defined per grid "
                          "sample: its config must take one step per grid "
@@ -806,10 +804,10 @@ def optimize_degani(problem, alpha_omega, config=None, on_row=None):
     there: the backward sweep updates while the costate passes, the forward
     sweep while the new state passes.  The problem's alpha plays no role;
     the kernel replaces it.  Final-time targets only.  Each sweep is one
-    propagation of one step per grid interval (see _KernelField): the
-    default config is clamped to that, and an explicit config with another
-    step count, or a grid whose interval the default config would substep,
-    raises ValueError.
+    propagation of one step per grid interval (see _KernelField), as the
+    default config takes unless it substeps: an explicit config with
+    another step count, or a grid whose interval the default config
+    substeps, raises ValueError.
     """
     config = config or OptimizerConfig(method="degani")
     return _drive(problem, config, on_row, "degani",

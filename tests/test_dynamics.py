@@ -350,25 +350,23 @@ def test_default_config_and_errors():
         PropagatorConfig(steps=4, rule=RULE, zeta=0.0)
 
 
-def test_default_config_spans_grid_intervals_by_the_bohr_spread():
+def test_default_config_is_the_floor_lattice():
     grid = TimeGrid(10.0, 1025)
-    # spread*dt = 0.0098: 16 intervals per step (0.156 <= 0.25 < 0.31)
-    assert default_propagator_config(tls(), grid).steps == 64
-    # 0.205: one interval, as two would take 0.41
+    # one step per grid interval, however small the Bohr spread
+    # (spread*dt = 0.0098 and 0.205, both within _PHASE_SPAN)
+    assert default_propagator_config(tls(), grid).steps == 1024
     assert default_propagator_config(tls(1.0, 22.0), grid).steps == 1024
-    # r divides n_t - 1: 40 intervals hold 8 = 2^3 at most
     assert default_propagator_config(tls(1.0, 1.001),
-                                     TimeGrid(10.0, 41)).steps == 5
-    # a near-degenerate spectrum bounds nothing: at most 16 intervals,
-    # which still resolve a field at ten times the Bohr frequency
+                                     TimeGrid(10.0, 41)).steps == 40
+    # a near-degenerate spectrum bounds nothing; one step per interval
+    # still resolves a field at ten times the Bohr frequency
     near = tls(1.0, 1.1)
     config = default_propagator_config(near, grid)
-    assert config.steps == 64
     field = 0.2 * np.cos(grid.nodes)
-    long = propagate_forward(near, field, [1.0, 0.0], config, grid=grid)
+    floor = propagate_forward(near, field, [1.0, 0.0], config, grid=grid)
     one = propagate_forward(near, field, [1.0, 0.0], cfg(1024, 1e-12),
                             grid=grid)
-    assert np.linalg.norm(long.final_state - one.final_state) < 1e-8
+    assert np.linalg.norm(floor.final_state - one.final_state) < 1e-8
 
 
 def test_expm_stepper():

@@ -223,19 +223,16 @@ def test_long_step_grid_states_match_one_step_per_interval(r):
 
 @pytest.mark.parametrize("energies", [(30.0, 31.0), (100.0, 101.0)])
 def test_long_step_grid_states_at_large_absolute_energies(energies):
-    # spread*dt = 0.0098 gives 16 intervals per step whatever the energies'
-    # offset, while psi turns |E| h = 4.8 and 16 rad per step: the grid
-    # times inside a step are read in the interaction picture
+    # 16 intervals per step, while psi turns |E| h = 4.8 and 16 rad per
+    # step: the grid times inside a step are read in the interaction picture
     grid = TimeGrid(10.0, 1025)
     system = build_level_system(list(energies), SX)
     field = 0.2 * np.sin(math.pi * grid.nodes / 10.0) ** 2 * np.cos(grid.nodes)
-    config = default_propagator_config(system, grid, tau=1e-9)
-    assert config.steps == 64
 
     def run(steps):
         return propagate_forward(system, field, [1.0, 0.0],
-                                 PropagatorConfig(steps, config.rule,
-                                                  config.zeta), grid=grid)
+                                 PropagatorConfig(steps, chebyshev_rule(9),
+                                                  1e-12), grid=grid)
 
     long, one = run(64), run(1024)
     assert np.abs(long.grid_states() - one.grid_states()).max() < 1e-9
@@ -243,16 +240,14 @@ def test_long_step_grid_states_at_large_absolute_energies(energies):
 
 @pytest.mark.parametrize("omega", [30.0, 60.0, 120.0])
 def test_fast_field_on_long_steps_is_bisected_by_its_estimate(omega):
-    # spread*dt = 0.0098 gives the default config 16 intervals per step,
-    # which do not resolve a field at 30 to 120 times the Bohr frequency:
-    # the steps' truncation estimates exceed the stop, and the bisected
-    # run lands within zeta of one step per interval (a field-blind run
-    # missed it by 2.4e-7 to 5.5e-3)
+    # 16 intervals per step do not resolve a field at 30 to 120 times the
+    # Bohr frequency: the steps' truncation estimates exceed the stop, and
+    # the bisected run lands within zeta of one step per interval (a
+    # field-blind run missed it by 2.4e-7 to 5.5e-3)
     grid = TimeGrid(10.0, 1025)
     system = build_level_system([1.0, 2.0], SX)
     field = 0.2 * np.cos(omega * grid.nodes)
-    config = default_propagator_config(system, grid)
-    assert config.steps == 64
+    config = PropagatorConfig(64, chebyshev_rule(9), 1e-6)
     long = propagate_forward(system, field, [1.0, 0.0], config, grid=grid)
     one = propagate_forward(system, field, [1.0, 0.0], PropagatorConfig(
         1024, config.rule, 1e-12), grid=grid)
@@ -261,6 +256,13 @@ def test_fast_field_on_long_steps_is_bisected_by_its_estimate(omega):
     assert long.stats.truncation > 100.0 * stop
     assert (np.linalg.norm(long.final_state - one.final_state)
             <= config.zeta)
+    # the default config's floor lattice reads the grid states within its
+    # own zeta (bisected long steps of the same zeta read them 2.4e-7 to
+    # 1.9e-3 off)
+    default = default_propagator_config(system, grid)
+    floor = propagate_forward(system, field, [1.0, 0.0], default, grid=grid)
+    assert (np.abs(floor.grid_states() - one.grid_states()).max()
+            <= default.zeta)
 
 
 def hg_setup():

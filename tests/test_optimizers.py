@@ -533,11 +533,11 @@ def test_degani_counts_two_sweeps_per_iteration():
 
 
 def test_degani_default_config_keeps_one_step_per_interval():
-    # the default config spans two grid intervals per step here; the
-    # kernel scheme clamps it to one, as an explicit config would give
+    # the default config takes one step per grid interval here, as the
+    # kernel scheme needs, and runs as the same explicit config does
     p = s2s_problem(n_t=129)
     default = p.propagator_for(OptimizerConfig())
-    assert default.steps == 64
+    assert default.steps == 128
     aw = np.full(p.grid.n_t, 0.1)
     td = optimize_degani(p, aw, OptimizerConfig(budget=1))
     te = optimize_degani(replace(p, propagator=replace(default, steps=128)),
@@ -848,14 +848,32 @@ def test_searched_lattice_goes_no_finer_than_the_default_config():
             == p.propagator_for(OptimizerConfig()).steps == 128)
 
 
+def test_search_reaches_the_floor_of_one_step_per_interval():
+    # a field at 60 times the Bohr frequency is unresolved on every lattice
+    # coarser than one step per grid interval.  The search moves down to
+    # that floor, where no step bisects and J is read off resolved steps
+    # (a floor of 64 steps kept the run there, on 446 bisections)
+    p = s2s_problem(n_t=513)
+    t = p.grid.nodes
+    p = replace(p, guess=0.3 * np.cos(60.0 * t) + 0.2 * np.cos(t))
+    tr = optimize_relaxation(p, OptimizerConfig(budget=2))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert tr.trajectory.n_steps == p.grid.n_t - 1
+    assert tr.trajectory.stats.bisections == 0
+    tight = propagate_forward(p.system, tr.field, p.psi0, PropagatorConfig(
+        2048, chebyshev_rule(9), 1e-13))
+    ctx = prepare_context(p.system, p.grid, p.functional)
+    assert abs(tr.breakdown.j - evaluate(ctx, tight, tr.field).j) <= 1e-10
+
+
 def test_time_form_update_carries_the_band_of_its_lattice():
-    # the default config gives this grid 8 intervals per step.  A time-form
+    # the search settles this grid on 8 intervals per step.  A time-form
     # gradient that fills every grid bin is not integrated there (the rows'
     # J was 5.9e-3 off a tight run of the same field); one that carries
     # only the bins its costate's lattice integrates lets the search stay
-    # coarser than one step per interval
+    # coarser than its floor of one step per interval
     p = s2s_problem(n_t=513)
-    assert p.propagator_for(OptimizerConfig()).steps == 64
+    assert p.propagator_for(OptimizerConfig()).steps == 512
     tr = optimize_quasi_newton(p, OptimizerConfig(budget=2))
     assert tr.trajectory.n_steps < 512
     tight = propagate_forward(p.system, tr.field, p.psi0, PropagatorConfig(
