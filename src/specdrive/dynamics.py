@@ -28,14 +28,13 @@ optimizers' runs is the eigenbasis of H0 itself (V = I).
 import math
 import numbers
 from collections import namedtuple
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .spectral import (
-    RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors, idct1,
+    RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors,
 )
 from .system import apply_operator, commutator_H0_O
 
@@ -209,14 +208,11 @@ def _block_expectation(states, apply_op):
     return _real_dot(states, out)
 
 
-def _barycentric_interp(xs, values, q):
-    """Polynomial interpolation through (xs, values) evaluated at points q.
-
-    values is (n,) or (n, dim); exact node hits are substituted directly.
-    """
+def _lagrange(xs, q):
+    """Lagrange basis of the nodes xs at the points q, (len(q), len(xs)),
+    in barycentric form; a point on a node reads that node exactly."""
     xs = np.asarray(xs, dtype=float)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    values = np.asarray(values)
     diff = xs[:, None] - xs[None, :]
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / diff.prod(axis=1)
@@ -224,29 +220,19 @@ def _barycentric_interp(xs, values, q):
     span = max(float(xs.max() - xs.min()), 1e-300)
     hit = np.abs(d) < 1e-13 * span
     terms = w[None, :] / np.where(hit, 1.0, d)
-    num = terms @ values
-    den = terms.sum(axis=1)
-    out = num / (den[:, None] if values.ndim == 2 else den)
+    out = terms / terms.sum(axis=1)[:, None]
     rows = hit.any(axis=1)
-    if rows.any():
-        ri, ci = np.nonzero(hit)
-        out[ri] = values[ci]
+    out[rows] = hit[rows]
     return out
 
 
-def _lagrange(s, q):
-    """Lagrange basis of the nodes s at the points q, (len(q), len(s)),
-    complex so that its products with complex node values cast nothing."""
-    return _barycentric_interp(s, np.eye(len(s)), q).astype(complex)
-
-
 def _sample_interp(samples, grid, t):
-    """Local polynomial interpolation of equidistant samples (6-point window)."""
+    """Local polynomial interpolation of equidistant samples (6-point
+    window) at the times t, an array."""
     n = grid.n_t
-    flat = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+    flat = t.ravel()
     if n <= 6:
-        out = _barycentric_interp(grid.nodes, samples, flat)
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+        return (_lagrange(grid.nodes, flat) @ samples).reshape(t.shape)
     dt = grid.dt
     base = np.clip(np.floor(flat / dt).astype(int) - 2, 0, n - 6)
     idx = base[:, None] + np.arange(6)
@@ -260,23 +246,22 @@ def _sample_interp(samples, grid, t):
     rows = hit.any(axis=1)
     if rows.any():
         out[rows] = vals[hit]
-    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+    return out.reshape(t.shape)
 
 
 class _CosineEval:
-    """Evaluate a spectrum's cosine series (support bins only; matches the
-    plain direct sum eval_cosine_series that the tests keep in
-    tests/oracles.py).
+    """A spectrum's cosine series (support bins only) on the propagator's
+    node lattice; tests/oracles.py keeps the plain direct sum,
+    eval_cosine_series, that it matches.
 
-    on_lattice() serves the propagator's node times t = h(k + s_i),
-    h = T/n_steps.  With omega_j = j pi/T the phase is pi j (k + s_i)/n_steps,
-    so for each fraction s_i the series over k is one inverse FFT of length
-    2 n_steps of the coefficients c_j exp(i pi j s_i/n_steps); the result is
-    exact, not interpolated.  That sum is periodic in j with period
-    2 n_steps, so on a lattice of steps longer than the grid interval
-    (2 n_steps < n_t) bin j is folded onto j mod 2 n_steps, keeping its
-    phase, as node_cosine_transform reads it.  Calling the evaluator sums
-    the series directly at any times (FilteredSignal.at, the test oracles).
+    on_lattice() serves the node times t = h(k + s_i), h = T/n_steps.  With
+    omega_j = j pi/T the phase is pi j (k + s_i)/n_steps, so for each
+    fraction s_i the series over k is one inverse FFT of length 2 n_steps of
+    the coefficients c_j exp(i pi j s_i/n_steps); the result is exact, not
+    interpolated.  That sum is periodic in j with period 2 n_steps, so on a
+    lattice of steps longer than the grid interval (2 n_steps < n_t) bin j
+    is folded onto j mod 2 n_steps, keeping its phase, as
+    node_cosine_transform reads it.
     """
 
     def __init__(self, spectrum):
@@ -284,22 +269,8 @@ class _CosineEval:
         h = endpoint_factors(grid.n_t)
         idx = np.flatnonzero(spectrum.values != 0.0)
         self._bins = idx
-        self._omega = grid.nodes[idx]
         self._coef = spectrum.values[idx] / h[idx]
         self._scale = math.sqrt(2.0 * math.pi) / grid.T
-
-    def __call__(self, times):
-        t = np.asarray(times, dtype=float)
-        if self._omega.size == 0:
-            return np.zeros(t.shape)
-        flat = t.ravel()
-        out = np.empty(flat.size)
-        # keep the phase matrix below ~32MB regardless of series length
-        block = max(1, (1 << 22) // max(self._omega.size, 1))
-        for k in range(0, flat.size, block):
-            part = flat[k:k + block]
-            out[k:k + block] = np.cos(np.multiply.outer(part, self._omega)) @ self._coef
-        return self._scale * out.reshape(t.shape)
 
     def on_lattice(self, n_steps, fractions):
         """Series at h(k + s_i) for k < n_steps, shape (n_steps, len(s))."""
@@ -329,8 +300,7 @@ class _FieldEval:
     arrays through local polynomial interpolation.  on_lattice() gives the
     values at the fractions s of every step of a lattice, and keeps them
     per (n_steps, fractions): a bisected run's pieces read the same few
-    fraction sets at every step, one lattice read each.  __call__ reads any
-    times; no propagation uses it.
+    fraction sets at every step, one lattice read each.
     """
 
     def __init__(self, field, grid=None):
@@ -358,14 +328,6 @@ class _FieldEval:
             self._cos, self._mode = _CosineEval(field.spectrum()), "series"
         else:
             raise TypeError(f"unsupported field object {type(field).__name__}")
-
-    def __call__(self, times):
-        t = np.asarray(times, dtype=float)
-        if self._mode == "const":
-            return np.full(t.shape, self._const)
-        if self._mode == "series":
-            return self._cos(t)
-        return _sample_interp(self._samples, self.grid, t)
 
     def on_lattice(self, n_steps, fractions):
         """Values at h(k + s_i), h = T/n_steps, k < n_steps: (n_steps, len(s)),
@@ -468,15 +430,19 @@ class StepSolver:
         # complex so that the product casts nothing
         self._top = ((-1.0) ** np.arange(n_c)
                      / (endpoint_factors(n_c) * (n_c - 1))).astype(complex)
-        # Lagrange basis of the nodes s at 1 + s: node values of a step ->
-        # its node polynomial's values over the next step of the same length
-        self._extrap = self._layout(_lagrange(self.s, 1.0 + self.s))
-        # Lagrange bases of the nodes s at the parent's nodes in each half
-        # (2s for s <= 1/2, 2s - 1 above), for _merge
+        # Lagrange bases of the nodes s, complex so that their products
+        # with the complex iterate cast nothing
+        def basis(q):
+            return self._layout(_lagrange(self.s, q).astype(complex))
+
+        # at 1 + s: node values of a step -> its node polynomial's values
+        # over the next step of the same length
+        self._extrap = basis(1.0 + self.s)
+        # at the parent's nodes in each half (2s for s <= 1/2, 2s - 1
+        # above), for _merge
         left = self.s <= 0.5
-        self._halves = (self._layout(_lagrange(self.s, 2.0 * self.s[left])),
-                        self._layout(_lagrange(self.s,
-                                               2.0 * self.s[~left] - 1.0)))
+        self._halves = (basis(2.0 * self.s[left]),
+                        basis(2.0 * self.s[~left] - 1.0))
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
         self._rejected = False
@@ -721,14 +687,6 @@ class PropagationStats:
     truncation: float
 
 
-def _node_poly(s, values, q):
-    """Each step's node polynomial read at fractions q: values holds the
-    node values of steps, (..., n_c, d), and the result is (..., len(q), d).
-    A plain Lagrange read, for values that carry no phases of H0 (a field);
-    states are read by Trajectory.between_nodes."""
-    return np.matmul(_barycentric_interp(s, np.eye(len(s)), q), values)
-
-
 def _on_grid(ends, n_int, inner):
     """Samples at the grid times i T/n_int of a lattice of len(ends) - 1
     equal steps, ends holding the values at the step boundaries.  When one
@@ -887,8 +845,9 @@ class Trajectory:
         factors = self._factors.get(key)
         if factors is None:
             s, h, energies = self.s_nodes, self.dt_step, self._frame[0]
-            factors = (_lagrange(s, q), None, None) if energies is None else (
-                _lagrange(s, q),
+            lagrange = _lagrange(s, q).astype(complex)
+            factors = (lagrange, None, None) if energies is None else (
+                lagrange,
                 np.exp(1j * h * np.multiply.outer(s, energies)),
                 np.exp(-1j * h * np.multiply.outer(q, energies)))
             self._factors[key] = factors
@@ -1038,7 +997,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
 
 
 def _grid_for(f_eval, grid):
-    grid = f_eval.grid if f_eval.grid is not None else grid
+    """The field's own grid, which grid= must match, else grid=."""
+    if f_eval.grid is not None:
+        if grid is not None and grid != f_eval.grid:
+            raise ValueError("grid= does not match the field's own grid")
+        return f_eval.grid
     if grid is None:
         raise ValueError("no time grid: pass grid= or a grid-carrying field")
     return grid
@@ -1048,8 +1011,9 @@ def propagate_forward(system, field, psi0, config, grid=None):
     """Propagate psi0 from 0 to T under H0 - eps(t)*mu.
 
     field may be a ControlField-like object, RealSignal, Spectrum, sample
-    array, constant, or None; sample arrays and constants need grid=.  The
-    returned trajectory keeps the states at every internal node.
+    array, constant, or None; sample arrays and constants need grid=, and
+    a field with its own grid takes no other.  The returned trajectory
+    keeps the states at every internal node.
     """
     f_eval = _FieldEval(field, grid)
     grid = _grid_for(f_eval, grid)
@@ -1078,41 +1042,19 @@ def propagate_backward(system, field, source, chi_T, config, grid=None):
                 source=source)
 
 
-def _grid_expectation(traj, apply_op):
-    return _block_expectation(traj.grid_states(), apply_op)
-
-
-@dataclass(frozen=True)
-class FilteredSignal:
-    """A spectrally filtered real signal with exact off-grid evaluation;
-    the HG source and the constraint residual share its lattice reads."""
-
-    spectrum: Spectrum
-    signal: RealSignal
-    _eval: _FieldEval = dataclasses.field(init=False, repr=False,
-                                          compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_eval", _FieldEval(self.spectrum))
-
-    def at(self, times):
-        return self._eval(times)
-
-    def on_lattice(self, n_steps, fractions):
-        """Values at the node times h(k + s_i) (see _FieldEval.on_lattice)."""
-        return self._eval.on_lattice(n_steps, fractions)
+def _expectation_spectrum(traj, o_a):
+    """dct1 of <O_a>(t) at the grid times."""
+    values = _block_expectation(traj.grid_states(), state_map(o_a))
+    return dct1(RealSignal(traj.grid, values))
 
 
 def hg_source_signal(traj, o_a, filt):
-    """Filtered expectation signal: transform <O_a>(t), multiply by the
-    filter, transform back."""
-    apply_op = state_map(o_a)
-    sig = RealSignal(traj.grid, _grid_expectation(traj, apply_op))
-    spec = dct1(sig)
+    """The filtered spectrum of <O_a>(t): its transform times the filter.
+    Its cosine series is s(t), which HGSource reads on the node lattice."""
+    spec = _expectation_spectrum(traj, o_a)
     if filt.grid != spec.grid:
         raise ValueError("filter grid does not match the trajectory grid")
-    fspec = Spectrum(spec.grid, filt.values * spec.values)
-    return FilteredSignal(fspec, idct1(fspec))
+    return Spectrum(spec.grid, filt.values * spec.values)
 
 
 def terminal_chi(kappa, system, psi_T):
@@ -1135,12 +1077,12 @@ class _ForwardSource:
     asked for; step_values(k) is its row k.  step_values(k, s) gives the
     source at the fractions s of forward step k, the pieces of a bisected
     backward step: the states come from the forward run's between_nodes,
-    and the source's scalar part from scalar.on_lattice (a _FieldEval or a
-    FilteredSignal; None for a source without one), both of which keep
-    what they read per fraction set, so that a piece is one small product
-    per step.  Each source supplies _values(psi, k, s): the source at the
-    states psi, one per row, at the fractions s of the steps k (an index
-    or a slice of all steps, the rows then step by step).
+    and the source's scalar part from scalar.on_lattice (a _FieldEval, or
+    None for a source without one), both of which keep what they read per
+    fraction set, so that a piece is one small product per step.  Each
+    source supplies _values(psi, k, s): the source at the states psi, one
+    per row, at the fractions s of the steps k (an index or a slice of all
+    steps, the rows then step by step).
     """
 
     def __init__(self, forward, scalar):
@@ -1173,20 +1115,22 @@ class HGSource(_ForwardSource):
     """Backward-equation source {s(t) O_a - P_f^gamma} psi(t) built from the
     stored forward trajectory and the filtered dipole signal.
 
-    filtered is a FilteredSignal, or None for no signal term: the source of
-    a final target with forbidden states, -P_f^gamma psi(t).  s(t) is read
-    from FilteredSignal.on_lattice, exact at every node time, once for the
-    forward run's nodes and once per fraction set of a bisected backward
-    run's pieces.  O_a and P_f^gamma are applied by their structure (see
-    state_map): in the eigen representation O_a lives on the allowed block
-    and P_f^gamma is diagonal.
+    filtered is hg_source_signal's filtered Spectrum, or None for no
+    signal term: the source of a final target with forbidden states,
+    -P_f^gamma psi(t).  s(t), its cosine series, is read by a _FieldEval on
+    the node lattice, exact at every node time, once for the forward run's
+    nodes and once per fraction set of a bisected backward run's pieces.
+    O_a and P_f^gamma are applied by their structure (see state_map): in
+    the eigen representation O_a lives on the allowed block and P_f^gamma
+    is diagonal.
     """
 
     def __init__(self, forward, filtered, o_a, p_f=None):
         if filtered is None and p_f is None:
             raise ValueError("a source needs a signal or a forbidden-state "
                              "projector")
-        super().__init__(forward, filtered)
+        super().__init__(forward, None if filtered is None
+                         else _FieldEval(filtered))
         self._oa = state_map(o_a)
         self._pf = state_map(p_f)
 

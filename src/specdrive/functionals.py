@@ -19,7 +19,7 @@ from .system import (
     StateRestriction, _require_hermitian, apply_mu, apply_operator,
     commutator_H0_O, dense_target, diagonalize, projectors,
 )
-from .dynamics import _FieldEval, _grid_expectation, state_map
+from .dynamics import _FieldEval, _expectation_spectrum, state_map
 
 
 class ControlField:
@@ -159,8 +159,7 @@ def j_max_spectral(traj, o_a, f_o):
     """Half the filter-weighted power of the transformed <O_a>(t)."""
     if (f_o.values < 0).any():
         raise ValueError("spectral target filter must be nonnegative")
-    sig = RealSignal(traj.grid, _grid_expectation(traj, state_map(o_a)))
-    bar = dct1(sig)
+    bar = _expectation_spectrum(traj, o_a)
     power = Spectrum(bar.grid, bar.values * bar.values)
     return 0.5 * integrate_freq(power, f_o)
 
@@ -415,7 +414,7 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
     cfg = ctx.config
     if cfg.target == "spectral" and s_signal is not None:
         h = traj.dt_step
-        svals = s_signal.on_lattice(traj.n_steps, traj.s_nodes)
+        svals = _FieldEval(s_signal).on_lattice(traj.n_steps, traj.s_nodes)
         inner = svals * traj.node_expectation(ctx.o_a_map)
         if ctx.p_f is not None:
             inner = inner - traj.node_expectation(ctx.p_f_map)
@@ -426,7 +425,9 @@ def _constraint_residual(ctx, traj, chi_traj, s_signal):
 
 
 def evaluate(ctx, traj, field, chi_traj=None, s_signal=None):
-    """FunctionalBreakdown of the current trajectory and field."""
+    """FunctionalBreakdown of the current trajectory and field; a spectral
+    target's constraint residual reads s_signal, hg_source_signal's
+    Spectrum."""
     cfg = ctx.config
     if cfg.target == "final":
         jm = j_max_final(traj.final_state, ctx.o_full)

@@ -52,7 +52,7 @@ from .dynamics import (
     _Searched,
     _Unresolved,
     _long_steps,
-    _node_poly,
+    _lagrange,
     _on_grid,
     _run,
     _FieldEval,
@@ -624,7 +624,8 @@ def _krotov_step(run, config, filt_values=None):
         eps = traj_t.field_nodes  # the field the sweep settled on
         samples = _on_grid(
             np.append(eps[:, 0], eps[-1, -1]), grid.n_t - 1,
-            lambda q: _node_poly(prop.rule.s, eps[..., None], q)[..., 0])
+            lambda q: np.matmul(_lagrange(prop.rule.s, q),
+                                eps[..., None])[..., 0])
         if filt_values is None:
             new_field = ControlField.from_time(grid, samples)
             return new_field, traj_t, evaluate(ctx, traj_t, new_field), 1.0

@@ -2,14 +2,16 @@
 
 Each one computes by the plain definition what the package computes by a
 faster route: a dense midpoint-exponential propagator, the direct cosine
-sum of a spectrum, a one-shot functional evaluation, the grid Hamiltonian
-applied to one state, an expectation signal, the time-dependent-target
-source with its weight check, the cross signal Im<chi|mu|psi> on the grid,
-and the states and backward sources between a trajectory's nodes, read
-without the factors a trajectory keeps per fraction set.
+sum of a spectrum, a field's value at any time, a one-shot functional
+evaluation, the grid Hamiltonian applied to one state, an expectation
+signal, the time-dependent-target source with its weight check, the cross
+signal Im<chi|mu|psi> on the grid, and the states and backward sources
+between a trajectory's nodes, read without the factors a trajectory keeps
+per fraction set.
 """
 
 import math
+import numbers
 import warnings
 from collections import namedtuple
 
@@ -17,12 +19,9 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from specdrive.dynamics import (
-    TDTargetSource, _barycentric_interp, _FieldEval, _grid_expectation,
-    state_map,
-)
+from specdrive.dynamics import TDTargetSource, _lagrange, state_map
 from specdrive.functionals import evaluate, prepare_context
-from specdrive.spectral import RealSignal, endpoint_factors
+from specdrive.spectral import RealSignal, Spectrum, endpoint_factors
 from specdrive.system import apply_mu, apply_operator, dense_h0, dense_mu
 
 
@@ -33,13 +32,12 @@ def expm_stepper(system, field, psi0, grid, substeps=64):
         raise ValueError("dense cross-check is limited to dim <= 16")
     h0 = dense_h0(system)
     mu = dense_mu(system)
-    f_eval = _FieldEval(field, grid)
     dt = grid.dt / substeps
     u = np.asarray(psi0, dtype=complex).copy()
     for i in range(grid.n_t - 1):
         for j in range(substeps):
             tm = i * grid.dt + (j + 0.5) * dt
-            ham = h0 - float(f_eval(np.array([tm]))[0]) * mu
+            ham = h0 - float(field_at(field, tm)) * mu
             u = scipy.linalg.expm(-1j * dt * ham) @ u
     return u
 
@@ -58,6 +56,36 @@ def eval_cosine_series(spectrum, t):
     phases = np.cos(np.multiply.outer(t_arr, grid.nodes))
     out = (math.sqrt(2.0 * math.pi) / grid.T) * (phases @ coef)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+
+def six_point(signal, t):
+    """Lagrange interpolation of a RealSignal's samples at the times t by
+    the product formula, through the six samples around each time (the
+    first or last six near an end), the window the propagator reads a
+    sampled field with."""
+    grid, t = signal.grid, np.asarray(t, dtype=float)
+    flat = t.ravel()
+    base = np.clip(np.floor(flat / grid.dt).astype(int) - 2, 0, grid.n_t - 6)
+    out = np.zeros(flat.size)
+    for i, (x, b) in enumerate(zip(flat, base)):
+        xs = (b + np.arange(6)) * grid.dt
+        for j in range(6):
+            others = np.delete(xs, j)
+            out[i] += signal.values[b + j] * np.prod(
+                (x - others) / (xs[j] - others))
+    return out.reshape(t.shape)
+
+
+def field_at(field, t):
+    """A field's value at the times t: None or a constant as it is, a
+    RealSignal by six_point, a Spectrum or a two-view field by its direct
+    cosine sum."""
+    if field is None or isinstance(field, numbers.Number):
+        return np.full(np.shape(t), 0.0 if field is None else float(field))
+    if isinstance(field, RealSignal):
+        return six_point(field, t)
+    spectrum = field if isinstance(field, Spectrum) else field.spectrum()
+    return eval_cosine_series(spectrum, t)
 
 
 def j_total(traj, field, config, system, chi_traj=None, s_signal=None):
@@ -80,9 +108,10 @@ ExpectationSignal = namedtuple("ExpectationSignal", "signal nodes")
 
 def expectation_signal(traj, op):
     """Re<psi|O|psi> on the TimeGrid plus all internal nodes."""
-    apply_op = state_map(op)
-    grid_vals = _grid_expectation(traj, apply_op)
-    node_vals = traj.node_expectation(apply_op)
+    states = traj.grid_states()
+    grid_vals = np.einsum("ij,ij->i", states.conj(),
+                          apply_operator(np.asarray(op), states)).real
+    node_vals = traj.node_expectation(state_map(op))
     return ExpectationSignal(RealSignal(traj.grid, grid_vals), node_vals)
 
 
@@ -108,7 +137,7 @@ def node_poly(s, values, q, h=0.0, energies=None):
     of length h, (..., n_c, d), and the result is (..., len(q), d).  Given
     the energies, values are eigen-coefficients of states, read in the
     interaction picture c(tau) = e^{iE tau} psi(tau)."""
-    lagrange = _barycentric_interp(s, np.eye(len(s)), q)
+    lagrange = _lagrange(s, q)
     if energies is None:
         return np.matmul(lagrange, values)
     turn = np.exp(1j * h * np.multiply.outer(s, energies))
@@ -132,7 +161,7 @@ def hg_step_values(forward, filtered, o_a, p_f, k, s):
     psi = between_nodes(forward, s, k)
     times = forward.dt_step * (k + np.asarray(s, dtype=float))
     out = apply_operator(np.asarray(o_a), psi) * eval_cosine_series(
-        filtered.spectrum, times)[:, None]
+        filtered, times)[:, None]
     if p_f is not None:
         out -= apply_operator(np.asarray(p_f), psi)
     return out
@@ -143,4 +172,4 @@ def td_step_values(forward, w, op, k, s):
     O and w evaluated at the node times."""
     psi = between_nodes(forward, s, k)
     times = forward.dt_step * (k + np.asarray(s, dtype=float))
-    return apply_operator(np.asarray(op), psi) * _FieldEval(w)(times)[:, None]
+    return apply_operator(np.asarray(op), psi) * field_at(w, times)[:, None]

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from specdrive.spectral import (
     FilterSpec, RealSignal, Spectrum, TimeGrid, chebyshev_rule, dct1,
-    make_filter,
+    idct1, make_filter,
 )
 from specdrive.system import (
     apply_operator, build_level_system, dense_h0, dense_mu,
@@ -19,6 +19,7 @@ from specdrive.dynamics import (
     hg_source_signal, propagate_backward, propagate_forward, state_map,
     terminal_chi,
 )
+from specdrive.functionals import ControlField
 from oracles import (
     eval_cosine_series, expectation_signal, expm_stepper, td_target_source,
 )
@@ -178,19 +179,32 @@ def test_hg_source_signal():
     w7 = 7 * math.pi / 10.0
     filt = make_filter(FilterSpec.rectangular(w7 - 0.05, w7 + 0.05, 2.5), fgrid)
     s = hg_source_signal(traj, SX, filt)
-    assert np.abs(s.signal.values - 2.5 * np.cos(w7 * grid.nodes)).max() < 1e-8
+    assert np.abs(idct1(s).values - 2.5 * np.cos(w7 * grid.nodes)).max() < 1e-8
     t_off = np.array([0.123, 3.21, 9.87])
-    assert np.abs(s.at(t_off) - 2.5 * np.cos(w7 * t_off)).max() < 1e-8
+    assert np.abs(eval_cosine_series(s, t_off)
+                  - 2.5 * np.cos(w7 * t_off)).max() < 1e-8
     # identity filter reproduces the signal; zero filter kills it
     ident = Spectrum(fgrid, np.ones(65))
     s_id = hg_source_signal(traj, SX, ident)
     sig = expectation_signal(traj, SX).signal.values
-    assert np.abs(s_id.signal.values - sig).max() < 1e-10
+    assert np.abs(idct1(s_id).values - sig).max() < 1e-10
     zero = Spectrum(fgrid, np.zeros(65))
-    assert np.abs(hg_source_signal(traj, SX, zero).signal.values).max() == 0.0
+    assert np.abs(idct1(hg_source_signal(traj, SX, zero)).values).max() == 0.0
     with pytest.raises(ValueError):
         hg_source_signal(traj, SX, make_filter(
             FilterSpec.rectangular(0.0, 1.0), TimeGrid(9.0, 65).frequency_grid()))
+
+
+def test_explicit_grid_must_match_the_fields_own():
+    field = ControlField.from_time(TimeGrid(10.0, 65), np.full(65, 0.3))
+    psi0 = np.array([1.0, 0.0])
+    other = TimeGrid(20.0, 129)
+    with pytest.raises(ValueError, match="grid="):
+        propagate_forward(tls(), field, psi0, cfg(128), grid=other)
+    with pytest.raises(ValueError, match="grid="):
+        propagate_backward(tls(), field, None, psi0, cfg(128), grid=other)
+    same = propagate_forward(tls(), field, psi0, cfg(64), grid=field.grid)
+    assert same.grid == field.grid and same.n_steps == 64
 
 
 def test_hg_source_without_signal():

