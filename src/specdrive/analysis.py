@@ -34,24 +34,33 @@ def _l_weight(n):
 class HermitianComponents:
     """Diagonal-band split of a Hermitian operator in the eigenbasis.
 
-    operators[n] keeps exactly the +/- n-th diagonals of the operator, so the
-    stack sums back to the operator entry for entry.  d[n, j] is the coupling
-    O[n + j, j] read off the lower band (zero where n + j runs off the
-    matrix); it drives the analytic expectation formulas.
+    d[n, j] is the coupling O[n + j, j] read off the lower band (zero where
+    n + j runs off the matrix); it drives the analytic expectation formulas.
+    Part n keeps exactly the +/- n-th diagonals of the operator and is built
+    from d on request, its upper band the conjugate of the lower one, so the
+    parts sum back to the operator entry for entry.
     """
 
-    operators: np.ndarray
     d: np.ndarray
 
     @property
     def dim(self):
-        return self.operators.shape[1]
+        return self.d.shape[0]
 
     def __len__(self):
-        return self.operators.shape[0]
+        return self.dim
 
     def __getitem__(self, n):
-        return self.operators[n]
+        n = range(self.dim)[n]
+        lower = self.d[n, : self.dim - n]
+        if n == 0:
+            return np.diag(lower)
+        return np.diag(lower, -n) + np.diag(lower.conj(), n)
+
+    @property
+    def operators(self):
+        """Every part as one (dim, dim, dim) stack."""
+        return np.stack([self[n] for n in range(self.dim)])
 
     def reconstruct(self):
         return self.operators.sum(axis=0)
@@ -67,20 +76,27 @@ class HermitianComponents:
         out = self._bands(c[None, :] if one_row else c)
         return out[:, 0] if one_row else out.T
 
+    def _live(self):
+        # the bands with a nonzero coupling; every other part is zero
+        return np.flatnonzero(self.d.any(axis=1))
+
     def _bands(self, c):
         """The expectations of the (k, dim) amplitude rows c as (dim, k)
-        rows, each band's products formed on contiguous rows of c^T in one
-        work array."""
+        rows.  The rows of bands without a coupling stay zero; every other
+        band forms its products over the span of its nonzero couplings only,
+        on contiguous rows of c^T in one work array."""
         n = self.dim
         if c.shape[1] != n:
             raise ValueError("amplitude rows do not match the operator dimension")
         c = np.ascontiguousarray(c.T)
         work = np.empty_like(c)
-        out = np.empty((n, c.shape[1]))
-        for i in range(n):
-            prod = np.conj(c[i:], out=work[: n - i])
-            prod *= c[: n - i]
-            out[i] = (2.0 / _l_weight(i)) * (self.d[i, : n - i] @ prod).real
+        out = np.zeros((n, c.shape[1]))
+        for i in self._live():
+            nonzero = np.flatnonzero(self.d[i])
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            prod = np.conj(c[i + lo: i + hi], out=work[: hi - lo])
+            prod *= c[lo:hi]
+            out[i] = (2.0 / _l_weight(i)) * (self.d[i, lo:hi] @ prod).real
         return out
 
 
@@ -89,8 +105,12 @@ def hermitian_components(o, basis=None):
 
     With basis given (a SpectralBasis or a system to diagonalize), the
     operator is first transformed into that eigenbasis.  The transformed
-    matrix is Hermitized before masking so every part is exactly Hermitian;
-    the input must already be Hermitian to one part in 1e-12.
+    matrix is Hermitized so every part is exactly Hermitian; the input must
+    already be Hermitian to one part in 1e-12.  Entries of the transformed
+    matrix at or below dim * eps * max|o|, the rounding bound of V^dag o V,
+    are set to exact zero, so a target confined to a block of the basis
+    keeps zero couplings outside it.  An operator given without a basis is
+    kept as given.
     """
     o = np.asarray(o, dtype=complex)
     _require_finite(o, "operator")
@@ -101,22 +121,17 @@ def hermitian_components(o, basis=None):
         if v.shape[0] != o.shape[0]:
             raise ValueError("operator and basis dimensions differ")
         o = v.conj().T @ o @ v
+    n = o.shape[0]
     scale = np.abs(o).max()
     if np.abs(o - o.conj().T).max() > _HERM_TOL * max(1.0, scale):
         raise ValueError("operator is not Hermitian")
     o = 0.5 * (o + o.conj().T)
-    n = o.shape[0]
-    ops = np.zeros((n, n, n), dtype=complex)
+    if basis is not None:
+        o[np.abs(o) <= n * np.finfo(float).eps * scale] = 0.0
+    rows, cols = np.tril_indices(n)
     d = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    ops[0][idx, idx] = o[idx, idx]
-    d[0] = o[idx, idx]
-    for band in range(1, n):
-        j = np.arange(n - band)
-        ops[band][band + j, j] = o[band + j, j]
-        ops[band][j, band + j] = o[j, band + j]
-        d[band, : n - band] = o[band + j, j]
-    return HermitianComponents(ops, d)
+    d[rows - cols, cols] = o[rows, cols]
+    return HermitianComponents(d)
 
 
 def _eigen_amplitudes(traj, basis):
@@ -129,29 +144,38 @@ def _eigen_amplitudes(traj, basis):
 def component_spectra(traj, components, basis=None):
     """Cosine-transform spectrum of each <O^(n)>(t) along the trajectory.
 
-    For level systems the stored states already are eigenbasis amplitudes;
-    pass basis (a SpectralBasis or the system) when they are not.  Returns a
-    list of Spectrum, one per part; their pointwise sum is the spectrum of
-    the full <O>(t) by linearity of the transform.
+    The transform is dct1 of the grid samples (the grid-sample trapezoid),
+    the form j_max_spectral scores.  For level systems the stored states
+    already are eigenbasis amplitudes; pass basis (a SpectralBasis or the
+    system) when they are not.  Returns a list of Spectrum, one per part;
+    their pointwise sum is the spectrum of the full <O>(t) by linearity of
+    the transform.  Only the bands with a nonzero coupling are transformed;
+    every other spectrum is exactly zero.
     """
     c = _eigen_amplitudes(traj, basis)
-    # every band in one transform, row for row bitwise dct1's
-    spectra = _dct1_rows(traj.grid, components._bands(c))
+    bands = components._bands(c)
+    live = components._live()
+    # the live bands in one transform, row for row bitwise dct1's
+    bands[live] = _dct1_rows(traj.grid, bands[live])
     fgrid = traj.grid.frequency_grid()
-    return [Spectrum(fgrid, values) for values in spectra]
+    return [Spectrum(fgrid, values) for values in bands]
 
 
 def j_max_per_component(traj, components, f_o, basis=None):
     """Filter-weighted power carried by each diagonal band.
 
-    Same quadrature as the spectral yield of the full operator, applied to
-    each band's spectrum separately.  Cross terms between bands are real, so
-    the entries do not sum to the full yield.
+    Same quadrature as the spectral yield of the full operator, the dct1
+    (grid-sample trapezoid) form of j_max_spectral, applied to each band's
+    spectrum separately.  A band without a coupling carries exactly zero.
+    Cross terms between bands are real, so the entries do not sum to the
+    full yield.
     """
     if (f_o.values < 0).any():
         raise ValueError("spectral target filter must be nonnegative")
-    out = np.empty(components.dim)
-    for n, bar in enumerate(component_spectra(traj, components, basis=basis)):
+    spectra = component_spectra(traj, components, basis=basis)
+    out = np.zeros(components.dim)
+    for n in components._live():
+        bar = spectra[n]
         power = Spectrum(bar.grid, bar.values * bar.values)
         out[n] = 0.5 * integrate_freq(power, f_o)
     return out

@@ -15,10 +15,12 @@ from specdrive.spectral import (
 from specdrive.system import (
     SpectralBasis, StateRestriction, apply_mu, build_grid_system,
     build_level_system, choose_x_domain, diagonalize, hcl_dipole,
-    morse_potential,
+    morse_potential, projectors,
 )
 from specdrive.spectral import endpoint_factors
-from specdrive.analysis import component_spectra, hermitian_components
+from specdrive.analysis import (
+    component_spectra, hermitian_components, j_max_per_component,
+)
 from specdrive.dynamics import (
     HGSource, PropagatorConfig, TDTargetSource, default_propagator_config,
     hg_source_signal, propagate_backward, propagate_forward,
@@ -27,7 +29,7 @@ from specdrive.functionals import (
     FunctionalConfig, evaluate, gradient_freq, prepare_context,
 )
 from specdrive.optimizers import (
-    BUDGET_EXHAUSTED, OptimizerConfig, Problem, _ImmediateField,
+    BUDGET_EXHAUSTED, INSTABILITY, OptimizerConfig, Problem, _ImmediateField,
     optimize_gradient, optimize_quasi_newton, optimize_relaxation,
 )
 from oracles import between_nodes, hg_step_values, td_step_values
@@ -58,6 +60,13 @@ def hcl_problem():
     line = dct1(RealSignal(grid, 0.01 * np.cos(w10 * grid.nodes))).values
     return Problem(system, grid, functional, vecs[:, 0],
                    line * f_eps / f_eps.max())
+
+
+@functools.lru_cache(maxsize=None)
+def relaxed_hcl():
+    """hcl_problem() after a budget-2 relaxation."""
+    return optimize_relaxation(hcl_problem(),
+                               OptimizerConfig(budget=2, k_init=0.25))
 
 
 def eigen_level_problem(problem, functional=None):
@@ -92,6 +101,24 @@ def test_grid_run_is_monotone_restricted_and_deterministic(run):
                           again.field.spectrum().values)
     assert np.array_equal(trace.trajectory.final_state,
                           again.trajectory.final_state)
+
+
+def test_grid_relaxation_field_is_zero_outside_the_filter_support():
+    problem = hcl_problem()
+    f_eps = make_filter(problem.functional.f_eps,
+                        problem.grid.frequency_grid()).values
+    outside = f_eps == 0.0
+    assert outside.any()
+    trace = relaxed_hcl()
+    assert trace.status == BUDGET_EXHAUSTED
+    assert not trace.field.spectrum().values[outside].any()
+
+
+def test_overshooting_grid_guess_ends_as_a_status():
+    problem = hcl_problem()
+    loud = replace(problem, guess=1e4 * problem.guess.spectrum().values)
+    trace = optimize_relaxation(loud, OptimizerConfig(budget=2, k_init=0.25))
+    assert trace.status == INSTABILITY
 
 
 def check_grid_trajectory_comes_back_in_the_grid_basis(problem, config):
@@ -415,6 +442,56 @@ def test_one_pass_band_spectra_match_the_per_band_transforms():
     one = np.array([sp.values for sp in
                     component_spectra(framed, comps, basis=system)])
     assert np.abs(one - loop).max() <= 1e-15 * np.abs(loop).max()
+
+
+def test_band_analysis_runs_on_the_targets_support():
+    """O_a built in the grid basis as the benchmark builds it: in the
+    eigenbasis its couplings lie in the allowed (L+1) x (L+1) block, the
+    rest is rotation rounding and reads exact zero, so every band beyond L
+    carries nothing.  The live bands agree with a dense reference on the
+    unzeroed V^dag O_a V."""
+    problem = hcl_problem()
+    system = problem.system
+    basis = diagonalize(system)
+    p_a, _ = projectors(basis, problem.functional.restriction)
+    o_a = p_a @ np.diag(system.target) @ p_a
+    o_a = 0.5 * (o_a + o_a.conj().T)
+    comps = hermitian_components(o_a, basis)
+    band, col = np.indices(comps.d.shape)  # d[band, col] is O[band + col, col]
+    assert not comps.d[band + col > L].any()
+    assert comps.d[band + col <= L].all()
+
+    v = basis.states
+    full = v.conj().T @ o_a.astype(complex) @ v
+    herm = 0.5 * (full + full.conj().T)
+    rec = comps.reconstruct()
+    kept = rec != 0.0
+    assert np.array_equal(rec[kept], herm[kept])
+    eps = np.finfo(float).eps
+    assert np.abs(herm[~kept]).max() <= N_GRID * eps * np.abs(full).max()
+    for part in comps:
+        assert np.array_equal(part, part.conj().T)
+
+    traj = relaxed_hcl().trajectory
+    c = traj.grid_states(v)
+    rows, cols = np.indices(herm.shape)
+    ref = np.array([
+        np.einsum("ti,ij,tj->t", c.conj(),
+                  np.where(np.abs(rows - cols) == n, herm, 0.0), c).real
+        for n in range(N_GRID)])
+    got = comps.expectations(c).T
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    f_o = make_filter(problem.functional.f_o, problem.grid.frequency_grid())
+    h = endpoint_factors(problem.grid.n_t)
+    ref_yield = np.array([
+        0.5 * f_o.grid.dw * np.sum(
+            f_o.values * dct1(RealSignal(problem.grid, row)).values ** 2 / h)
+        for row in ref])
+    per_band = j_max_per_component(traj, comps, f_o, basis=basis)
+    assert per_band.shape == (N_GRID,)
+    assert not per_band[L + 1:].any()
+    assert np.abs(per_band - ref_yield).max() <= 1e-13 * ref_yield.max()
 
 
 def test_band_spectra_read_off_the_frame_match_the_mapped_states():
