@@ -8,11 +8,12 @@ nodes in the interaction picture of H0: with psi(t0+tau) =
 V e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
 the eigen-coefficients c, carrying only the field coupling and the source.
 It iterates until the change at the step end drops below a stop of zeta
-per grid interval, relative to the step-end norm or to the run's reference
-norm if that is larger.  Each step of a run after the first starts from the
-previous step's node polynomial, extrapolated over one more step (as in
-the semi-global propagator), which cuts the iterates per step to about
-1.0-1.5 on the benchmark's workloads, from 3.3-4.8 from a constant start.
+per grid interval, relative to the step-start norm or to the run's
+reference norm if that is larger.  Each step of a run after the first
+starts from the previous step's node polynomial, extrapolated over one
+more step (as in the semi-global propagator): on the benchmark's searched
+lattices a step then takes about 2.0-2.3 iterates (ladder-qn-time), 2.8
+(hcl-hg-relax's final forward run) and 4 (s2s-krotov's sweeps).
 Since H0 is exact and the field is exact at any node time, one step may
 span r field-grid intervals (Schaefer, Tal-Ezer & Kosloff, J. Comput.
 Phys. 343, 368 (2017)): the node lattice is then coarser than the field
@@ -262,6 +263,15 @@ class _CosineEval:
     lattice of steps longer than the grid interval (2 n_steps < n_t) bin j
     is folded onto j mod 2 n_steps, keeping its phase, as
     node_cosine_transform reads it.
+
+    The phases come from two short tables, exp(i pi j s_i/n_steps) at
+    j = first + width a and at j = c < width, width about the square root
+    of the bins they cover, whose products give every j = first + width a
+    + c (see _table_bins).  A support of at least one period is written as
+    blocks of one period, j = 2 n_steps b + m: the blocks are folded first
+    with their phases exp(2 pi i b s_i), one (n_s x blocks)(blocks x
+    2 n_steps) product, and the fold is then turned by the table's phases
+    at m < 2 n_steps.  A smaller support takes its phases at its own bins.
     """
 
     def __init__(self, spectrum):
@@ -271,23 +281,50 @@ class _CosineEval:
         self._bins = idx
         self._coef = spectrum.values[idx] / h[idx]
         self._scale = math.sqrt(2.0 * math.pi) / grid.T
+        if idx.size:  # the tables of a read at the support's own bins,
+            # and the columns of each bin's two factors in them
+            first = int(idx[0])
+            self._exps, width = _table_bins(first, int(idx[-1]) - first + 1)
+            m = idx - first
+            self._at = (m // width, m % width + len(self._exps) - width)
 
     def on_lattice(self, n_steps, fractions):
         """Series at h(k + s_i) for k < n_steps, shape (n_steps, len(s))."""
         s = np.atleast_1d(np.asarray(fractions, dtype=float))
-        if self._bins.size == 0:
+        bins = self._bins
+        if bins.size == 0:
             return np.zeros((n_steps, s.size))
         period = 2 * n_steps
-        blocks = -(-(int(self._bins[-1]) + 1) // period)
-        coef = np.zeros((s.size, blocks * period), dtype=complex)
-        # e^{i phase} as cos + i sin: the same bits as a complex exp, which
-        # takes most of the read otherwise
-        phase = (math.pi / n_steps) * np.multiply.outer(s, self._bins)
-        coef[:, self._bins] = self._coef * (np.cos(phase) + 1j * np.sin(phase))
-        if blocks > 1:  # a sum over one block would only copy
-            coef = coef.reshape(s.size, blocks, period).sum(axis=1)
-        vals = scipy.fft.ifft(coef, axis=-1, norm="forward")[:, :n_steps]
+        blocks = -(-(int(bins[-1]) + 1) // period)
+        angle = (1j * math.pi / n_steps) * s
+        if bins.size >= period:
+            exps, width = _table_bins(0, period)
+            exps = np.concatenate([period * np.arange(blocks), exps])
+            e = np.exp(np.multiply.outer(angle, exps))
+            table = np.zeros(blocks * period)
+            table[bins] = self._coef
+            fold = e[:, :blocks] @ table.reshape(blocks, period)
+            hi, lo = e[:, blocks:-width], e[:, -width:]
+            fold *= (hi[:, :, None] * lo[:, None, :]).reshape(
+                s.size, -1)[:, :period]
+        else:
+            e = np.exp(np.multiply.outer(angle, self._exps))
+            fold = np.zeros((s.size, blocks * period), dtype=complex)
+            at_hi, at_lo = self._at
+            fold[:, bins] = self._coef * e.take(at_hi, 1) * e.take(at_lo, 1)
+            if blocks > 1:  # a sum over one block would only copy
+                fold = fold.reshape(s.size, blocks, period).sum(axis=1)
+        vals = scipy.fft.ifft(fold, axis=-1, norm="forward")[:, :n_steps]
         return self._scale * vals.real.T
+
+
+def _table_bins(first, count):
+    """The bins of _CosineEval's two phase tables for first <= j <
+    first + count: first + width a for a < ceil(count/width), then c <
+    width, with width = ceil(sqrt(count)).  Returns (bins, width)."""
+    width = math.isqrt(count - 1) + 1
+    return np.concatenate([first + width * np.arange(-(-count // width)),
+                           np.arange(width)]), width
 
 
 class _FieldEval:
@@ -383,15 +420,18 @@ class StepSolver:
     stepped in the interaction picture of H0, psi(t0+tau) =
     V e^{-iE tau} c(tau), so H0 is exact and the iterate only carries the
     field; a bare h_apply system iterates on the states with E = 0.  The
-    stop is zeta_step times the step-end norm, or times floor if that is
-    larger.  A converged step's truncation estimate is the norm of the top
-    Chebyshev coefficient of its c(tau) over the same scale; a step is
-    bisected, up to max_halvings times, while that estimate exceeds
-    zeta_step or its iteration stalls, and the steps after it start at the
-    depth that converged (see solve).  Given the previous step's nodes, a
-    full step starts from their extrapolation (see picard): on the
-    benchmark's workloads about 1.0-1.5 iterates per step instead of
-    3.3-4.8 from the constant start.  iterates, stalls and bisections count
+    stop is zeta_step times the step-start norm, or times floor if that is
+    larger, taken once per solve: a run that conserves the norm keeps it to
+    within zeta, and a costate that starts below the forward run's norm is
+    scaled by that norm, its floor.  A converged step's truncation
+    estimate is the norm of the top Chebyshev coefficient of its c(tau)
+    over the same scale; a step is bisected, up to max_halvings times,
+    while that estimate exceeds zeta_step or its iteration stalls, and the
+    steps after it start at the depth that converged (see solve).  Given
+    the previous step's nodes, a full step starts from their extrapolation
+    (see picard): on the benchmark's searched lattices about 2.0-2.3
+    iterates per step (ladder-qn-time), 2.8 (hcl-hg-relax's final forward
+    run) and 4 (s2s-krotov's sweeps).  iterates, stalls and bisections count
     this solver's work, truncation holds the largest estimate of any
     converged solve, and unresolved the deepest bisection that a rejected
     estimate started since it was last reset.
@@ -548,6 +588,8 @@ class StepSolver:
             end_prev = c[last_node]
         update = f_vals if callable(f_vals) else None
         weight = None if update is not None else self._weight(f_vals, ph_bar)
+        scale = max(math.sqrt(np.vdot(u0, u0).real), self.floor)
+        stop = self.zeta_step * scale
         for _ in range(self.max_picard):
             self.iterates += 1
             u = ph * c
@@ -561,8 +603,7 @@ class StepSolver:
             end_prev = end
             if not math.isfinite(delta):
                 break
-            scale = max(math.sqrt(np.vdot(end, end).real), self.floor)
-            if delta <= self.zeta_step * scale:
+            if delta <= stop:
                 top = c @ self._top if cols else self._top @ c
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
                 if self.estimate > self.truncation:

@@ -110,6 +110,47 @@ def test_long_step_lattice_matches_direct_sum(r):
             assert np.abs(got - rows).max() < 1e-12 * np.abs(rows).max()
 
 
+def read_fraction_sets():
+    """The node fractions s, the backward run's 1 - s and a bisected
+    step's pieces (s/2, 1/2 + s/2)."""
+    s = chebyshev_rule(9).s
+    return s, 1.0 - s, np.concatenate([0.5 * s, 0.5 + 0.5 * s])
+
+
+def assert_lattice_read_matches_direct_sum(spectrum, n_steps):
+    # the direct sum on 33 of the steps, the first and last among them
+    t_end = spectrum.grid.T
+    steps = np.unique(np.linspace(0, n_steps - 1, 33).astype(int))
+    reader = _CosineEval(spectrum)
+    for fractions in read_fraction_sets():
+        got = reader.on_lattice(n_steps, fractions)[steps]
+        t = t_end / n_steps * (steps[:, None] + fractions)
+        oracle = eval_cosine_series(spectrum, t.ravel()).reshape(t.shape)
+        assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n_steps", [128, 256, 512, 1024, 2048])
+def test_dense_lattice_read_at_the_ladder_size(n_steps):
+    # every one of 2,049 bins is nonzero: from 128 to 1,024 steps the
+    # support spans 9 to 2 periods of 2*n_steps and is folded by blocks;
+    # at 2,048 steps it fits in one period and is read at its own bins
+    grid = TimeGrid(100.0, 2049)
+    spectrum = dense_time_field(grid).spectrum()
+    assert np.count_nonzero(spectrum.values) == grid.n_t
+    assert_lattice_read_matches_direct_sum(spectrum, n_steps)
+
+
+def test_sparse_lattice_read_at_the_ladder_size():
+    # a few bins over all nine periods of 2*n_steps at r = 16, read at
+    # their own bins
+    grid = TimeGrid(100.0, 2049)
+    bar = np.zeros(grid.n_t)
+    bar[[3, 4, 5, 11, 300, 1999, 2048]] = [0.02, -0.03, 0.015, 0.004,
+                                           0.01, -0.002, 0.001]
+    spectrum = ControlField.from_spectrum(grid, bar).spectrum()
+    assert_lattice_read_matches_direct_sum(spectrum, (grid.n_t - 1) // 16)
+
+
 def direct_node_transform(node_values, traj, bins):
     omegas = traj.grid.frequency_grid().nodes[bins]
     times = step_node_times(traj.grid.T, traj.n_steps, traj.rule)
