@@ -271,7 +271,11 @@ class _CosineEval:
     blocks of one period, j = 2 n_steps b + m: the blocks are folded first
     with their phases exp(2 pi i b s_i), one (n_s x blocks)(blocks x
     2 n_steps) product, and the fold is then turned by the table's phases
-    at m < 2 n_steps.  A smaller support takes its phases at its own bins.
+    at m < 2 n_steps.  A smaller support takes its phases at its own bins:
+    the fold would pay for a full-period table and product that it does not
+    fill (timed on a 2-CPU x86 host, a 22-bin support at 64 to 1,024 steps
+    reads in about 0.6 of the fold's time, and a 2,049-bin one at 2,048
+    steps in about 0.9).
     """
 
     def __init__(self, spectrum):

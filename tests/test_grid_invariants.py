@@ -19,27 +19,17 @@ LATTICES = [64, 128, 1024]
 ZETAS = [1e-6, 1e-10]
 
 
-def forward_run(steps, zeta):
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("steps", LATTICES)
+def test_forward_norm_and_backward_overlap_are_kept(steps, zeta):
     system = hcl_eigen_level(64)
     field = bench_form_guess(system.energies, TimeGrid(2000.0, 1025))
     config = PropagatorConfig(steps, RULE, zeta)
     psi0 = np.eye(64, dtype=complex)[0]
-    return system, field, config, propagate_forward(system, field, psi0,
-                                                    config)
-
-
-@pytest.mark.parametrize("zeta", ZETAS)
-@pytest.mark.parametrize("steps", LATTICES)
-def test_forward_norm_drift_on_the_searched_lattices(steps, zeta):
-    *_, forward = forward_run(steps, zeta)
+    forward = propagate_forward(system, field, psi0, config)
     assert forward.stats.steps == steps
     assert forward.stats.norm_drift <= 1e3 * zeta
 
-
-@pytest.mark.parametrize("zeta", ZETAS)
-@pytest.mark.parametrize("steps", LATTICES)
-def test_source_free_backward_run_keeps_the_overlap(steps, zeta):
-    system, field, config, forward = forward_run(steps, zeta)
     chi_t = np.zeros(64, dtype=complex)
     chi_t[:3] = np.array([1.0, 1.0, 1.0j]) / np.sqrt(3.0)
     backward = propagate_backward(system, field, None, chi_t, config)

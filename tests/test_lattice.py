@@ -47,8 +47,18 @@ def dense_time_field(grid):
     return ControlField.from_time(grid, vals)
 
 
+def sparse_wide_field(grid):
+    # a few support bins up to the last: on long steps they span many
+    # periods of 2*n_steps without filling one
+    bar = np.zeros(grid.n_t)
+    bar[[3, 4, 5, 11, 40, 100, grid.n_t - 1]] = [
+        0.02, -0.03, 0.015, 0.004, 0.01, -0.002, 0.001]
+    return ControlField.from_spectrum(grid, bar)
+
+
 FIELDS = {"sparse-frequency": sparse_frequency_field,
-          "dense-time": dense_time_field}
+          "dense-time": dense_time_field,
+          "sparse-wide": sparse_wide_field}
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))
@@ -73,20 +83,30 @@ def test_propagation_node_fields_match_direct_sum(kind, m, n_c):
     assert np.abs(bwd.field_nodes - oracle).max() < tol
 
 
-@pytest.mark.parametrize("n_steps", [24, 65, 128, 512])
-def test_lattice_matches_direct_sum_for_each_step_count(n_steps):
+@pytest.mark.parametrize(
+    "t_end, n_t, n_steps",
+    [pytest.param(T, N_T, n, id=str(n)) for n in (24, 65, 128, 512)]
+    + [(100.0, 2049, n) for n in (128, 256, 512, 1024, 2048)])
+def test_lattice_matches_direct_sum_for_each_step_count(t_end, n_t, n_steps):
     # exact for every step count: bin j is read at j mod 2*n_steps, which
     # folds the bins when 2*n_steps < n_t (24 steps, which neither divide
-    # the 128 grid intervals nor are a multiple of them)
-    grid = TimeGrid(T, N_T)
+    # the 128 grid intervals nor are a multiple of them).  On 2,049 bins,
+    # 128 to 1,024 steps fold the support by blocks of 2*n_steps, and 2,048
+    # steps read it at its own bins.  The fractions are the nodes s, the
+    # backward run's 1 - s and a bisected step's pieces (s/2, 1/2 + s/2).
+    grid = TimeGrid(t_end, n_t)
     spectrum = dense_time_field(grid).spectrum()
     s = 0.5 * (1.0 - chebyshev_rule(5).y)
-    for fractions in (s, 1.0 - s):
-        h = T / n_steps
-        times = h * (np.arange(n_steps)[:, None] + fractions[None, :])
+    # the direct sum on every step, or on 2**17 // n_t of them (the first
+    # and last among them) where that is fewer
+    steps = np.unique(np.linspace(0, n_steps - 1,
+                                  min(n_steps, 2**17 // n_t)).astype(int))
+    for fractions in (s, 1.0 - s, np.concatenate([0.5 * s, 0.5 + 0.5 * s])):
+        h = t_end / n_steps
+        times = h * (steps[:, None] + fractions[None, :])
         oracle = eval_cosine_series(spectrum, times.ravel()).reshape(
             times.shape)
-        got = _CosineEval(spectrum).on_lattice(n_steps, fractions)
+        got = _CosineEval(spectrum).on_lattice(n_steps, fractions)[steps]
         assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
@@ -108,47 +128,6 @@ def test_long_step_lattice_matches_direct_sum(r):
                 t = T / n_steps * (np.arange(n_steps)[:, None] + fractions)
                 rows = eval_cosine_series(spectrum, t.ravel()).reshape(t.shape)
             assert np.abs(got - rows).max() < 1e-12 * np.abs(rows).max()
-
-
-def read_fraction_sets():
-    """The node fractions s, the backward run's 1 - s and a bisected
-    step's pieces (s/2, 1/2 + s/2)."""
-    s = chebyshev_rule(9).s
-    return s, 1.0 - s, np.concatenate([0.5 * s, 0.5 + 0.5 * s])
-
-
-def assert_lattice_read_matches_direct_sum(spectrum, n_steps):
-    # the direct sum on 33 of the steps, the first and last among them
-    t_end = spectrum.grid.T
-    steps = np.unique(np.linspace(0, n_steps - 1, 33).astype(int))
-    reader = _CosineEval(spectrum)
-    for fractions in read_fraction_sets():
-        got = reader.on_lattice(n_steps, fractions)[steps]
-        t = t_end / n_steps * (steps[:, None] + fractions)
-        oracle = eval_cosine_series(spectrum, t.ravel()).reshape(t.shape)
-        assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
-
-
-@pytest.mark.parametrize("n_steps", [128, 256, 512, 1024, 2048])
-def test_dense_lattice_read_at_the_ladder_size(n_steps):
-    # every one of 2,049 bins is nonzero: from 128 to 1,024 steps the
-    # support spans 9 to 2 periods of 2*n_steps and is folded by blocks;
-    # at 2,048 steps it fits in one period and is read at its own bins
-    grid = TimeGrid(100.0, 2049)
-    spectrum = dense_time_field(grid).spectrum()
-    assert np.count_nonzero(spectrum.values) == grid.n_t
-    assert_lattice_read_matches_direct_sum(spectrum, n_steps)
-
-
-def test_sparse_lattice_read_at_the_ladder_size():
-    # a few bins over all nine periods of 2*n_steps at r = 16, read at
-    # their own bins
-    grid = TimeGrid(100.0, 2049)
-    bar = np.zeros(grid.n_t)
-    bar[[3, 4, 5, 11, 300, 1999, 2048]] = [0.02, -0.03, 0.015, 0.004,
-                                           0.01, -0.002, 0.001]
-    spectrum = ControlField.from_spectrum(grid, bar).spectrum()
-    assert_lattice_read_matches_direct_sum(spectrum, (grid.n_t - 1) // 16)
 
 
 def direct_node_transform(node_values, traj, bins):
