@@ -26,6 +26,7 @@ States enter and leave a step in the system basis, which for the
 optimizers' runs is the eigenbasis of H0 itself (V = I).
 """
 
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -416,6 +417,31 @@ def _half(frac, lo):
     return None if frac is None else (lambda q: frac(lo + 0.5 * q))
 
 
+@functools.lru_cache(maxsize=None)
+def _node_tables(s_bytes, cols):
+    """StepSolver's tables of the nodes s in its layout, shared read-only:
+    the top Chebyshev coefficient row, and the Lagrange bases of s at
+    1 + s (node values of a step -> its node polynomial over the next step
+    of the same length) and at the parent's nodes in each half (2s for
+    s <= 1/2, 2s - 1 above, for _merge).  Complex, so that their products
+    with the complex iterate cast nothing."""
+    s = np.frombuffer(s_bytes)
+    n_c = len(s)
+
+    def frozen(rows):  # complex, read-only, in the layout (a view)
+        rows = rows.astype(complex)
+        rows.flags.writeable = False
+        return rows.T if cols else rows
+
+    # node values -> their top (degree n_c - 1) Chebyshev coefficient
+    top = frozen((-1.0) ** np.arange(n_c)
+                 / (endpoint_factors(n_c) * (n_c - 1)))
+    left = s <= 0.5
+    return top, frozen(_lagrange(s, 1.0 + s)), (
+        frozen(_lagrange(s, 2.0 * s[left])),
+        frozen(_lagrange(s, 2.0 * s[~left] - 1.0)))
+
+
 class StepSolver:
     """Per-step fixed-point solver on the internal Chebyshev nodes.
 
@@ -442,15 +468,19 @@ class StepSolver:
 
     The iterate c is kept in one of two layouts, picked here once from the
     system.  Node rows, (n_c, dim), take the coupling product u (-M)^T in
-    complex arithmetic.  Node columns, (dim, n_c), serve a coupling matrix
-    with no imaginary part (a grid's M = V^dagger mu V) on more levels than
-    nodes: the product -M u is then one real (dim x dim)(dim x 2 n_c) GEMM
-    on the float view of u, about two thirds of the time of the complex
-    one at dim = 64, while up to about n_c levels the rows are the
-    cheaper.  The step tables, the extrapolation and merge matrices, the
-    truncation row and the c kept in _last follow the layout; node states
-    enter and leave as rows, (ph c)^T in columns, so nothing outside the
-    solver sees it.
+    complex arithmetic, through the transposed view of -M kept once (a
+    diagonal coupling takes the elementwise product).  Node columns,
+    (dim, n_c), serve a coupling matrix with no imaginary part (a grid's
+    M = V^dagger mu V) on more levels than nodes: the product -M u is then
+    one real (dim x dim)(dim x 2 n_c) GEMM on the float view of u, about
+    two thirds of the time of the complex one at dim = 64, while up to
+    about n_c levels the rows are the cheaper.  The step tables, the
+    extrapolation and merge matrices, the truncation row and the c kept in
+    _last follow the layout; node states enter and leave as rows, (ph c)^T
+    in columns, so nothing outside the solver sees it.  The extrapolation
+    and merge matrices and the truncation row are built once per (node
+    set, layout) and shared read-only (_node_tables).  Krotov's field reads
+    the node rows as Im<u|w>, one vecdot (optimizers._node_field).
     """
 
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6,
@@ -470,23 +500,8 @@ class StepSolver:
                       and len(energies) > n_c
                       and not np.imag(coupling).any())
         self._end = (slice(None), -1) if self._cols else -1  # the last node
-        # node values -> their top (degree n_c - 1) Chebyshev coefficient,
-        # complex so that the product casts nothing
-        self._top = ((-1.0) ** np.arange(n_c)
-                     / (endpoint_factors(n_c) * (n_c - 1))).astype(complex)
-        # Lagrange bases of the nodes s, complex so that their products
-        # with the complex iterate cast nothing
-        def basis(q):
-            return self._layout(_lagrange(self.s, q).astype(complex))
-
-        # at 1 + s: node values of a step -> its node polynomial's values
-        # over the next step of the same length
-        self._extrap = basis(1.0 + self.s)
-        # at the parent's nodes in each half (2s for s <= 1/2, 2s - 1
-        # above), for _merge
-        left = self.s <= 0.5
-        self._halves = (basis(2.0 * self.s[left]),
-                        basis(2.0 * self.s[~left] - 1.0))
+        self._top, self._extrap, self._halves = _node_tables(
+            self.s.tobytes(), self._cols)
         self._last = (None, None, None)  # last returned nodes, c, step
         self._hold = self._held = self._deep = 0  # see solve
         self._rejected = False
@@ -513,8 +528,11 @@ class StepSolver:
         else:
             minus_m = -coupling.astype(complex)  # no cast per iterate
             self._weight = lambda f, ph_bar: f[:, None] * ph_bar
-            self._couple = lambda u, w, q: q @ (
-                w * apply_operator(minus_m, u))
+            if minus_m.ndim == 1:  # a diagonal coupling
+                self._couple = lambda u, w, q: q @ (w * (u * minus_m))
+            else:  # u (-M)^T, the transposed view kept once
+                m_t = minus_m.T
+                self._couple = lambda u, w, q: q @ (w * (u @ m_t))
         self._to_eigen = _same
         self._to_system = _transpose if self._cols else _same
         if vecs is not None:
@@ -594,8 +612,8 @@ class StepSolver:
         weight = None if update is not None else self._weight(f_vals, ph_bar)
         scale = max(math.sqrt(np.vdot(u0, u0).real), self.floor)
         stop = self.zeta_step * scale
-        for _ in range(self.max_picard):
-            self.iterates += 1
+        n = 0  # iterates, added to the count once per solve
+        for n in range(1, self.max_picard + 1):
             u = ph * c
             if update is not None:
                 weight = self._weight(update(to_system(u)), ph_bar)
@@ -605,9 +623,8 @@ class StepSolver:
             diff = end - end_prev
             delta = math.sqrt(np.vdot(diff, diff).real)
             end_prev = end
-            if not math.isfinite(delta):
-                break
             if delta <= stop:
+                self.iterates += n
                 top = c @ self._top if cols else self._top @ c
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
                 if self.estimate > self.truncation:
@@ -615,6 +632,9 @@ class StepSolver:
                 out = to_system(ph * c)
                 self._last = (out, c, dt)
                 return out
+            if not math.isfinite(delta):  # NaN and inf miss the stop
+                break
+        self.iterates += n
         self.stalls += 1
         return None
 

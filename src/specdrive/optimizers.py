@@ -539,17 +539,17 @@ def _alpha_at_nodes(alpha, grid):
 
 
 def _node_weights(sign, mu_partner, alpha):
-    """w with sign * Im<u|mu|partner>/alpha = Im(u . w) at every node, as
-    Im<u|x> = -Im(u . conj(x)); alpha is a float or one value per node.
-    Built in place of mu_partner."""
-    w = np.conjugate(mu_partner, out=mu_partner)
-    w *= -sign / np.asarray(alpha)[..., None]
-    return w
+    """w = sign * mu|partner>/alpha at every node, so that the field is
+    Im<u|w>; alpha is a float or one value per node.  Built in place of
+    mu_partner."""
+    mu_partner *= sign / np.asarray(alpha)[..., None]
+    return mu_partner
 
 
 def _node_field(w):
-    """The field Im(u . w) at each node of the iterate u."""
-    return lambda u: np.einsum("ij,ij->i", u, w).imag
+    """The field Im<u|w> at each node of the iterate u: one vecdot, which
+    conjugates u."""
+    return lambda u: np.vecdot(u, w).imag
 
 
 class _ImmediateField:

@@ -29,10 +29,11 @@ from specdrive.functionals import (
     FunctionalConfig, evaluate, gradient_freq, prepare_context,
 )
 from specdrive.optimizers import (
-    BUDGET_EXHAUSTED, INSTABILITY, OptimizerConfig, Problem, _ImmediateField,
-    optimize_gradient, optimize_quasi_newton, optimize_relaxation,
+    BUDGET_EXHAUSTED, INSTABILITY, OptimizerConfig, Problem, _alpha_at_nodes,
+    _ImmediateField, optimize_gradient, optimize_quasi_newton,
+    optimize_relaxation,
 )
-from oracles import between_nodes, hg_step_values, td_step_values
+from oracles import between_nodes, field_at, hg_step_values, td_step_values
 
 N_GRID, L = 32, 3
 HCL_MASS = 1785.0
@@ -401,27 +402,47 @@ def test_framed_trajectory_reads_as_its_parent_mapped_by_v():
 
 
 def test_krotov_pieces_read_the_partner_between_its_nodes():
-    """Krotov's field on the pieces two halvings deep of a bisected step,
-    in a forward and a backward sweep, against sign Im<u|mu|partner>/alpha
-    with the partner read by the uncached node polynomial at the pieces'
-    fractions."""
+    """Krotov's field at a sweep step's own nodes and on the pieces two
+    halvings deep of a bisected step, in a forward and a backward sweep,
+    against sign Im<u|mu|partner>/alpha: the partner read off its node
+    states at the step's nodes and by the uncached node polynomial at the
+    pieces' fractions, alpha a float or non-constant samples read by
+    six_point at the same times."""
     problem, _, traj = level_run(4)
-    level, n = problem.system, traj.n_steps
+    level, grid, s = problem.system, problem.grid, traj.s_nodes
+    n = traj.n_steps
+    h = grid.T / n
+    samples = 0.5 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes / grid.T) ** 2)
+    alphas = ((0.5, lambda t: 0.5),
+              (_alpha_at_nodes(samples, grid),
+               lambda t: field_at(RealSignal(grid, samples), t)))
     u = np.random.default_rng(5).standard_normal((traj.rule.n_c, 2 * N_GRID))
     u = u.view(complex)
-    for sign, backward in ((1.0, False), (-1.0, True)):
-        step = _ImmediateField(level, traj, sign, 0.5).steps(
-            n, traj.s_nodes, backward)
-        for k in (0, 50, n - 1):
-            i = n - 1 - k if backward else k
-            for j in range(4):
-                # the fractions of the step at piece j's nodes
-                piece = 0.25 * j + 0.25 * traj.s_nodes
-                frac = 1.0 - piece if backward else piece
-                mu_p = apply_mu(level, between_nodes(traj, frac, i))
-                want = sign * np.einsum("ij,ij->i", u.conj(), mu_p).imag / 0.5
-                got = step(k)[1](piece)(u)
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def check(got, sign, partner, alpha):
+        want = sign * np.einsum(
+            "ij,ij->i", u.conj(), apply_mu(level, partner)).imag / alpha
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for alpha, alpha_at in alphas:
+        for sign, backward in ((1.0, False), (-1.0, True)):
+            step = _ImmediateField(level, traj, sign, alpha).steps(
+                n, s, backward)
+            for k in (0, 50, n - 1):
+                i = n - 1 - k if backward else k
+                # the step's own nodes, in the sweep's order
+                own = s[::-1] if backward else s
+                partner = traj.node_states[i]
+                check(step(k)[0](u), sign,
+                      partner[::-1] if backward else partner,
+                      alpha_at(h * (i + own)))
+                for j in range(4):
+                    # the fractions of the step at piece j's nodes
+                    piece = 0.25 * j + 0.25 * s
+                    frac = 1.0 - piece if backward else piece
+                    check(step(k)[1](piece)(u), sign,
+                          between_nodes(traj, frac, i),
+                          alpha_at(h * (i + frac)))
 
 
 def test_one_pass_band_spectra_match_the_per_band_transforms():

@@ -530,6 +530,29 @@ def test_layouts_agree_backward_with_the_hg_source():
                     costate(turned, b, d.conj()[:, None] * o_a * d), d)
 
 
+def test_solver_tables_are_shared_per_node_set_and_layout():
+    """Solvers on two rule objects of the same nodes share one read-only
+    truncation row, extrapolation basis and pair of merge bases; a
+    column-layout solver (the 64-point HCl eigen system) holds its own,
+    the row layout's transposed."""
+    level = build_level_system([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])
+    rows = StepSolver(level, chebyshev_rule(9), 1e-9)
+    again = StepSolver(level, chebyshev_rule(9), 1e-9)
+    cols = StepSolver(hcl_eigen_level(64), chebyshev_rule(9), 1e-9)
+    assert not rows._cols and cols._cols
+
+    def tables(solver):
+        return (solver._top, solver._extrap, *solver._halves)
+
+    for mine, other, theirs in zip(tables(rows), tables(again), tables(cols)):
+        assert other is mine
+        assert theirs is not mine and np.array_equal(theirs, mine.T)
+        for table in (mine, theirs):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
 @pytest.mark.parametrize("steps, iterates", [(64, 338), (128, 341)])
 def test_hg_costate_with_changing_norm_matches_tight_run(steps, iterates):
     # an HG costate from chi(T) = psi(T), whose norm the source moves from 1
