@@ -135,8 +135,8 @@ def hermitian_components(o, basis=None):
 
 
 def _eigen_amplitudes(traj, basis):
-    """Grid-time amplitudes in the basis, read off the trajectory's own
-    frame when the basis is its eigenbasis (see Trajectory.grid_states)."""
+    """Grid-time amplitudes in the basis, read off the trajectory's stored
+    states when the basis is its own (see Trajectory.grid_states)."""
     return traj.grid_states(None if basis is None
                             else _as_basis(basis).states)
 

@@ -4,9 +4,9 @@ Forward runs are homogeneous; backward runs optionally carry an
 inhomogeneous source built from the stored forward trajectory, once per run
 on its whole node lattice.  Each step
 solves the integral form of the equation of motion on internal Chebyshev
-nodes in the interaction picture of H0: with psi(t0+tau) =
-V e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
-the eigen-coefficients c, carrying only the field coupling and the source.
+nodes in the interaction picture of a diagonal H0: with psi(t0+tau) =
+e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
+the coefficients c, carrying only the field coupling and the source.
 It iterates until the change at the step end drops below a stop of zeta
 per grid interval, relative to the step-start norm or to the run's
 reference norm if that is larger.  Each step of a run after the first
@@ -22,8 +22,11 @@ polynomials.  A converged step measures its own truncation error, the top
 Chebyshev coefficient of c(tau), as that propagator does, and is bisected
 when the estimate exceeds the stop, or when its iteration stalls; after
 either, the following steps start at the depth that converged.
-States enter and leave a step in the system basis, which for the
-optimizers' runs is the eigenbasis of H0 itself (V = I).
+A run changes basis in one place, _run: a system whose H0 is a matrix is
+stepped as its eigen_system(), the level system (E, V^dagger mu V,
+V^dagger O V), with the start state and the source mapped into it by
+V^dagger, and the Trajectory maps the states it is read for back by V.
+The optimizers' runs step that level system themselves (V = I).
 """
 
 import functools
@@ -91,6 +94,10 @@ class PropagatorConfig:
             raise ValueError("need at least one step")
         if not self.zeta > 0:
             raise ValueError("propagator tolerance must be positive")
+        if self.max_picard < 1:
+            raise ValueError("max_picard must be at least 1")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
 
 
 class _Searched(PropagatorConfig):
@@ -445,11 +452,12 @@ def _node_tables(s_bytes, cols):
 class StepSolver:
     """Per-step fixed-point solver on the internal Chebyshev nodes.
 
-    solve() takes and returns system-basis states: the node states over
-    [t0, t0+dt] (dt may be negative).  A system with an eigen() basis is
-    stepped in the interaction picture of H0, psi(t0+tau) =
-    V e^{-iE tau} c(tau), so H0 is exact and the iterate only carries the
-    field; a bare h_apply system iterates on the states with E = 0.  The
+    solve() takes and returns the node states over [t0, t0+dt] (dt may be
+    negative).  A system with eigen() is stepped in the interaction picture
+    of its diagonal H0, psi(t0+tau) = e^{-iE tau} c(tau), so H0 is exact and
+    the iterate only carries the field; a system whose eigen() has a V, a
+    matrix H0, raises ValueError (_run steps its eigen_system() instead).  A
+    bare h_apply system iterates on the states with E = 0.  The
     stop is zeta_step times the step-start norm, or times floor if that is
     larger, taken once per solve: a run that conserves the norm keeps it to
     within zeta, and a costate that starts below the forward run's norm is
@@ -495,6 +503,9 @@ class StepSolver:
         self._tables = {}  # step length -> _StepTable
         eigen = getattr(system, "eigen", None)
         energies, vecs, coupling = eigen() if eigen else (None,) * 3
+        if vecs is not None:
+            raise ValueError("StepSolver steps a diagonal H0; step the "
+                             "system's eigen_system() instead")
         n_c = len(self.s)
         self._cols = (energies is not None and np.ndim(coupling) == 2
                       and len(energies) > n_c
@@ -507,7 +518,7 @@ class StepSolver:
         self._rejected = False
         self.iterates = self.stalls = self.bisections = self.unresolved = 0
         self.estimate = self.truncation = 0.0
-        self.energies, self.vecs = energies, vecs
+        self.energies = energies
         self.spread = 0.0 if energies is None else float(np.ptp(energies))
         # c = c0 - i dt Q conj(ph) H_I(ph c) + the source part: H_I = -eps M
         # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0.
@@ -533,13 +544,7 @@ class StepSolver:
             else:  # u (-M)^T, the transposed view kept once
                 m_t = minus_m.T
                 self._couple = lambda u, w, q: q @ (w * (u @ m_t))
-        self._to_eigen = _same
-        self._to_system = _transpose if self._cols else _same
-        if vecs is not None:
-            v_conj, v_t = vecs.conj(), vecs.T.copy()
-            self._to_eigen = lambda u: u @ v_conj
-            self._to_system = ((lambda c: c.T @ v_t) if self._cols
-                               else (lambda c: c @ v_t))
+        self._to_rows = _transpose if self._cols else _same
 
     def _layout(self, rows):
         """Node rows, or a matrix acting on them from the left, in the
@@ -578,33 +583,32 @@ class StepSolver:
 
         f_vals is the field at the nodes, or a function of the node iterate
         that gives it (an immediate update).  Such a function is called once
-        per iterate, in order, with the iterate's node states in the system
-        basis, as rows, and _run calls it once more on the converged nodes;
+        per iterate, in order, with the iterate's node states as rows, and
+        _run calls it once more on the converged nodes;
         a field that carries state from one call to the next (the kernel
         sweep's secant on its front sample) relies on that order.
         Without start the iteration starts from the constant c(tau) = c0.
         start is the node states of the step of the same length just before
         this one: the iteration then starts from their node polynomial in
         the interaction picture, extrapolated over this step and rotated
-        into its frame, c = (X (conj(ph) V^dagger start)) e^{-iE dt} with X
-        the Lagrange matrix of the nodes s at 1 + s.  The nodes this solver
-        returned last need no basis change for that.  A converged solve
-        leaves its truncation estimate in estimate (see the class).
+        into its frame, c = (X (conj(ph) start)) e^{-iE dt} with X the
+        Lagrange matrix of the nodes s at 1 + s; for the nodes this solver
+        returned last, their c is kept.  A converged solve leaves its
+        truncation estimate in estimate (see the class).
         """
         ph, ph_bar, q, dq, ph_end = self._table(dt)
-        to_eigen, to_system = self._to_eigen, self._to_system
+        to_rows = self._to_rows
         couple, last_node, cols = self._couple, self._end, self._cols
         # c0 at every node, as a row or a column that broadcasts
-        c = end_prev = to_eigen(u0)
+        c = end_prev = u0
         if cols:
             c = c[:, None]
-        # the source part, dq conj(ph) V^dagger src, is fixed for the step
+        # the source part, dq conj(ph) src, is fixed for the step
         base = c if src is None else c + self._apply(
-            dq, ph_bar * self._layout(to_eigen(src)))
+            dq, ph_bar * self._layout(src))
         if start is not None:
             last, c_last, _ = self._last
-            c_prev = c_last if start is last else ph_bar * self._layout(
-                to_eigen(start))
+            c_prev = c_last if start is last else ph_bar * self._layout(start)
             c = (c_prev @ self._extrap if cols
                  else self._extrap @ c_prev) * ph_end
             end_prev = c[last_node]
@@ -616,7 +620,7 @@ class StepSolver:
         for n in range(1, self.max_picard + 1):
             u = ph * c
             if update is not None:
-                weight = self._weight(update(to_system(u)), ph_bar)
+                weight = self._weight(update(to_rows(u)), ph_bar)
             c = couple(u, weight, q)
             c += base
             end = c[last_node]
@@ -629,7 +633,7 @@ class StepSolver:
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
                 if self.estimate > self.truncation:
                     self.truncation = self.estimate
-                out = to_system(ph * c)
+                out = to_rows(ph * c)
                 self._last = (out, c, dt)
                 return out
             if not math.isfinite(delta):  # NaN and inf miss the stop
@@ -718,17 +722,17 @@ class StepSolver:
 
     def _merge(self, u0, left, right, half):
         """The parent step's node values from its halves' node polynomials,
-        taken in the parent's interaction picture c = e^{iE tau} V^dagger
-        psi (see Trajectory.between_nodes): the right half's own picture is
-        turned by e^{iE half} into it."""
+        taken in the parent's interaction picture c = e^{iE tau} psi (see
+        Trajectory.between_nodes): the right half's own picture is turned
+        by e^{iE half} into it."""
         tab = self._table(half)
         to_left, to_right = self._halves
-        layout, to_eigen = self._layout, self._to_eigen
+        layout = self._layout
         c = np.concatenate([
-            self._apply(to_left, tab.ph_bar * layout(to_eigen(left))),
-            self._apply(to_right, tab.ph_bar * layout(to_eigen(right)))
+            self._apply(to_left, tab.ph_bar * layout(left)),
+            self._apply(to_right, tab.ph_bar * layout(right))
             * np.conj(tab.ph_end)], axis=int(self._cols))
-        out = self._to_system(self._table(2.0 * half).ph * c)
+        out = self._to_rows(self._table(2.0 * half).ph * c)
         out[0], out[-1] = u0, right[-1]
         return out
 
@@ -777,65 +781,53 @@ class Trajectory:
     step k's node j, sits at (k + s_j)*dt_step, with dt_step = T/n_steps.
     A step covers one grid interval, a fraction of one, or r of them; the
     states between a step's nodes, the grid-time states among them, come
-    from its node polynomial in the interaction picture of H0 (see
-    between_nodes).  frame = (E, W) gives that picture: the node states are
-    W e^{-iE tau} c(tau), with W unitary (None for the identity) and E None
-    for a system without an eigenbasis.  A trajectory from in_basis maps
-    its node states in one product the first time node_states is read;
-    between_nodes and grid_states read the stored nodes in their own frame
-    and map only what they return.  stats holds the run's PropagationStats.
+    from its node polynomial in the interaction picture of the stepped H0,
+    diagonal with the energies E (None for a system without them; see
+    between_nodes).  The states are stored as they were stepped; a
+    trajectory with a basis V (a matrix H0's eigenvectors, from _run, or
+    in_basis) returns each stored state c as V c: node_states and
+    boundary_states map the stored arrays the first time each is read and
+    keep them, and between_nodes and grid_states read the stored nodes and
+    map only what they return.  stats holds the run's PropagationStats.
     """
 
-    _frame_maps = None  # see _maps
-
     def __init__(self, grid, rule, boundary_states, norms, field_nodes,
-                 node_states, stats, basis=None, frame=(None, None)):
+                 node_states, stats, basis=None, energies=None):
         self.grid = grid
         self.rule = rule
-        self.boundary_states = boundary_states
         self.norms = norms
         self.field_nodes = field_nodes
+        self._ends = boundary_states  # as stepped, like _nodes
         self._nodes = node_states
-        self._basis = basis  # vecs still to apply to _nodes, or None
-        self._frame = frame  # (E, W) of _nodes, see above
+        self._basis = basis  # V, to apply to what is read, or None
+        self._energies = energies
         self._factors = {}  # fractions -> between_nodes' factors
         self.stats = stats
 
-    @property
+    def _mapped(self, stored):
+        """Stored states, (..., dim), as returned: mapped by the basis."""
+        if self._basis is None:
+            return stored
+        flat = stored.reshape(-1, self.dim) @ self._basis.T
+        return flat.reshape(stored.shape)
+
+    @functools.cached_property
     def node_states(self):
         """Internal node states, shape (n_steps, n_c, dim)."""
-        if self._basis is not None:
-            flat = self._nodes.reshape(-1, self.dim) @ self._basis.T
-            self._frame = (self._frame[0], self._states_frame())
-            self._nodes, self._basis = flat.reshape(self._nodes.shape), None
-            self._frame_maps = None
-        return self._nodes
+        return self._mapped(self._nodes)
 
-    def _states_frame(self):
-        """W of the states as they are read: the stored nodes' frame with
-        the basis still to apply, None for the identity."""
-        w, basis = self._frame[1], self._basis
-        if basis is None:
-            return w
-        return basis if w is None else basis @ w
-
-    def _maps(self):
-        """(conj(W) of the stored nodes' frame, W^T of the states as read),
-        None for an identity; built once, and again after node_states maps
-        the nodes."""
-        if self._frame_maps is None:
-            w, out = self._frame[1], self._states_frame()
-            self._frame_maps = (None if w is None else w.conj(),
-                                None if out is None else out.T)
-        return self._frame_maps
+    @functools.cached_property
+    def boundary_states(self):
+        """States at the step boundaries, shape (n_steps + 1, dim)."""
+        return self._mapped(self._ends)
 
     @property
     def n_steps(self):
-        return self.boundary_states.shape[0] - 1
+        return self._ends.shape[0] - 1
 
     @property
     def dim(self):
-        return self.boundary_states.shape[1]
+        return self._ends.shape[1]
 
     @property
     def dt_step(self):
@@ -855,48 +847,40 @@ class Trajectory:
 
     def grid_states(self, vecs=None):
         """States at the TimeGrid nodes, shape (n_t, dim); given a unitary
-        vecs, their coefficients vecs^dagger psi.  When vecs is the frame W
-        of this trajectory's states (the eigenbasis that in_basis gave it,
-        its nodes mapped or not), those are the frame amplitudes, read off
-        the stored nodes without mapping the states out of the frame and
-        back."""
+        vecs, their coefficients vecs^dagger psi.  When vecs is this
+        trajectory's basis, those are the stored states, read off the
+        stored nodes without mapping them out of that basis and back."""
         n_int = self.grid.n_t - 1
         if vecs is None:
             return _on_grid(self.boundary_states, n_int, self.between_nodes)
-        w = self._states_frame()
-        if w is None or not np.array_equal(vecs, w):
+        if self._basis is None or not np.array_equal(vecs, self._basis):
             return self.grid_states() @ vecs.conj()
-        # a step's last node is the boundary state after it
-        to_frame = self._maps()[0]
-        ends = self._nodes[:, -1] if to_frame is None else (
-            self._nodes[:, -1] @ to_frame)
-        ends = np.concatenate([self.boundary_states[:1] @ vecs.conj(), ends])
-        return _on_grid(ends, n_int, self._in_frame)
+        # a step's last node is the boundary state after it; the start is
+        # read back from the returned one, not from _ends, which keeps the
+        # bits of the analysis that bench/run.py's digest pins
+        ends = np.concatenate([self.boundary_states[:1] @ vecs.conj(),
+                               self._nodes[:, -1]])
+        return _on_grid(ends, n_int, self._stored_between)
 
     def between_nodes(self, q, steps=slice(None)):
         """States at the fractions q of the given steps: (n, len(q), dim)
         for a slice of steps, (len(q), dim) for one step k.  They are read
         off each step's node polynomial in the interaction picture of H0,
         where it is smooth whatever the size of the energies:
-        psi(h q) = W [(L(q) (c e^{iEhs})) e^{-iEhq}] with c = W^dagger psi at
-        the nodes s and L(q) their Lagrange rows.  The factors that do not
-        depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are built the
-        first time a fraction set is read and kept, keyed by its fractions,
-        O(len(q) (n_c + dim)) each; the pieces of a bisected backward run
-        read the same few sets at every step, one small product each.  The
-        stored nodes are read in their own frame, so a basis still to apply
-        is applied to the result only."""
-        out = self._in_frame(q, steps)
-        to_states = self._maps()[1]
-        return out if to_states is None else out @ to_states
+        psi(h q) = V [(L(q) (c e^{iEhs})) e^{-iEhq}] with c the stored
+        states at the nodes s and L(q) their Lagrange rows.  The factors
+        that do not depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are
+        built the first time a fraction set is read and kept, keyed by its
+        fractions, O(len(q) (n_c + dim)) each; the pieces of a bisected
+        backward run read the same few sets at every step, one small
+        product each.  The basis is applied to the result only."""
+        out = self._stored_between(q, steps)
+        return out if self._basis is None else out @ self._basis.T
 
-    def _in_frame(self, q, steps=slice(None)):
-        """The frame amplitudes W^dagger psi at the fractions q of the
-        steps (see between_nodes)."""
+    def _stored_between(self, q, steps=slice(None)):
+        """The stored states at the fractions q of the steps, before the
+        basis (see between_nodes)."""
         nodes = self._nodes[steps]
-        to_frame = self._maps()[0]
-        if to_frame is not None:
-            nodes = nodes @ to_frame
         lagrange, turn, back = self._read_factors(q)
         if turn is None:
             return np.matmul(lagrange, nodes)
@@ -909,7 +893,7 @@ class Trajectory:
         key = q.tobytes()
         factors = self._factors.get(key)
         if factors is None:
-            s, h, energies = self.s_nodes, self.dt_step, self._frame[0]
+            s, h, energies = self.s_nodes, self.dt_step, self._energies
             lagrange = _lagrange(s, q).astype(complex)
             factors = (lagrange, None, None) if energies is None else (
                 lagrange,
@@ -922,13 +906,12 @@ class Trajectory:
         return self.node_states[k]
 
     def in_basis(self, vecs):
-        """This trajectory with each state c as vecs @ c, nodes when read;
-        vecs is unitary."""
+        """This trajectory with each state c as vecs @ c; vecs is
+        unitary."""
         basis = vecs if self._basis is None else vecs @ self._basis
-        return Trajectory(self.grid, self.rule,
-                          self.boundary_states @ vecs.T, self.norms,
+        return Trajectory(self.grid, self.rule, self._ends, self.norms,
                           self.field_nodes, self._nodes, self.stats, basis,
-                          self._frame)
+                          self._energies)
 
     def node_expectation(self, apply_op):
         """Re(<u|Op|u>) at every internal node, shape (n_steps, n_c)."""
@@ -972,7 +955,21 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     state's norm; a costate that starts at zero is not held to its own
     small norm.  A forward run under a _Searched config ends with
     _Unresolved after its first step bisected for resolution.
+
+    This is the one place where a basis changes.  A system whose
+    eigen_system() has a V (a matrix H0) is stepped as that level system:
+    the start state and the source rows, the node lattice and the fraction
+    reads of bisected pieces alike, are mapped into its basis by V^dagger,
+    and the returned Trajectory carries V as its basis, so it reads as
+    system-basis states.  A field that is a function of the node iterate
+    sees the iterate in the stepped basis.
     """
+    system, vecs = getattr(system, "eigen_system", lambda: (system, None))()
+    v_bar = None if vecs is None else vecs.conj()
+
+    def to_level(rows):
+        return rows if v_bar is None else rows @ v_bar
+
     n_steps = _steps_for(config, grid)
     rule = config.rule
     dim, n_c = len(u_init), rule.n_c
@@ -989,7 +986,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                 f"steps, this run takes {n_steps}")
         lattice = source.node_values()
 
-    u = np.array(u_init, dtype=complex)
+    u = to_level(np.array(u_init, dtype=complex))
     ref = math.sqrt(np.vdot(u, u).real)
     floor = ref if lattice is None else max(ref,
                                             float(source.forward.norms[0]))
@@ -1006,10 +1003,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
         i = n_steps - 1 - k
 
         def frac(s):
-            return -source.step_values(i, 1.0 - np.asarray(s))
+            return to_level(-source.step_values(i, 1.0 - np.asarray(s)))
 
         # the backward step's nodes are the forward step's nodes reversed
-        return None if lattice is None else (-lattice[i])[::-1], frac
+        return (None if lattice is None
+                else to_level((-lattice[i])[::-1])), frac
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
@@ -1058,7 +1056,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                              float(np.abs(norms - ref).max()),
                              solver.truncation)
     return Trajectory(grid, rule, boundaries, norms, f_nodes, node_states,
-                      stats, frame=(solver.energies, solver.vecs))
+                      stats, vecs, solver.energies)
 
 
 def _grid_for(f_eval, grid):

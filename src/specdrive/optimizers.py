@@ -19,10 +19,10 @@ The schemes differ in the update rule:
 
 Every scheme is a step function run by one shared loop, _drive, in the
 eigen representation of H0 (system.eigen_system()); the trajectory it
-returns is mapped back to the system basis once.  Every propagation is one
-dynamics._run, the sweeps of both immediate-update schemes included: their
-fields (_ImmediateField, _KernelField) are functions of the node iterate
-of the step being solved.  All runs produce an
+returns carries V as its basis (Trajectory.in_basis).  Every propagation
+is one dynamics._run, the sweeps of both immediate-update schemes
+included: their fields (_ImmediateField, _KernelField) are functions of
+the node iterate of the step being solved.  All runs produce an
 OptimizationTrace whose rows carry the functional breakdown, the mixing
 parameter, the cumulative propagation count and the relative field change,
 so convergence curves can be reconstructed exactly.
@@ -255,6 +255,13 @@ def _rel_change(field_old, field_new, formulation):
     return num / den
 
 
+def _settled(field, trial, j_trial, j, formulation, tau):
+    """A rejected trial that moves nothing and loses nothing: the field
+    already solves its own update equation."""
+    return (math.isfinite(j_trial) and j_trial >= j - 1e-12 * max(1.0, abs(j))
+            and convergence_check(field, trial, formulation, tau))
+
+
 def _chi_setup(ctx, traj):
     """Costate boundary condition and backward source for the target."""
     cfg = ctx.config
@@ -477,12 +484,7 @@ def _relaxation_step(run, config):
                 traj_t, br_t, j_t = None, None, -math.inf
             if j_t > br.j:
                 return trial, traj_t, br_t, k
-            # a rejected step that moves nothing and loses nothing
-            # means the field already solves its own update equation
-            if (math.isfinite(j_t)
-                    and j_t >= br.j - 1e-12 * max(1.0, abs(br.j))
-                    and convergence_check(field, trial, formulation,
-                                          config.tau)):
+            if _settled(field, trial, j_t, br.j, formulation, config.tau):
                 return CONVERGED
             k *= 0.5
             if k < config.k_floor:
@@ -973,12 +975,9 @@ def _line_search_step(run, config, keep_pairs):
                              config.ls_refine)
         if k_acc is None:
             j_small, trial, _, _ = cache.seen[min(cache.seen)]
-            if (math.isfinite(j_small) and trial is not None
-                    and j_small >= br.j - 1e-12 * max(1.0, abs(br.j))
-                    and convergence_check(field, trial, formulation,
-                                          config.tau)):
-                return CONVERGED
-            return K_UNDERFLOW
+            return (CONVERGED if _settled(field, trial, j_small, br.j,
+                                          formulation, config.tau)
+                    else K_UNDERFLOW)
         k_best, (_, trial, traj_t, br_t) = cache.best()
         k_cap = k_seed = k_best  # accepted K never increases
         return trial, traj_t, br_t, k_best

@@ -147,8 +147,8 @@ def node_poly(s, values, q, h=0.0, energies=None):
 
 def between_nodes(traj, q, k):
     """States at the fractions q of step k of traj, (len(q), dim)."""
-    nodes = traj.node_states[k]  # maps a pending basis into the frame
-    energies, w = traj._frame
+    nodes = traj.node_states[k]  # in the system basis
+    energies, w = traj._energies, traj._basis  # the stepped H0 and its V
     if w is None:
         return node_poly(traj.s_nodes, nodes, q, traj.dt_step, energies)
     return node_poly(traj.s_nodes, nodes @ w.conj(), q, traj.dt_step,

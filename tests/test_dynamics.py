@@ -10,7 +10,8 @@ from specdrive.spectral import (
     idct1, make_filter,
 )
 from specdrive.system import (
-    apply_operator, build_level_system, dense_h0, dense_mu,
+    apply_operator, build_grid_system, build_level_system, dense_h0,
+    dense_mu, harmonic_potential, linear_dipole,
 )
 from specdrive.dynamics import (
     HGSource, InstabilityError, PropagationError, PropagatorConfig,
@@ -129,26 +130,34 @@ class _AnalyticSource:
 
 
 def test_inhomogeneous_vs_ode_oracle():
-    sys2 = tls()
+    # a two-level system, and an 8-point harmonic grid: its matrix H0 is
+    # stepped in its eigenbasis, into which the source's reads are mapped
+    rng = np.random.default_rng(3)
+    grid_system = build_grid_system(-4.0, 4.0, 8, 1.0, harmonic_potential,
+                                    linear_dipole)
+    cases = [(tls(), np.array([0.2, -0.1j], dtype=complex),
+              np.array([0.3 - 0.2j, 0.7 + 0.1j])),
+             (grid_system, 0.1 * (rng.standard_normal(8)
+                                  + 1j * rng.standard_normal(8)),
+              0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)))]
     grid = TimeGrid(4.0, 33)
     field = 0.25
-    chi_T = np.array([0.2, -0.1j], dtype=complex)
-    v = np.array([0.3 - 0.2j, 0.7 + 0.1j])
     g = lambda t: np.cos(1.7 * t) + 0.3
     n_steps = 64
-    source = _AnalyticSource(g, v, grid.T / n_steps)
-    back = propagate_backward(sys2, field, source, chi_T, cfg(n_steps),
-                              grid=grid)
-    h = dense_h0(sys2) - field * dense_mu(sys2)
+    for system, chi_T, v in cases:
+        source = _AnalyticSource(g, v, grid.T / n_steps)
+        back = propagate_backward(system, field, source, chi_T, cfg(n_steps),
+                                  grid=grid)
+        h = dense_h0(system) - field * dense_mu(system)
 
-    def rhs(t, y):
-        return -1j * (h @ y) - g(t) * v
+        def rhs(t, y):
+            return -1j * (h @ y) - g(t) * v
 
-    sol = scipy.integrate.solve_ivp(rhs, (4.0, 0.0), chi_T, method="DOP853",
-                                    rtol=1e-12, atol=1e-14,
-                                    t_eval=grid.nodes[::-1])
-    oracle = sol.y[:, ::-1].T
-    assert np.abs(back.grid_states() - oracle).max() < 1e-6
+        sol = scipy.integrate.solve_ivp(rhs, (4.0, 0.0), chi_T,
+                                        method="DOP853", rtol=1e-12,
+                                        atol=1e-14, t_eval=grid.nodes[::-1])
+        oracle = sol.y[:, ::-1].T
+        assert np.abs(back.grid_states() - oracle).max() < 1e-6
 
 
 def test_expectation_signal():
@@ -362,6 +371,10 @@ def test_default_config_and_errors():
         PropagatorConfig(steps=0, rule=RULE, zeta=1e-6)
     with pytest.raises(ValueError):
         PropagatorConfig(steps=4, rule=RULE, zeta=0.0)
+    with pytest.raises(ValueError):
+        PropagatorConfig(steps=4, rule=RULE, zeta=1e-6, max_picard=0)
+    with pytest.raises(ValueError):
+        PropagatorConfig(steps=4, rule=RULE, zeta=1e-6, max_halvings=-1)
 
 
 def test_default_config_is_the_floor_lattice():

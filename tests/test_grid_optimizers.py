@@ -375,8 +375,8 @@ def test_interleaved_fraction_sets_read_as_from_a_fresh_trajectory():
 def test_framed_trajectory_reads_as_its_parent_mapped_by_v():
     """The level run taken to a basis V by in_basis(V) reads, between its
     nodes and on the grid, as the level run mapped by V, and a run of the
-    grid system itself, whose frame is its eigenbasis, as the uncached
-    read."""
+    grid system itself, which carries its eigenbasis as its basis, as the
+    uncached read."""
     problem, _, traj = level_run(4)
     grid_problem = hcl_problem()
     # a complex unitary, so that conj(V) and V differ
@@ -387,7 +387,7 @@ def test_framed_trajectory_reads_as_its_parent_mapped_by_v():
                                replace(default_propagator_config(
                                    problem.system, problem.grid, tau=1e-7),
                                    steps=(N_T - 1) // 4))
-    assert direct._frame[1] is not None
+    assert direct._basis is not None
     s = traj.s_nodes
     for q in (0.5 * s, 1.0 - 0.25 * s, np.arange(1, 4) / 4):
         for k in (0, 77, traj.n_steps - 1):
@@ -535,10 +535,10 @@ def test_band_spectra_read_off_the_frame_match_the_mapped_states():
 
     mapped = spectra(flipped)
     scale = np.abs(mapped).max()
-    assert framed._basis is not None  # the nodes are still to be mapped
+    assert "node_states" not in vars(framed)  # still to be mapped
     assert np.abs(spectra(basis) - mapped).max() <= 1e-12 * scale
     framed.node_states
-    assert framed._basis is None
+    assert "node_states" in vars(framed)  # mapped, and kept
     assert np.abs(spectra(basis) - mapped).max() <= 1e-12 * scale
     assert np.abs(spectra(flipped) - mapped).max() <= 1e-12 * scale
 

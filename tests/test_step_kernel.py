@@ -175,7 +175,11 @@ HCL_DT = 2000.0 / 1024  # the benchmark's HCl grid spacing
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize("with_source", [True, False])
 def test_eigen_step_matches_substeps_on_hcl_grid(direction, with_source):
+    # the grid system's eigen_system() stepped with its states mapped
+    # through V, against the plain loop on the grid system itself
     system = hcl_system(64)
+    level, vecs = system.eigen_system()
+    v_bar = vecs.conj()
     rng = np.random.default_rng(11)
     u0 = complex_block(rng, 1, 64)[0]
     u0 /= np.linalg.norm(u0)
@@ -190,14 +194,17 @@ def test_eigen_step_matches_substeps_on_hcl_grid(direction, with_source):
     source = source if with_source else None
     dt = direction * HCL_DT
     zeta_step = 1e-6 / 1024
-    solver = StepSolver(system, RULE, zeta_step)
+    solver = StepSolver(level, RULE, zeta_step)
     src = None if source is None else source(solver.s)
-    got = solver.picard(u0, field(solver.s), src, dt)
+    src_level = None if src is None else src @ v_bar
+    got = solver.picard(u0 @ v_bar, field(solver.s), src_level, dt)
     assert got is not None
+    got = got @ vecs.T
     ref = substepped_end(system, u0, field, source, dt, 16)
     assert np.linalg.norm(got[-1] - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.abs(got[0] - u0).max() <= 1e-14
-    eigen_its = iterates(system, u0, field(solver.s), src, dt, zeta_step)
+    eigen_its = iterates(level, u0 @ v_bar, field(solver.s), src_level, dt,
+                         zeta_step)
     plain_its = iterates(_Counting(system), u0, field(solver.s), src, dt,
                          zeta_step)
     assert eigen_its < plain_its
@@ -316,18 +323,20 @@ def two_steps(solver, u0, dt, f_vals_at, src_at=None):
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_predicted_start_reaches_the_constant_start_fixed_point(direction):
-    """Forward without a source; backward with one."""
-    system = hcl_system(64)
+    """Forward without a source; backward with one.  The grid system's
+    eigen_system() is stepped, with the states mapped through V."""
+    level, vecs = hcl_system(64).eigen_system()
+    v_bar = vecs.conj()
     rng = np.random.default_rng(11)
     u0 = complex_block(rng, 1, 64)[0]
     u0 /= np.linalg.norm(u0)
     a, b = 0.05 * complex_block(rng, 2, 64)
 
     def source(s):
-        return a + np.multiply.outer(np.asarray(s) ** 2, b)
+        return (a + np.multiply.outer(np.asarray(s) ** 2, b)) @ v_bar
 
-    solver = StepSolver(system, RULE, 1e-6 / 1024)
-    const, pred = two_steps(solver, u0, direction * HCL_DT,
+    solver = StepSolver(level, RULE, 1e-6 / 1024)
+    const, pred = two_steps(solver, u0 @ v_bar, direction * HCL_DT,
                             lambda s: 0.01 * np.cos(3.0 * s),
                             source if direction < 0 else None)
     assert np.linalg.norm(pred - const) <= 1e-10 * np.linalg.norm(const)
@@ -353,25 +362,30 @@ def test_predicted_start_on_a_krotov_update_step():
 def test_full_step_after_a_bisected_one_starts_from_the_merged_nodes():
     """With two iterates allowed, the constant start cannot solve the HCl
     step and bisects it; the next full step, started from the merged nodes
-    of the bisected one, converges without a bisection."""
+    of the bisected one, converges without a bisection.  The grid system's
+    eigen_system() is stepped, with the states mapped through V; the grid
+    system itself is not a StepSolver's."""
     system = hcl_system(64)
-    energies, vecs, _ = system.eigen()
+    with pytest.raises(ValueError):
+        StepSolver(system, RULE, 1e-9)
+    level, vecs = system.eigen_system()
+    energies = level.energies
     w10 = float(energies[1] - energies[0])
 
     def field(s):
         return 0.01 * np.cos(w10 * HCL_DT * np.asarray(s))
 
     zeta_step = 1e-6 / 1024
-    solver = StepSolver(system, RULE, zeta_step, max_picard=2)
+    solver = StepSolver(level, RULE, zeta_step, max_picard=2)
     s = solver.s
-    first = solver.solve(vecs[:, 0].astype(complex), 0.0, HCL_DT, field,
-                         f_vals=field(s))
+    first = solver.solve(vecs[:, 0].astype(complex) @ vecs.conj(), 0.0,
+                         HCL_DT, field, f_vals=field(s))
     bisections = solver.bisections
     assert bisections > 0
     second = solver.solve(first[-1], HCL_DT, HCL_DT, lambda q: field(1.0 + q),
                           f_vals=field(1.0 + s), start=first)
     assert solver.bisections == bisections
-    ref = StepSolver(system, RULE, zeta_step).solve(
+    ref = StepSolver(level, RULE, zeta_step).solve(
         first[-1], HCL_DT, HCL_DT, lambda q: field(1.0 + q),
         f_vals=field(1.0 + s))
     assert np.linalg.norm(second - ref) <= 1e-10 * np.linalg.norm(ref)
