@@ -2,7 +2,8 @@
 
 Forward runs are homogeneous; backward runs optionally carry an
 inhomogeneous source built from the stored forward trajectory, once per run
-on its whole node lattice.  Each step
+on its whole node lattice.  A backward run reads that lattice reversed, the
+field and the source alike, through one helper (_executed).  Each step
 solves the integral form of the equation of motion on internal Chebyshev
 nodes in the interaction picture of a diagonal H0: with psi(t0+tau) =
 e^{-iE tau} c(tau), H0 is exact and the fixed-point iteration runs on
@@ -236,25 +237,14 @@ def _lagrange(xs, q):
 
 
 def _sample_interp(samples, grid, t):
-    """Local polynomial interpolation of equidistant samples (6-point
-    window) at the times t, an array."""
-    n = grid.n_t
-    flat = t.ravel()
-    if n <= 6:
-        return (_lagrange(grid.nodes, flat) @ samples).reshape(t.shape)
-    dt = grid.dt
-    base = np.clip(np.floor(flat / dt).astype(int) - 2, 0, n - 6)
-    idx = base[:, None] + np.arange(6)
-    xs = idx * dt
-    vals = samples[idx]
-    d = flat[:, None] - xs
-    hit = np.abs(d) < 1e-12 * dt
-    w = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
-    terms = w / np.where(hit, 1.0, d)
-    out = (terms * vals).sum(axis=1) / terms.sum(axis=1)
-    rows = hit.any(axis=1)
-    if rows.any():
-        out[rows] = vals[hit]
+    """Local polynomial interpolation of equidistant samples at the times
+    t, an array: the Lagrange basis of the window of min(n_t, 6) samples
+    around each time."""
+    m = min(grid.n_t, 6)
+    x = t.ravel() / grid.dt
+    base = np.clip(np.floor(x).astype(int) - 2, 0, grid.n_t - m)
+    window = samples[base[:, None] + np.arange(m)]
+    out = np.einsum("ij,ij->i", _lagrange(np.arange(m), x - base), window)
     return out.reshape(t.shape)
 
 
@@ -342,7 +332,7 @@ def _table_bins(first, count):
 class _FieldEval:
     """Uniform evaluator of a scalar function of time: zero, constant,
     sampled, or cosine series (the field, the HG source's s(t), the TD
-    source's w(t), Krotov's sampled alpha).
+    source's w(t), Krotov's alpha).
 
     Fields that carry a spectrum (Spectrum objects and two-view drive
     fields) are evaluated exactly through their cosine series; bare sample
@@ -397,15 +387,37 @@ class _FieldEval:
 
     def steps(self, n_steps, s, backward):
         """Execution step k -> (field at its nodes, reader of the field at
-        fractions q of the step, for bisected pieces).  A backward run
-        executes the lattice from T down: fractions q of its step k are
-        fractions 1 - q of forward step n_steps - 1 - k."""
+        fractions q of the step, for bisected pieces); see _executed."""
+        return _executed(self.on_lattice(n_steps, s),
+                         lambda i, q: self.on_lattice(n_steps, q)[i],
+                         n_steps, backward)
+
+
+def _executed(lattice, at, n_steps, backward):
+    """Execution step k -> (lattice[k], reader of fractions q of the step)
+    for StepSolver.solve, from a node lattice in forward order,
+    (n_steps, n_c, ...), or None, and at(i, q), the values at fractions q of
+    forward step i.  A backward run executes the lattice from T down: its
+    step k is forward step n_steps - 1 - k with the nodes reversed, and its
+    fractions q are that step's 1 - q.  The lattice is reversed rather than
+    read again at 1 - s, since a rule's fractions mirror only to rounding
+    (about 1.1e-16 for nine Chebyshev nodes): a backward run's field and
+    source are then read at the forward run's node times themselves.  A
+    lattice read off a run on another number of steps raises ValueError."""
+    if lattice is not None:
+        if len(lattice) != n_steps:
+            raise ValueError(f"the lattice was read off a run of "
+                             f"{len(lattice)} steps, this run takes {n_steps}")
         if backward:
-            f_all = self.on_lattice(n_steps, 1.0 - s)[::-1]
-            return lambda k: (f_all[k], lambda q: self.on_lattice(
-                n_steps, 1.0 - q)[n_steps - 1 - k])
-        f_all = self.on_lattice(n_steps, s)
-        return lambda k: (f_all[k], lambda q: self.on_lattice(n_steps, q)[k])
+            lattice = lattice[::-1, ::-1]
+
+    def step(k):
+        vals = None if lattice is None else lattice[k]
+        if backward:
+            return vals, lambda q: at(n_steps - 1 - k, 1.0 - np.asarray(q))
+        return vals, lambda q: at(k, q)
+
+    return step
 
 
 _StepTable = namedtuple("_StepTable", "ph ph_bar q dq ph_end")
@@ -471,8 +483,9 @@ class StepSolver:
     iterates per step (ladder-qn-time), 2.8 (hcl-hg-relax's final forward
     run) and 4 (s2s-krotov's sweeps).  iterates, stalls and bisections count
     this solver's work, truncation holds the largest estimate of any
-    converged solve, and unresolved the deepest bisection that a rejected
-    estimate started since it was last reset.
+    converged solve, and unresolved the deepest bisection that any estimate
+    above zeta_step called for, kept or not, over the solver's whole run
+    (0 while every estimate passed; nothing resets it).
 
     The iterate c is kept in one of two layouts, picked here once from the
     system.  Node rows, (n_c, dim), take the coupling product u (-M)^T in
@@ -855,12 +868,7 @@ class Trajectory:
             return _on_grid(self.boundary_states, n_int, self.between_nodes)
         if self._basis is None or not np.array_equal(vecs, self._basis):
             return self.grid_states() @ vecs.conj()
-        # a step's last node is the boundary state after it; the start is
-        # read back from the returned one, not from _ends, which keeps the
-        # bits of the analysis that bench/run.py's digest pins
-        ends = np.concatenate([self.boundary_states[:1] @ vecs.conj(),
-                               self._nodes[:, -1]])
-        return _on_grid(ends, n_int, self._stored_between)
+        return _on_grid(self._ends, n_int, self._stored_between)
 
     def between_nodes(self, q, steps=slice(None)):
         """States at the fractions q of the given steps: (n, len(q), dim)
@@ -935,12 +943,14 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     field.steps() gives, for execution step k, the field at the step's
     nodes (values, or a function of the node iterate for an immediate
     update) and its reader at fractions of the step, for bisected pieces;
-    the source is read by fractions too.  A forward run starts at
-    0; a backward one starts at T and carries the source, so execution step
-    k covers forward step n_steps - 1 - k of the same node lattice, and the
-    arrays, node states included, are filled from the end to keep
-    absolute-time order.  Every step after the first starts its Picard
-    solve from the previous step's nodes (see StepSolver.picard).  A run
+    the source, negated, is read the same way, from its node lattice or,
+    for a source with step_values only, by fractions.  A forward run starts
+    at 0; a backward one starts at T and carries the source, so execution
+    step k covers forward step n_steps - 1 - k of the same node lattice
+    (_executed maps both), and the arrays, node states included, are filled
+    from the end to keep absolute-time order.  Every step after the first
+    starts its Picard solve from the previous step's nodes (see
+    StepSolver.picard).  A run
     without a source conserves the norm, so a drift beyond 1e3 times what
     its steps allow raises InstabilityError: zeta, or the steps times the
     worst truncation estimate so far if that is larger, since a step kept
@@ -977,14 +987,9 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     h = grid.T / n_steps
     dt, t_init = (-h, grid.T) if backward else (h, 0.0)
     # a source read off a forward run is built on its whole node lattice,
-    # which must be this run's
-    lattice = None
-    if isinstance(source, _ForwardSource):
-        if source.forward.n_steps != n_steps:
-            raise ValueError(
-                f"the source's forward run took {source.forward.n_steps} "
-                f"steps, this run takes {n_steps}")
-        lattice = source.node_values()
+    # which must be this run's (see _executed)
+    lattice = (source.node_values() if isinstance(source, _ForwardSource)
+               else None)
 
     u = to_level(np.array(u_init, dtype=complex))
     ref = math.sqrt(np.vdot(u, u).real)
@@ -997,17 +1002,15 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     step_field = field.steps(n_steps, solver.s, backward)
     searched = isinstance(config, _Searched) and not backward
 
+    executed = None if source is None else _executed(
+        lattice, source.step_values, n_steps, backward)
+
     def step_source(k):
-        if source is None:
+        if executed is None:
             return None, None
-        i = n_steps - 1 - k
-
-        def frac(s):
-            return to_level(-source.step_values(i, 1.0 - np.asarray(s)))
-
-        # the backward step's nodes are the forward step's nodes reversed
-        return (None if lattice is None
-                else to_level((-lattice[i])[::-1])), frac
+        vals, frac = executed(k)
+        return (None if vals is None else to_level(-vals),
+                lambda q: to_level(-frac(q)))
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
@@ -1133,7 +1136,8 @@ def terminal_chi(kappa, system, psi_T):
 
 
 class _ForwardSource:
-    """A backward source read off a stored forward trajectory.
+    """A backward source read off a stored forward trajectory, or another
+    quantity read so (Krotov's weights: _ImmediateField in optimizers).
 
     node_values() gives the source at every node of the forward run,
     (n_steps, n_c, dim), built in one batched product the first time it is

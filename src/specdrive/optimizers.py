@@ -49,11 +49,13 @@ from .dynamics import (
     terminal_chi,
     hg_source_signal,
     _EPS,
+    _ForwardSource,
     _Searched,
     _Unresolved,
     _long_steps,
     _lagrange,
     _on_grid,
+    _executed,
     _run,
     _FieldEval,
 )
@@ -523,29 +525,17 @@ def optimize_relaxation(problem, config=None, on_row=None):
 
 
 def _alpha_at_nodes(alpha, grid):
-    """Penalty weight for _ImmediateField: a float for a constant, sampled
-    or not, else a _FieldEval of the samples, which reads them at the
-    nodes and pieces of any lattice."""
+    """Penalty weight for _ImmediateField, a _FieldEval that reads it at the
+    nodes and pieces of any lattice: a constant for a constant, sampled or
+    not, else the samples."""
     a = np.asarray(alpha, dtype=float)
-    if a.ndim == 0:
-        if not a > 0.0:
-            raise ValueError("alpha must be positive")
-        return float(a)
-    if a.shape != (grid.n_t,):
+    if a.ndim and a.shape != (grid.n_t,):
         raise ValueError("alpha samples do not match the grid")
     if not np.all(a > 0.0):
-        raise ValueError("alpha must be positive everywhere")
-    if np.all(a == a[0]):  # interpolation would move it in the last bit
-        return float(a[0])
+        raise ValueError("alpha must be positive")
+    if np.all(a == a.flat[0]):  # interpolation would move it in the last bit
+        return _FieldEval(float(a.flat[0]), grid)
     return _FieldEval(a, grid)
-
-
-def _node_weights(sign, mu_partner, alpha):
-    """w = sign * mu|partner>/alpha at every node, so that the field is
-    Im<u|w>; alpha is a float or one value per node.  Built in place of
-    mu_partner."""
-    mu_partner *= sign / np.asarray(alpha)[..., None]
-    return mu_partner
 
 
 def _node_field(w):
@@ -554,45 +544,35 @@ def _node_field(w):
     return lambda u: np.vecdot(u, w).imag
 
 
-class _ImmediateField:
+class _ImmediateField(_ForwardSource):
     """Krotov's field for _run: recomputed at every node from the iterate u
-    of the step being solved, eps = sign * Im<u|mu|partner>/alpha, where u
-    is the state (sign +1) or the costate (sign -1) and the partner, the
-    other one, is read off its trajectory's node states, weighted in one
-    product per sweep.  alpha is _alpha_at_nodes' float or _FieldEval.
-    The pieces of a bisected step read the partner through its
-    between_nodes, and a sampled alpha through its on_lattice, both keyed
-    by the pieces' fractions of the step."""
+    of the step being solved, eps = Im<u|w>, where u is the state (sign +1)
+    or the costate (sign -1) and w = sign mu|partner>/alpha.  The weights w
+    are a _ForwardSource read off the partner, the other trajectory, with
+    alpha (_alpha_at_nodes' _FieldEval) as its scalar part: one product per
+    sweep at the partner's nodes, and for the pieces of a bisected step one
+    read through its between_nodes and alpha's on_lattice, keyed by the
+    pieces' fractions of the step.  _executed orders them for the sweep."""
 
     def __init__(self, system, partner, sign, alpha):
+        super().__init__(partner, alpha)
         self.system = system
-        self.partner = partner
         self.sign = sign
-        self.alpha = alpha
+
+    def _values(self, psi, k, s):
+        out = apply_mu(self.system, psi)
+        out *= self.sign / self._scalar_at(k, s)
+        return out
 
     def steps(self, n_steps, s, backward):
-        partner, sign, alpha = self.partner, self.sign, self.alpha
-        scalar = isinstance(alpha, float)
-        nodes = partner.node_states
-        mu_all = apply_mu(self.system, nodes.reshape(-1, partner.dim))
-        a_nodes = alpha if scalar else alpha.on_lattice(n_steps, s)
-        w_all = _node_weights(sign, mu_all.reshape(nodes.shape), a_nodes)
-        if backward:  # execution step k runs forward step n_steps - 1 - k
-            w_all = w_all[::-1, ::-1]
+        step = _executed(self.node_values(), self.step_values, n_steps,
+                         backward)
 
-        def step(k):
-            i = n_steps - 1 - k if backward else k
+        def field(k):
+            w, frac = step(k)
+            return _node_field(w), lambda q: _node_field(frac(q))
 
-            def halves(q):
-                if backward:  # fractions 1 - q of forward step i
-                    q = 1.0 - q
-                mu_q = apply_mu(self.system, partner.between_nodes(q, i))
-                a_q = alpha if scalar else alpha.on_lattice(n_steps, q)[i]
-                return _node_field(_node_weights(sign, mu_q, a_q))
-
-            return _node_field(w_all[k]), halves
-
-        return step
+        return field
 
 
 # the sweeps' propagation, under its own name: bench/tracing.py counts the
@@ -696,7 +676,9 @@ class _KernelField:
     first two calls take x to that solve; later ones take a secant step on
     its residual, since the row's gain passes one on coarse grids, where
     plain repetition diverges.  The front row couples the whole interval,
-    so a step cannot be bisected."""
+    so a step cannot be bisected.  Since its samples and its secant are
+    defined per execution step, it keeps its own order, not
+    dynamics._executed's."""
 
     def __init__(self, work, solve):
         self.work, self.solve = work, solve

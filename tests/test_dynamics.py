@@ -118,6 +118,19 @@ def test_backward_is_adjoint_of_forward():
     assert np.abs(overlaps - overlaps[-1]).max() < 1e-8
 
 
+def test_backward_run_reads_the_field_at_the_forward_nodes():
+    """A backward run reads the forward node lattice reversed, not again at
+    the fractions 1 - s, which mirror s only to rounding: its field_nodes
+    are the forward run's, bit for bit."""
+    system = build_level_system([0.0, 1.0], SX)
+    grid = TimeGrid(10.0, 65)
+    field = ControlField.from_time(grid, 0.2 * np.cos(grid.nodes))
+    config = default_propagator_config(system, grid)
+    psi = propagate_forward(system, field, [1.0, 0.0], config)
+    chi = propagate_backward(system, field, None, [0.0, 1.0], config)
+    assert np.array_equal(chi.field_nodes, psi.field_nodes)
+
+
 class _AnalyticSource:
     """S(t) = g(t) * v for a fixed vector v."""
 

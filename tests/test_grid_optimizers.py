@@ -413,7 +413,7 @@ def test_krotov_pieces_read_the_partner_between_its_nodes():
     n = traj.n_steps
     h = grid.T / n
     samples = 0.5 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes / grid.T) ** 2)
-    alphas = ((0.5, lambda t: 0.5),
+    alphas = ((_alpha_at_nodes(0.5, grid), lambda t: 0.5),
               (_alpha_at_nodes(samples, grid),
                lambda t: field_at(RealSignal(grid, samples), t)))
     u = np.random.default_rng(5).standard_normal((traj.rule.n_c, 2 * N_GRID))
@@ -443,6 +443,17 @@ def test_krotov_pieces_read_the_partner_between_its_nodes():
                     check(step(k)[1](piece)(u), sign,
                           between_nodes(traj, frac, i),
                           alpha_at(h * (i + frac)))
+
+
+def test_krotov_field_rejects_a_partner_on_another_lattice():
+    """The sweep reads its partner's node lattice step by step, as a
+    backward run reads its source: a partner on another lattice raises."""
+    problem, _, traj = level_run(4)
+    field = _ImmediateField(problem.system, traj, 1.0,
+                            _alpha_at_nodes(0.5, problem.grid))
+    for backward in (False, True):
+        with pytest.raises(ValueError):
+            field.steps(2 * traj.n_steps, traj.s_nodes, backward)
 
 
 def test_one_pass_band_spectra_match_the_per_band_transforms():
