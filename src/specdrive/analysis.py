@@ -80,22 +80,39 @@ class HermitianComponents:
         # the bands with a nonzero coupling; every other part is zero
         return np.flatnonzero(self.d.any(axis=1))
 
-    def _bands(self, c):
+    def _spans(self):
+        """(band i, lo, hi) for each live band: its nonzero couplings
+        d[i, lo:hi] join the amplitudes lo:hi to i + lo:i + hi."""
+        for i in self._live():
+            nonzero = np.flatnonzero(self.d[i])
+            yield i, nonzero[0], nonzero[-1] + 1
+
+    def _columns(self):
+        """The amplitude columns that the live bands read, as one slice."""
+        spans = list(self._spans())
+        if not spans:
+            return slice(0, 0)
+        return slice(min(lo for _, lo, _ in spans),
+                     max(i + hi for i, _, hi in spans))
+
+    def _bands(self, c, cols=None):
         """The expectations of the (k, dim) amplitude rows c as (dim, k)
-        rows.  The rows of bands without a coupling stay zero; every other
-        band forms its products over the span of its nonzero couplings only,
-        on contiguous rows of c^T in one work array."""
+        rows; given cols, a slice that holds _columns(), c holds only those
+        columns of the amplitudes.  The rows of bands without a coupling
+        stay zero; every other band forms its products over the span of its
+        nonzero couplings only, on contiguous rows of c^T in one work
+        array."""
         n = self.dim
-        if c.shape[1] != n:
+        first = 0 if cols is None else cols.start
+        if c.shape[1] != (n if cols is None else cols.stop - first):
             raise ValueError("amplitude rows do not match the operator dimension")
         c = np.ascontiguousarray(c.T)
         work = np.empty_like(c)
         out = np.zeros((n, c.shape[1]))
-        for i in self._live():
-            nonzero = np.flatnonzero(self.d[i])
-            lo, hi = nonzero[0], nonzero[-1] + 1
-            prod = np.conj(c[i + lo: i + hi], out=work[: hi - lo])
-            prod *= c[lo:hi]
+        for i, lo, hi in self._spans():
+            prod = np.conj(c[i + lo - first: i + hi - first],
+                           out=work[: hi - lo])
+            prod *= c[lo - first: hi - first]
             out[i] = (2.0 / _l_weight(i)) * (self.d[i, lo:hi] @ prod).real
         return out
 
@@ -147,13 +164,20 @@ def component_spectra(traj, components, basis=None):
     The transform is dct1 of the grid samples (the grid-sample trapezoid),
     the form j_max_spectral scores.  For level systems the stored states
     already are eigenbasis amplitudes; pass basis (a SpectralBasis or the
-    system) when they are not.  Returns a list of Spectrum, one per part;
-    their pointwise sum is the spectrum of the full <O>(t) by linearity of
-    the transform.  Only the bands with a nonzero coupling are transformed;
-    every other spectrum is exactly zero.
+    system) when they are not.  When the amplitudes are the trajectory's
+    stored states (basis is its own, or None on a trajectory without one),
+    only the columns that the live bands read are read off it (6 of 64 for
+    the HCl target on its allowed block).  Returns a list of Spectrum, one
+    per part; their pointwise sum is the spectrum of the full <O>(t) by
+    linearity of the transform.  Only the bands with a nonzero coupling
+    are transformed; every other spectrum is exactly zero.
     """
-    c = _eigen_amplitudes(traj, basis)
-    bands = components._bands(c)
+    vecs = None if basis is None else _as_basis(basis).states
+    if traj._stored_in(vecs) and traj.dim == components.dim:
+        cols = components._columns()
+        bands = components._bands(traj._stored_grid(cols), cols)
+    else:
+        bands = components._bands(traj.grid_states(vecs))
     live = components._live()
     # the live bands in one transform, row for row bitwise dct1's
     bands[live] = _dct1_rows(traj.grid, bands[live])

@@ -56,6 +56,10 @@ _PHASE_SPAN = 0.7
 # Bohr spread nothing else would bound its step against the field's own
 # time scale, which only the grid reflects.
 _LONG_INTERVALS = 16
+# Forward steps per read of a source at a fraction set (_ForwardSource):
+# a bisected costate's pieces read their set in blocks of this many steps,
+# which bounds the waste of a lone bisected step at this many per-step reads.
+_SOURCE_BLOCK = 16
 
 
 class PropagationError(RuntimeError):
@@ -198,9 +202,13 @@ class _OperatorMap:
         if self._squares is not None:
             return np.square(_floats(states)) @ self._squares
         if self._support is not None:
-            states = states[..., self._support]
-            return _real_dot(states, states @ self._block_t)
+            return self._on_block(states[..., self._support])
         return _real_dot(states, self(states))
+
+    def _on_block(self, block):
+        """Re<psi|op|psi> per row from the states' columns on the support
+        only."""
+        return _real_dot(block, block @ self._block_t)
 
 
 def _real_dot(a, b):
@@ -815,6 +823,7 @@ class Trajectory:
         self._basis = basis  # V, to apply to what is read, or None
         self._energies = energies
         self._factors = {}  # fractions -> between_nodes' factors
+        self._spectra = {}  # id(map) -> (map, _expectation_spectrum)
         self.stats = stats
 
     def _mapped(self, stored):
@@ -863,12 +872,25 @@ class Trajectory:
         vecs, their coefficients vecs^dagger psi.  When vecs is this
         trajectory's basis, those are the stored states, read off the
         stored nodes without mapping them out of that basis and back."""
-        n_int = self.grid.n_t - 1
+        if self._stored_in(vecs):
+            return self._stored_grid()
         if vecs is None:
-            return _on_grid(self.boundary_states, n_int, self.between_nodes)
-        if self._basis is None or not np.array_equal(vecs, self._basis):
-            return self.grid_states() @ vecs.conj()
-        return _on_grid(self._ends, n_int, self._stored_between)
+            return _on_grid(self.boundary_states, self.grid.n_t - 1,
+                            self.between_nodes)
+        return self.grid_states() @ vecs.conj()
+
+    def _stored_in(self, vecs):
+        """Whether grid_states(vecs) are the stored states: vecs is this
+        trajectory's basis, or None on a trajectory without one."""
+        if vecs is None:
+            return self._basis is None
+        return self._basis is not None and np.array_equal(vecs, self._basis)
+
+    def _stored_grid(self, cols=slice(None)):
+        """The stored states at the grid times on the columns cols only:
+        the ends, node rows and factors are sliced before they are read."""
+        return _on_grid(self._ends[:, cols], self.grid.n_t - 1,
+                        lambda q: self._stored_between(q, cols=cols))
 
     def between_nodes(self, q, steps=slice(None)):
         """States at the fractions q of the given steps: (n, len(q), dim)
@@ -880,20 +902,21 @@ class Trajectory:
         that do not depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are
         built the first time a fraction set is read and kept, keyed by its
         fractions, O(len(q) (n_c + dim)) each; the pieces of a bisected
-        backward run read the same few sets at every step, one small
-        product each.  The basis is applied to the result only."""
+        backward run read the same few sets at every step, in blocks of
+        steps (see _ForwardSource).  The basis is applied to the result
+        only."""
         out = self._stored_between(q, steps)
         return out if self._basis is None else out @ self._basis.T
 
-    def _stored_between(self, q, steps=slice(None)):
+    def _stored_between(self, q, steps=slice(None), cols=slice(None)):
         """The stored states at the fractions q of the steps, before the
-        basis (see between_nodes)."""
-        nodes = self._nodes[steps]
+        basis (see between_nodes), on the columns cols only."""
+        nodes = self._nodes[steps][..., cols]
         lagrange, turn, back = self._read_factors(q)
         if turn is None:
             return np.matmul(lagrange, nodes)
-        out = np.matmul(lagrange, nodes * turn)
-        out *= back
+        out = np.matmul(lagrange, nodes * turn[:, cols])
+        out *= back[:, cols]
         return out
 
     def _read_factors(self, q):
@@ -1108,10 +1131,30 @@ def propagate_backward(system, field, source, chi_T, config, grid=None):
                 source=source)
 
 
+def _grid_expectation(traj, op):
+    """<op>(t) at the grid times.  On a trajectory without a basis (the
+    optimizers' eigen representation) an _OperatorMap with a support reads
+    the states on its columns only (O_a on its allowed block)."""
+    if getattr(op, "_support", None) is not None and traj._basis is None:
+        return op._on_block(traj._stored_grid(op._support))
+    return _block_expectation(traj.grid_states(), op)
+
+
 def _expectation_spectrum(traj, o_a):
-    """dct1 of <O_a>(t) at the grid times."""
-    values = _block_expectation(traj.grid_states(), state_map(o_a))
-    return dct1(RealSignal(traj.grid, values))
+    """dct1 of <O_a>(t) at the grid times (_grid_expectation).  For an
+    _OperatorMap it is kept, read-only, on the trajectory, keyed by the map
+    and holding it so that its id is not reused: a forward run's score
+    (j_max_spectral) and its costate's source (hg_source_signal) read
+    <O_a> once."""
+    kept = traj._spectra.get(id(o_a))
+    if kept is None:
+        spec = dct1(RealSignal(traj.grid,
+                               _grid_expectation(traj, state_map(o_a))))
+        spec.values.flags.writeable = False
+        kept = (o_a, spec)
+        if isinstance(o_a, _OperatorMap):
+            traj._spectra[id(o_a)] = kept
+    return kept[1]
 
 
 def hg_source_signal(traj, o_a, filt):
@@ -1141,26 +1184,32 @@ class _ForwardSource:
 
     node_values() gives the source at every node of the forward run,
     (n_steps, n_c, dim), built in one batched product the first time it is
-    asked for; step_values(k) is its row k.  step_values(k, s) gives the
-    source at the fractions s of forward step k, the pieces of a bisected
-    backward step: the states come from the forward run's between_nodes,
-    and the source's scalar part from scalar.on_lattice (a _FieldEval, or
-    None for a source without one), both of which keep what they read per
-    fraction set, so that a piece is one small product per step.  Each
-    source supplies _values(psi, k, s): the source at the states psi, one
-    per row, at the fractions s of the steps k (an index or a slice of all
-    steps, the rows then step by step).
+    asked for, from the forward run's stored nodes mapped by its basis (its
+    node_states is not read, so not kept); step_values(k) is its row k.
+    step_values(k, s) gives the source at the fractions s of forward step
+    k, the pieces of a bisected backward step.  It reads the fraction set
+    for the block of _SOURCE_BLOCK forward steps that holds k in one
+    between_nodes and one _values call, with the scalar part from
+    scalar.on_lattice (a _FieldEval, or None for a source without one),
+    and keeps only the latest block per set: a backward run, which reads
+    the steps in order, reads each block once, a set holds one block, and
+    a lone bisected step wastes at most the block's other steps.  Callers
+    must not write to the returned rows.  Each source supplies
+    _values(psi, k, s): the source at the states psi, one per row, at the
+    fractions s of the steps k (an index or a slice of steps, the rows then
+    step by step).
     """
 
     def __init__(self, forward, scalar):
         self.forward = forward
         self._scalar = scalar
         self._lattice = None
+        self._blocks = {}  # fraction bytes -> (first step, block values)
 
     def node_values(self):
         if self._lattice is None:
             fwd = self.forward
-            nodes = fwd.node_states
+            nodes = fwd._mapped(fwd._nodes)
             self._lattice = self._values(
                 nodes.reshape(-1, fwd.dim), slice(None),
                 fwd.s_nodes).reshape(nodes.shape)
@@ -1169,8 +1218,20 @@ class _ForwardSource:
     def step_values(self, k, s=None):
         if s is None:
             return self.node_values()[k]
-        s = np.asarray(s, dtype=float)
-        return self._values(self.forward.between_nodes(s, k), k, s)
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        key, first = s.tobytes(), k - k % _SOURCE_BLOCK
+        kept = self._blocks.get(key)
+        if kept is None or kept[0] != first:
+            kept = self._blocks[key] = first, self._read_block(first, s)
+        return kept[1][k - first]
+
+    def _read_block(self, first, s):
+        """The source at the fractions s of the block of steps from first
+        on, (steps, len(s), dim)."""
+        steps = slice(first, min(first + _SOURCE_BLOCK, self.forward.n_steps))
+        psi = self.forward.between_nodes(s, steps)
+        return self._values(psi.reshape(-1, psi.shape[-1]), steps,
+                            s).reshape(psi.shape)
 
     def _scalar_at(self, k, s):
         """The scalar part at the fractions s of the steps k, one column."""
