@@ -151,33 +151,25 @@ def hermitian_components(o, basis=None):
     return HermitianComponents(d)
 
 
-def _eigen_amplitudes(traj, basis):
-    """Grid-time amplitudes in the basis, read off the trajectory's stored
-    states when the basis is its own (see Trajectory.grid_states)."""
-    return traj.grid_states(None if basis is None
-                            else _as_basis(basis).states)
-
-
 def component_spectra(traj, components, basis=None):
     """Cosine-transform spectrum of each <O^(n)>(t) along the trajectory.
 
     The transform is dct1 of the grid samples (the grid-sample trapezoid),
     the form j_max_spectral scores.  For level systems the stored states
     already are eigenbasis amplitudes; pass basis (a SpectralBasis or the
-    system) when they are not.  When the amplitudes are the trajectory's
-    stored states (basis is its own, or None on a trajectory without one),
-    only the columns that the live bands read are read off it (6 of 64 for
-    the HCl target on its allowed block).  Returns a list of Spectrum, one
-    per part; their pointwise sum is the spectrum of the full <O>(t) by
-    linearity of the transform.  Only the bands with a nonzero coupling
-    are transformed; every other spectrum is exactly zero.
+    system) when they are not.  Only the amplitude columns that the live
+    bands read are taken (6 of 64 for the HCl target on its allowed
+    block), through Trajectory.grid_states(vecs, cols).  Returns a list of
+    Spectrum, one per part; their pointwise sum is the spectrum of the full
+    <O>(t) by linearity of the transform.  Only the bands with a nonzero
+    coupling are transformed; every other spectrum is exactly zero.  A
+    trajectory of another dimension than the components raises ValueError.
     """
-    vecs = None if basis is None else _as_basis(basis).states
-    if traj._stored_in(vecs) and traj.dim == components.dim:
-        cols = components._columns()
-        bands = components._bands(traj._stored_grid(cols), cols)
-    else:
-        bands = components._bands(traj.grid_states(vecs))
+    if traj.dim != components.dim:
+        raise ValueError("amplitude rows do not match the operator dimension")
+    cols = components._columns()
+    bands = components._bands(traj.grid_states(
+        None if basis is None else _as_basis(basis).states, cols), cols)
     live = components._live()
     # the live bands in one transform, row for row bitwise dct1's
     bands[live] = _dct1_rows(traj.grid, bands[live])
@@ -246,7 +238,7 @@ class OccupationRecord:
 def occupations(traj, basis):
     """Project the stored trajectory onto an eigenbasis at every grid node."""
     b = _as_basis(basis)
-    return OccupationRecord(traj.grid, b.energies, _eigen_amplitudes(traj, b))
+    return OccupationRecord(traj.grid, b.energies, traj.grid_states(b.states))
 
 
 def equal_occupation_optimum_scan(pair, coupling, n_theta=101):

@@ -188,6 +188,8 @@ class _OperatorMap:
             self._squares = np.repeat(op, 2)
 
     def __call__(self, states):
+        if states.shape[-1] != len(self.op):
+            raise ValueError("operator/state dimension mismatch")
         if self._support is None:
             return apply_operator(self.op, states)
         sup = self._support
@@ -867,30 +869,33 @@ class Trajectory:
     def final_state(self):
         return self.boundary_states[-1]
 
-    def grid_states(self, vecs=None):
-        """States at the TimeGrid nodes, shape (n_t, dim); given a unitary
-        vecs, their coefficients vecs^dagger psi.  When vecs is this
-        trajectory's basis, those are the stored states, read off the
-        stored nodes without mapping them out of that basis and back."""
-        if self._stored_in(vecs):
-            return self._stored_grid()
-        if vecs is None:
-            return _on_grid(self.boundary_states, self.grid.n_t - 1,
-                            self.between_nodes)
-        return self.grid_states() @ vecs.conj()
+    def grid_states(self, vecs=None, cols=None):
+        """The one read of states at the TimeGrid nodes, (n_t, dim); given a
+        unitary vecs, their coefficients vecs^dagger psi; given cols (a slice
+        or index array), those columns only.  When vecs is this trajectory's
+        basis (None on one without a basis), they are the stored states,
+        read on cols only (ends, node rows and factors) and not mapped out
+        of that basis and back; otherwise cols is taken after the mapping,
+        so every entry is the one the full read gives."""
+        cols = slice(None) if cols is None else cols
+        if (self._basis is None if vecs is None else self._basis is not None
+                and np.array_equal(vecs, self._basis)):
+            return _on_grid(self._ends[:, cols], self.grid.n_t - 1,
+                            lambda q: self._stored_between(q, cols=cols))
+        states = _on_grid(self.boundary_states, self.grid.n_t - 1,
+                          self.between_nodes)
+        if vecs is not None:
+            states = states @ vecs.conj()
+        return states[:, cols]
 
-    def _stored_in(self, vecs):
-        """Whether grid_states(vecs) are the stored states: vecs is this
-        trajectory's basis, or None on a trajectory without one."""
-        if vecs is None:
-            return self._basis is None
-        return self._basis is not None and np.array_equal(vecs, self._basis)
-
-    def _stored_grid(self, cols=slice(None)):
-        """The stored states at the grid times on the columns cols only:
-        the ends, node rows and factors are sliced before they are read."""
-        return _on_grid(self._ends[:, cols], self.grid.n_t - 1,
-                        lambda q: self._stored_between(q, cols=cols))
+    def grid_field(self):
+        """The field at the grid times (a sweep's: the one it settled on),
+        read off field_nodes: a step's ends at its end nodes, the samples
+        inside a step of several grid intervals from its node polynomial."""
+        eps = self.field_nodes
+        return _on_grid(np.append(eps[:, 0], eps[-1, -1]), self.grid.n_t - 1,
+                        lambda q: np.matmul(_lagrange(self.s_nodes, q),
+                                            eps[..., None])[..., 0])
 
     def between_nodes(self, q, steps=slice(None)):
         """States at the fractions q of the given steps: (n, len(q), dim)
@@ -1087,13 +1092,11 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
 
 def _grid_for(f_eval, grid):
     """The field's own grid, which grid= must match, else grid=."""
-    if f_eval.grid is not None:
-        if grid is not None and grid != f_eval.grid:
-            raise ValueError("grid= does not match the field's own grid")
-        return f_eval.grid
-    if grid is None:
+    if f_eval.grid is None:
         raise ValueError("no time grid: pass grid= or a grid-carrying field")
-    return grid
+    if grid is not None and grid != f_eval.grid:
+        raise ValueError("grid= does not match the field's own grid")
+    return f_eval.grid
 
 
 def propagate_forward(system, field, psi0, config, grid=None):
@@ -1132,12 +1135,14 @@ def propagate_backward(system, field, source, chi_T, config, grid=None):
 
 
 def _grid_expectation(traj, op):
-    """<op>(t) at the grid times.  On a trajectory without a basis (the
-    optimizers' eigen representation) an _OperatorMap with a support reads
-    the states on its columns only (O_a on its allowed block)."""
-    if getattr(op, "_support", None) is not None and traj._basis is None:
-        return op._on_block(traj._stored_grid(op._support))
-    return _block_expectation(traj.grid_states(), op)
+    """<op>(t) at the grid times.  An _OperatorMap with a support reads
+    the states on its columns only, grid_states' cols (O_a on its allowed
+    block, off the stored states in the optimizers' eigen runs)."""
+    if getattr(op, "_support", None) is None:
+        return _block_expectation(traj.grid_states(), op)
+    if traj.dim != len(op.op):
+        raise ValueError("operator/state dimension mismatch")
+    return op._on_block(traj.grid_states(cols=op._support))
 
 
 def _expectation_spectrum(traj, o_a):
@@ -1273,25 +1278,28 @@ class HGSource(_ForwardSource):
         return out
 
 
+def _op_at_nodes(op_of_t, traj, psi, k, s):
+    """A callable O(t) applied to the rows psi at the times h(k + s) of
+    traj's steps k (an index or a slice, the rows then step by step): row
+    by row, stacking the vectors O(t) psi, never the d x d matrices."""
+    times = traj.dt_step * (np.arange(traj.n_steps)[k, None] + s)
+    return np.stack([np.asarray(op_of_t(t)) @ p
+                     for t, p in zip(times.ravel(), psi)])
+
+
 class TDTargetSource(_ForwardSource):
     """Source w(t) O(t) psi(t) for a time-dependent expectation target: one
-    product for a constant O, a product per node for a callable one.  w is
-    read from _FieldEval.on_lattice once per fraction set."""
+    product for a constant O; a callable one is applied at the node times
+    by _op_at_nodes, as j_max_td scores it.  w is read from
+    _FieldEval.on_lattice once per fraction set."""
 
     def __init__(self, w, op_of_t, forward):
         super().__init__(forward, _FieldEval(w))
-        if callable(op_of_t):
-            self._op_of_t, self._const = op_of_t, None
-        else:
-            self._op_of_t, self._const = None, state_map(op_of_t)
+        self._op_of_t = op_of_t if callable(op_of_t) else None
+        self._const = None if self._op_of_t is not None else state_map(op_of_t)
 
     def _values(self, psi, k, s):
-        if self._const is not None:
-            out = self._const(psi)
-        else:
-            fwd = self.forward
-            times = fwd.dt_step * (np.arange(fwd.n_steps)[k, None] + s)
-            out = np.stack([np.asarray(self._op_of_t(t)) @ p
-                            for t, p in zip(times.ravel(), psi)])
+        out = (self._const(psi) if self._const is not None
+               else _op_at_nodes(self._op_of_t, self.forward, psi, k, s))
         out *= self._scalar_at(k, s)
         return out

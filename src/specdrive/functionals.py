@@ -19,7 +19,9 @@ from .system import (
     StateRestriction, _require_hermitian, apply_mu, apply_operator,
     commutator_H0_O, dense_target, diagonalize, projectors,
 )
-from .dynamics import _FieldEval, _expectation_spectrum, state_map
+from .dynamics import (
+    _FieldEval, _expectation_spectrum, _op_at_nodes, state_map,
+)
 
 
 class ControlField:
@@ -165,23 +167,17 @@ def j_max_spectral(traj, o_a, f_o):
 
 
 def j_max_td(traj, weight, op_of_t):
-    """Integral of w(t) <O(t)>(t) over the run, by per-step quadrature;
-    w is read at the nodes by _FieldEval.on_lattice."""
-    rule = traj.rule
-    h = traj.dt_step
+    """Integral of w(t) <O(t)>(t) over the run, by per-step quadrature; a
+    callable O(t) is applied at the nodes as TDTargetSource applies it
+    (_op_at_nodes), and w is read there by _FieldEval.on_lattice."""
     s = traj.s_nodes
     if callable(op_of_t):
-        vals = np.empty((traj.n_steps, rule.n_c))
-        for k in range(traj.n_steps):
-            nodes = traj.step_nodes(k)
-            for j in range(rule.n_c):
-                o = np.asarray(op_of_t((k + s[j]) * h))
-                vals[k, j] = np.vdot(nodes[j], o @ nodes[j]).real
+        op = lambda psi: _op_at_nodes(op_of_t, traj, psi, slice(None), s)
     else:
-        vals = traj.node_expectation(state_map(
-            _require_hermitian(op_of_t, "operator", diagonal=True)))
+        op = state_map(_require_hermitian(op_of_t, "operator", diagonal=True))
     wvals = _FieldEval(weight).on_lattice(traj.n_steps, s)
-    return integrate_time(wvals * vals, rule, h)
+    return integrate_time(wvals * traj.node_expectation(op), traj.rule,
+                          traj.dt_step)
 
 
 def j_penal_time(field, alpha, grid=None):
@@ -228,16 +224,15 @@ def j_forb(traj, p_f):
     return -integrate_time(vals, traj.rule, traj.dt_step)
 
 
-def j_bound(psi_T, kappa, system, comm=None):
-    """-(kappa/2) [d<O>/dt at T]^2 with d<O>/dt = i<[H0,O]>."""
+def j_bound(psi_T, kappa, system):
+    """-(kappa/2) [d<O>/dt at T]^2 with d<O>/dt = i<[H0,O]>, [H0,O] the
+    one kept on the system (commutator_H0_O)."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     if kappa == 0:
         return 0.0
-    if comm is None:
-        comm = commutator_H0_O(system)
     psi_T = np.asarray(psi_T, dtype=complex)
-    deriv = (1j * np.vdot(psi_T, comm @ psi_T)).real
+    deriv = (1j * np.vdot(psi_T, commutator_H0_O(system) @ psi_T)).real
     return -0.5 * kappa * deriv * deriv
 
 
@@ -375,7 +370,6 @@ class EvalContext:
     f_o: Spectrum
     f_eps: Spectrum
     alpha_omega: np.ndarray
-    comm: np.ndarray
     o_full_map: object
     o_a_map: object
     p_f_map: object
@@ -383,7 +377,7 @@ class EvalContext:
 
 def prepare_context(system, grid, config):
     """Resolve the config against a system: projected operators, sampled
-    filters, and the commutator needed for the boundary term."""
+    filters, and the boundary term's commutator, kept on the system."""
     o_full = system.target
     if config.restriction is not None:
         basis = diagonalize(system)
@@ -399,12 +393,12 @@ def prepare_context(system, grid, config):
     f_o = make_filter(config.f_o, fgrid) if config.f_o is not None else None
     f_eps = make_filter(config.f_eps, fgrid) if config.f_eps is not None else None
     alpha_omega = alpha_from_filter(f_eps) if f_eps is not None else None
-    comm = commutator_H0_O(system) if config.kappa > 0 else None
+    if config.kappa > 0:
+        commutator_H0_O(system)
     o_full_map = state_map(o_full)
     o_a_map = o_full_map if o_a is o_full else state_map(o_a)
     return EvalContext(system, grid, config, o_full, o_a, p_f, f_o, f_eps,
-                       alpha_omega, comm, o_full_map, o_a_map,
-                       state_map(p_f))
+                       alpha_omega, o_full_map, o_a_map, state_map(p_f))
 
 
 def _constraint_residual(ctx, traj, chi_traj, s_signal):
@@ -435,7 +429,7 @@ def evaluate(ctx, traj, field, chi_traj=None, s_signal=None):
         jm = j_max_spectral(traj, ctx.o_a_map, ctx.f_o)
     else:
         jm = j_max_td(traj, cfg.weight, cfg.op_of_t)
-    jb = j_bound(traj.final_state, cfg.kappa, ctx.system, ctx.comm)
+    jb = j_bound(traj.final_state, cfg.kappa, ctx.system)
     jf = j_forb(traj, ctx.p_f_map)
     if cfg.formulation == "time":
         jp = j_penal_time(field, cfg.alpha, ctx.grid)

@@ -53,8 +53,6 @@ from .dynamics import (
     _Searched,
     _Unresolved,
     _long_steps,
-    _lagrange,
-    _on_grid,
     _executed,
     _run,
     _FieldEval,
@@ -597,17 +595,12 @@ def _krotov_step(run, config, filt_values=None):
         traj_t = None
         while traj_t is None:  # until both sweeps ran on the same lattice
             traj = run.on_lattice(traj, field)
-            prop = run.prop
             chi_t, source = _chi_setup(ctx, traj)
             chi_traj = run.sweep(_ImmediateField(system, traj, -1.0, alpha),
                                  chi_t, backward=True, source=source)
             traj_t = run.sweep(_ImmediateField(system, chi_traj, 1.0, alpha),
                                run.psi0)
-        eps = traj_t.field_nodes  # the field the sweep settled on
-        samples = _on_grid(
-            np.append(eps[:, 0], eps[-1, -1]), grid.n_t - 1,
-            lambda q: np.matmul(_lagrange(prop.rule.s, q),
-                                eps[..., None])[..., 0])
+        samples = traj_t.grid_field()  # the field the sweep settled on
         if filt_values is None:
             new_field = ControlField.from_time(grid, samples)
             return new_field, traj_t, evaluate(ctx, traj_t, new_field), 1.0
@@ -750,7 +743,7 @@ def _degani_step(run, config, alpha_omega):
         psi_t = traj.final_state
         wv = ww * field.time_values()
         jm = j_max_final(psi_t, ctx.o_full)
-        jb = j_bound(psi_t, cfg.kappa, system, ctx.comm)
+        jb = j_bound(psi_t, cfg.kappa, system)
         jp = -float(wv @ beta @ wv)
         return FunctionalBreakdown(jm + jb + jp, jm, jb, 0.0, jp, 0.0)
 

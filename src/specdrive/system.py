@@ -393,11 +393,16 @@ def bohr_frequencies(basis):
 
 
 def commutator_H0_O(system):
-    """[H0, O] as a dense matrix; requires [mu, O] = 0 to 1e-10."""
-    mu = dense_mu(system)
-    o = dense_target(system)
-    if np.abs(mu @ o - o @ mu).max() > 1e-10:
-        raise ValueError("dipole and target operators do not commute")
-    h0 = dense_h0(system)
-    return h0 @ o - o @ h0
+    """[H0, O] as a dense matrix, read-only, built once and kept on the
+    instance like eigen(); requires [mu, O] = 0 to 1e-10."""
+    comm = system.__dict__.get("_commutator")
+    if comm is None:
+        mu, o = dense_mu(system), dense_target(system)
+        if np.abs(mu @ o - o @ mu).max() > 1e-10:
+            raise ValueError("dipole and target operators do not commute")
+        h0 = dense_h0(system)
+        comm = h0 @ o - o @ h0
+        comm.flags.writeable = False
+        object.__setattr__(system, "_commutator", comm)
+    return comm
 

@@ -20,7 +20,7 @@ from specdrive.dynamics import (
     hg_source_signal, propagate_backward, propagate_forward, state_map,
     terminal_chi,
 )
-from specdrive.functionals import ControlField
+from specdrive.functionals import ControlField, j_max_spectral
 from oracles import (
     eval_cosine_series, expectation_signal, expm_stepper, td_target_source,
 )
@@ -227,6 +227,41 @@ def test_explicit_grid_must_match_the_fields_own():
         propagate_backward(tls(), field, None, psi0, cfg(128), grid=other)
     same = propagate_forward(tls(), field, psi0, cfg(64), grid=field.grid)
     assert same.grid == field.grid and same.n_steps == 64
+
+
+def test_a_field_without_a_grid_needs_grid():
+    psi0 = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="no time grid"):
+        propagate_forward(tls(), 0.1, psi0, cfg(64))
+    with pytest.raises(ValueError, match="no time grid"):
+        propagate_backward(tls(), None, None, psi0, cfg(64))
+
+
+def test_operator_blocks_reject_states_of_another_dimension():
+    """A 4x4 O_a that is nonzero on its [0:2, 0:2] block only, read on an
+    8-level trajectory, raises wherever it is applied by its block, as a
+    4x4 O_a without a block does: its map, <O_a> at the grid times (the
+    spectral yield and the HG signal) and an HGSource's node lattice."""
+    ladder = np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1)
+    system = build_level_system(np.arange(1.0, 9.0), ladder)
+    grid = TimeGrid(4.0, 33)
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    traj = propagate_forward(system, 0.1, psi0, cfg(32), grid=grid)
+    f_o = make_filter(FilterSpec.rectangular(0.0, 2.0), grid.frequency_grid())
+    o_a = np.zeros((4, 4))
+    o_a[:2, :2] = [[0.5, 1.0], [1.0, -0.5]]
+    states = traj.node_states[0][:3]
+    for op in (o_a, np.ones((4, 4))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            state_map(op)(states)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            j_max_spectral(traj, op, f_o)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hg_source_signal(traj, op, f_o)
+        src = HGSource(traj, hg_source_signal(traj, ladder, f_o), op)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            src.node_values()
 
 
 def test_hg_source_without_signal():

@@ -240,6 +240,26 @@ def test_long_step_grid_states_match_one_step_per_interval(r):
     assert np.abs(states - one.grid_states()).max() < 1e-9
 
 
+@pytest.mark.parametrize("r, tol", [(1, 1e-14), (2, 1e-14), (4, 1e-10),
+                                    (8, 1e-7)])
+def test_grid_field_reads_the_node_field_at_the_grid_times(r, tol):
+    # the step ends are the nodes' ends; the grid times inside a long step
+    # come from the node polynomial of its field values, which nine nodes
+    # hold to the series to about 4e-12 at r = 4 and 2e-9 at r = 8
+    grid = TimeGrid(T, N_T)
+    field = FIELDS["sparse-frequency"](grid)
+    config = PropagatorConfig(steps=(N_T - 1) // r, rule=chebyshev_rule(9),
+                              zeta=1e-10)
+    traj = propagate_forward(build_level_system([1.0, 2.0], SX), field,
+                             [1.0, 0.0], config)
+    samples = traj.grid_field()
+    assert samples.shape == (N_T,)
+    assert np.array_equal(samples[:-1:r], traj.field_nodes[:, 0])
+    assert samples[-1] == traj.field_nodes[-1, -1]
+    want = eval_cosine_series(field.spectrum(), grid.nodes)
+    assert np.abs(samples - want).max() < tol * np.abs(want).max()
+
+
 @pytest.mark.parametrize("energies", [(30.0, 31.0), (100.0, 101.0)])
 def test_long_step_grid_states_at_large_absolute_energies(energies):
     # 16 intervals per step, while psi turns |E| h = 4.8 and 16 rad per

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import specdrive.system as system_module
 from specdrive.spectral import (
-    FilterSpec, RealSignal, TimeGrid, chebyshev_rule, dct1, make_filter,
+    FilterSpec, RealSignal, Spectrum, TimeGrid, chebyshev_rule, dct1,
+    make_filter,
 )
-from specdrive.system import StateRestriction, build_level_system
+from specdrive.system import (
+    StateRestriction, build_level_system, commutator_H0_O,
+)
 from specdrive.functionals import (
-    FunctionalBreakdown, FunctionalConfig, evaluate, field_from_el_time,
-    prepare_context,
+    ControlField, FunctionalBreakdown, FunctionalConfig, evaluate,
+    field_from_el_time, prepare_context,
 )
 from specdrive.dynamics import (
     PropagatorConfig, propagate_backward, propagate_forward,
@@ -105,6 +109,24 @@ def test_problem_guess_coercion():
     with pytest.raises(ValueError):
         Problem(system, TimeGrid(10.0, 65), config,
                 np.array([1.0, 0.0, 0.0], complex), 1.0)
+
+
+def test_problem_takes_a_signal_or_a_spectrum_as_its_control_field():
+    """A RealSignal guess is the ControlField of its samples and a Spectrum
+    guess that of its spectrum, bitwise, in both views."""
+    grid = TimeGrid(10.0, 65)
+    values = 0.3 * np.cos(1.1 * grid.nodes) + 0.05 * grid.nodes
+    bar = dct1(RealSignal(grid, values)).values
+    for guess, want in (
+            (RealSignal(grid, values), ControlField.from_time(grid, values)),
+            (Spectrum(grid.frequency_grid(), bar),
+             ControlField.from_spectrum(grid, bar))):
+        p = s2s_problem(guess=guess)
+        assert isinstance(p.guess, ControlField)
+        assert p.guess.native == want.native
+        assert np.array_equal(p.guess.time_values(), want.time_values())
+        assert np.array_equal(p.guess.spectrum().values,
+                              want.spectrum().values)
 
 
 def test_problem_rejects_non_finite_input():
@@ -761,6 +783,37 @@ def test_dispatcher_routes_and_validates():
     td = optimize(p, OptimizerConfig(method="degani", budget=1),
                   alpha_omega=np.full(p.grid.n_t, 0.1))
     assert td.method == "degani"
+
+
+def test_relaxation_builds_the_commutator_once(monkeypatch):
+    """kappa > 0: [H0, O] is built once per system instance, by
+    prepare_context, and kept there (read-only) for the terminal_chi of
+    every backward run."""
+    import specdrive.optimizers as optimizers
+
+    builds, backward = [], []
+    dense_h0, propagate = system_module.dense_h0, optimizers.propagate_backward
+
+    def counted_h0(system):
+        builds.append(system)
+        return dense_h0(system)
+
+    def counted_backward(*args, **kwargs):
+        backward.append(1)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(system_module, "dense_h0", counted_h0)
+    monkeypatch.setattr(optimizers, "propagate_backward", counted_backward)
+    system = build_level_system([1.0, 2.0], SX, target=SX)
+    config = FunctionalConfig(formulation="time", target="final", alpha=0.1,
+                              kappa=0.5)
+    trace = optimize_relaxation(
+        Problem(system, TimeGrid(10.0, 65), config, GROUND, 0.5),
+        OptimizerConfig(budget=2))
+    assert len(trace.rows) == 3 and len(backward) >= 2
+    assert len(builds) == 1 and builds[0] is system
+    assert not commutator_H0_O(system).flags.writeable
+    assert len(builds) == 1
 
 
 def test_failed_last_iteration_counts_its_propagations(monkeypatch):
