@@ -60,6 +60,11 @@ _LONG_INTERVALS = 16
 # a bisected costate's pieces read their set in blocks of this many steps,
 # which bounds the waste of a lone bisected step at this many per-step reads.
 _SOURCE_BLOCK = 16
+# Highest Chebyshev degree of a predicted step start (_node_tables): the
+# previous step's series cut there extrapolates with ||X||_inf below 9e5
+# at any node count, where the full degree n_c - 1 grows past 1e17 by 25
+# nodes.
+_START_DEGREE = 8
 
 
 class PropagationError(RuntimeError):
@@ -449,13 +454,24 @@ def _half(frac, lo):
 @functools.lru_cache(maxsize=None)
 def _node_tables(s_bytes, cols):
     """StepSolver's tables of the nodes s in its layout, shared read-only:
-    the top Chebyshev coefficient row, and the Lagrange bases of s at
-    1 + s (node values of a step -> its node polynomial over the next step
-    of the same length) and at the parent's nodes in each half (2s for
-    s <= 1/2, 2s - 1 above, for _merge).  Complex, so that their products
-    with the complex iterate cast nothing."""
+    the top Chebyshev coefficient row; X, node values of a step -> their
+    Chebyshev series of degree min(n_c - 1, _START_DEGREE) at 1 + s, over
+    the next step of the same length (up to that degree the Lagrange basis
+    of s at 1 + s itself); and the Lagrange bases of s at the parent's
+    nodes in each half (2s for s <= 1/2, 2s - 1 above, for _merge).
+    Complex, so that their products with the complex iterate cast
+    nothing."""
     s = np.frombuffer(s_bytes)
     n_c = len(s)
+    if n_c <= _START_DEGREE + 1:
+        extrap = _lagrange(s, 1.0 + s)
+    else:  # chebyshev_rule's node values -> coefficients matrix, its rows
+        # up to _START_DEGREE, read at y = -1 - 2s (tau = 1 + s)
+        j, h = np.arange(n_c), endpoint_factors(n_c)
+        amat = (2.0 / (n_c - 1)) * np.cos(
+            np.outer(j, j) * math.pi / (n_c - 1)) / np.outer(h, h)
+        extrap = np.polynomial.chebyshev.chebvander(
+            -1.0 - 2.0 * s, _START_DEGREE) @ amat[:_START_DEGREE + 1]
 
     def frozen(rows):  # complex, read-only, in the layout (a view)
         rows = rows.astype(complex)
@@ -466,7 +482,7 @@ def _node_tables(s_bytes, cols):
     top = frozen((-1.0) ** np.arange(n_c)
                  / (endpoint_factors(n_c) * (n_c - 1)))
     left = s <= 0.5
-    return top, frozen(_lagrange(s, 1.0 + s)), (
+    return top, frozen(extrap), (
         frozen(_lagrange(s, 2.0 * s[left])),
         frozen(_lagrange(s, 2.0 * s[~left] - 1.0)))
 
@@ -511,7 +527,10 @@ class StepSolver:
     in columns, so nothing outside the solver sees it.  The extrapolation
     and merge matrices and the truncation row are built once per (node
     set, layout) and shared read-only (_node_tables).  Krotov's field reads
-    the node rows as Im<u|w>, one vecdot (optimizers._node_field).
+    the node rows as Im<u|w>, one vecdot (optimizers._node_field).  The
+    products of two 2-D arrays go through ndarray.dot, which at these sizes
+    skips about half a microsecond of matmul's dispatch per call, with the
+    same result.
     """
 
     def __init__(self, system, rule, zeta_step, max_picard=40, max_halvings=6,
@@ -548,14 +567,14 @@ class StepSolver:
         # _couple(u, weight, q) is q applied to that product
         if energies is None:
             self._weight = lambda f, ph_bar: f
-            self._couple = lambda u, f, q: q @ system.h_apply(u, f)
+            self._couple = lambda u, f, q: q.dot(system.h_apply(u, f))
         elif self._cols:
             minus_m = -np.real(coupling)  # contiguous, real
 
             def couple(u, w, q):
-                r = (minus_m @ u.view(float)).view(complex)
+                r = minus_m.dot(u.view(float)).view(complex)
                 r *= w
-                return r @ q
+                return r.dot(q)
 
             self._weight = lambda f, ph_bar: ph_bar * f
             self._couple = couple
@@ -563,10 +582,10 @@ class StepSolver:
             minus_m = -coupling.astype(complex)  # no cast per iterate
             self._weight = lambda f, ph_bar: f[:, None] * ph_bar
             if minus_m.ndim == 1:  # a diagonal coupling
-                self._couple = lambda u, w, q: q @ (w * (u * minus_m))
+                self._couple = lambda u, w, q: q.dot(w * (u * minus_m))
             else:  # u (-M)^T, the transposed view kept once
                 m_t = minus_m.T
-                self._couple = lambda u, w, q: q @ (w * (u @ m_t))
+                self._couple = lambda u, w, q: q.dot(w * u.dot(m_t))
         self._to_rows = _transpose if self._cols else _same
 
     def _layout(self, rows):
@@ -576,7 +595,7 @@ class StepSolver:
 
     def _apply(self, m, c):
         """The node-axis matrix m, kept in the layout, applied to c."""
-        return c @ m if self._cols else m @ c
+        return c.dot(m) if self._cols else m.dot(c)
 
     def _table(self, dt):
         """Phases e^{-iE tau_j}, their conjugates, the integration matrices
@@ -601,7 +620,7 @@ class StepSolver:
             self._tables[dt] = tab
         return tab
 
-    def picard(self, u0, f_vals, src, dt, start=None):
+    def picard(self, u0, f_vals, src, dt, start=None, norm=None, out=None):
         """Fixed-point iteration at this step's nodes; None if stalled.
 
         f_vals is the field at the nodes, or a function of the node iterate
@@ -615,9 +634,13 @@ class StepSolver:
         this one: the iteration then starts from their node polynomial in
         the interaction picture, extrapolated over this step and rotated
         into its frame, c = (X (conj(ph) start)) e^{-iE dt} with X the
-        Lagrange matrix of the nodes s at 1 + s; for the nodes this solver
-        returned last, their c is kept.  A converged solve leaves its
-        truncation estimate in estimate (see the class).
+        extrapolation matrix of _node_tables; for the nodes this solver
+        returned last, their c is kept.  norm is ||u0||, if the caller has
+        it (_run takes it of every step end), and out a (n_c, dim) array
+        for the converged node states, which are then written there and out
+        is returned; both are passed by a run's full steps only, with their
+        start.  A converged solve leaves its truncation estimate in estimate
+        (see the class).
         """
         ph, ph_bar, q, dq, ph_end = self._table(dt)
         to_rows = self._to_rows
@@ -632,12 +655,14 @@ class StepSolver:
         if start is not None:
             last, c_last, _ = self._last
             c_prev = c_last if start is last else ph_bar * self._layout(start)
-            c = (c_prev @ self._extrap if cols
-                 else self._extrap @ c_prev) * ph_end
+            c = (c_prev.dot(self._extrap) if cols
+                 else self._extrap.dot(c_prev)) * ph_end
             end_prev = c[last_node]
         update = f_vals if callable(f_vals) else None
         weight = None if update is not None else self._weight(f_vals, ph_bar)
-        scale = max(math.sqrt(np.vdot(u0, u0).real), self.floor)
+        if norm is None:
+            norm = math.sqrt(np.vdot(u0, u0).real)
+        scale = max(norm, self.floor)
         stop = self.zeta_step * scale
         n = 0  # iterates, added to the count once per solve
         for n in range(1, self.max_picard + 1):
@@ -652,11 +677,14 @@ class StepSolver:
             end_prev = end
             if delta <= stop:
                 self.iterates += n
-                top = c @ self._top if cols else self._top @ c
+                top = c.dot(self._top) if cols else self._top.dot(c)
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
                 if self.estimate > self.truncation:
                     self.truncation = self.estimate
-                out = to_rows(ph * c)
+                if out is None:
+                    out = to_rows(ph * c)
+                else:
+                    np.multiply(ph, c, out=to_rows(out))
                 self._last = (out, c, dt)
                 return out
             if not math.isfinite(delta):  # NaN and inf miss the stop
@@ -666,7 +694,8 @@ class StepSolver:
         return None
 
     def solve(self, u0, t0, dt, f_frac, src_frac=None, f_vals=None,
-              src_vals=None, depth=0, start=None, hold=0):
+              src_vals=None, depth=0, start=None, hold=0, norm=None,
+              out=None):
         """The step [t0, t0 + dt]; t0 serves only error messages.
         f_vals/src_vals, when given, are the field and source at this
         step's own nodes; f_frac(q) and src_frac(q) give them at fractions q
@@ -674,7 +703,11 @@ class StepSolver:
         fractions each halving maps into its parent's as lo + q/2.  The
         field may be a function of the node iterate (see picard), and so
         may what f_frac returns.  start, the previous step's nodes, seeds
-        picard (see there); bisected halves start from the constant.
+        picard (see there); bisected halves start from the constant.  norm,
+        ||u0||, and out, an array for the node states, go with start to the
+        step's solve at full length (see picard): a step that converges
+        there returns out, one that is bisected returns its merged nodes in
+        a new array, and its pieces take their own norms.
 
         A converged step whose truncation estimate exceeds zeta_step is
         not resolved by its node polynomial: unresolved keeps the deepest
@@ -707,7 +740,7 @@ class StepSolver:
             if src_vals is None and src_frac is not None:
                 src_vals = src_frac(self.s)
             u = (self.picard(u0, f_vals, src_vals, dt) if start is None
-                 else self.picard(u0, f_vals, src_vals, dt, start))
+                 else self.picard(u0, f_vals, src_vals, dt, start, norm, out))
             if u is not None and self.estimate > self.zeta_step:
                 self.unresolved = max(self.unresolved, depth + 1)
                 if not (f_frac is None or callable(f_vals) or (
@@ -978,7 +1011,13 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     (_executed maps both), and the arrays, node states included, are filled
     from the end to keep absolute-time order.  Every step after the first
     starts its Picard solve from the previous step's nodes (see
-    StepSolver.picard).  A run
+    StepSolver.picard), with the norm of its start state, which the drift
+    guard takes anyway, as its stop scale, and writes its converged nodes
+    into its row of node_states; only a first or bisected step's nodes are
+    copied there.  The step ends are the node rows' execution-order last
+    nodes, filled in one slice after the loop, and a fixed field's node
+    values are its node lattice; a field of the node iterate is read off
+    each step's converged nodes.  A run
     without a source conserves the norm, so a drift beyond 1e3 times what
     its steps allow raises InstabilityError: zeta, or the steps times the
     worst truncation estimate so far if that is larger, since a step kept
@@ -1028,6 +1067,10 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                         config.max_picard, config.max_halvings,
                         max(floor, 1e-300))
     step_field = field.steps(n_steps, solver.s, backward)
+    # a field other than a _FieldEval is a function of the node iterate
+    # (a sweep's), read off each step's converged nodes; a fixed one is its
+    # node lattice
+    swept = not isinstance(field, _FieldEval)
     searched = isinstance(config, _Searched) and not backward
 
     executed = None if source is None else _executed(
@@ -1042,7 +1085,8 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
 
     boundaries = np.empty((n_steps + 1, dim), dtype=complex)
     norms = np.empty(n_steps + 1)
-    f_nodes = np.empty((n_steps, n_c))
+    f_nodes = (np.empty((n_steps, n_c)) if swept
+               else field.on_lattice(n_steps, solver.s).copy())
     node_states = np.empty((n_steps, n_c, dim), dtype=complex)
     # execution-order views of the absolute-order arrays
     ex = slice(None, None, -1) if backward else slice(None)
@@ -1050,7 +1094,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     nodes_x = node_states[ex, ex]
 
     b_x[0] = u
-    norms_x[0] = ref
+    norms_x[0] = nn = ref
     guard, limit = source is None and ref > 0.0, 1e3 * config.zeta * ref
     # the same limit per unit of truncation estimate: the stop is
     # zeta / max(n_steps, n_int), and a kept step errs by its estimate
@@ -1064,15 +1108,20 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             f_vals, f_frac = step_field(k)
             src_vals, src_frac = step_source(k)
             before = solver.iterates
+            slot = nodes_x[k]
             nodes = solver.solve(u, t_init + dt * k, dt, f_frac, src_frac,
                                  f_vals=f_vals, src_vals=src_vals,
-                                 start=nodes)
+                                 start=nodes, norm=nn, out=slot)
+            if nodes is not slot:  # the first step, or a bisected one
+                slot[...] = nodes
             took = solver.iterates - before
             if took > most:
                 most = took
-            f_x[k] = f_vals(nodes) if callable(f_vals) else f_vals
-            b_x[k + 1] = nodes[-1]
-            u = b_x[k + 1]
+            if swept:
+                f_x[k] = f_vals(nodes)
+            # a contiguous row: in node columns a solve returns its rows as
+            # a transposed view
+            u = slot[-1]
             nn = math.sqrt(np.vdot(u, u).real)
             norms_x[k + 1] = nn
             if (guard and abs(nn - ref) > limit
@@ -1081,7 +1130,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
                     f"norm drifted to {nn:.6g} at t={t_init + dt * (k + 1):.6g}")
             if solver.unresolved and searched:
                 raise _Unresolved(t_init + dt * k, solver.unresolved)
-            nodes_x[k] = nodes
+    b_x[1:] = nodes_x[:, -1]  # every step ends at its last node
     stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
                              solver.bisections, most,
                              float(np.abs(norms - ref).max()),

@@ -5,9 +5,9 @@ faster route: a dense midpoint-exponential propagator, the direct cosine
 sum of a spectrum, a field's value at any time, a one-shot functional
 evaluation, the grid Hamiltonian applied to one state, an expectation
 signal, the time-dependent-target source with its weight check, the cross
-signal Im<chi|mu|psi> on the grid, and the states and backward sources
+signal Im<chi|mu|psi> on the grid, the states and backward sources
 between a trajectory's nodes, read without the factors a trajectory keeps
-per fraction set.
+per fraction set, and a propagation as a plain loop of step solves.
 """
 
 import math
@@ -19,7 +19,10 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from specdrive.dynamics import TDTargetSource, _lagrange, state_map
+from specdrive.dynamics import (
+    _EPS, PropagationStats, StepSolver, TDTargetSource, _executed,
+    _ForwardSource, _lagrange, state_map,
+)
 from specdrive.functionals import evaluate, prepare_context
 from specdrive.spectral import RealSignal, Spectrum, endpoint_factors
 from specdrive.system import apply_mu, apply_operator, dense_h0, dense_mu
@@ -173,3 +176,61 @@ def td_step_values(forward, w, op, k, s):
     psi = between_nodes(forward, s, k)
     times = forward.dt_step * (k + np.asarray(s, dtype=float))
     return apply_operator(np.asarray(op), psi) * field_at(w, times)[:, None]
+
+
+SteppedRun = namedtuple("SteppedRun", "boundary_states node_states norms "
+                        "field_nodes stats")
+
+
+def stepped_run(system, field, u_init, grid, config, backward=False,
+                source=None):
+    """dynamics._run's propagation of a system without a basis change, as a
+    plain loop of StepSolver.solve calls: each step is given only the
+    previous step's nodes as its start (no norm, no array to write into),
+    and its nodes, end, norm and field values are copied into lists, which
+    are put in absolute-time order at the end."""
+    n_steps, n_int = config.steps, grid.n_t - 1
+    h = grid.T / n_steps
+    dt, t_init = (-h, grid.T) if backward else (h, 0.0)
+    lattice = (source.node_values() if isinstance(source, _ForwardSource)
+               else None)
+    u = np.array(u_init, dtype=complex)
+    ref = math.sqrt(np.vdot(u, u).real)
+    floor = ref if lattice is None else max(ref,
+                                            float(source.forward.norms[0]))
+    solver = StepSolver(system, config.rule,
+                        max(config.zeta / max(n_steps, n_int), 100.0 * _EPS),
+                        config.max_picard, config.max_halvings,
+                        max(floor, 1e-300))
+    step_field = field.steps(n_steps, solver.s, backward)
+    executed = None if source is None else _executed(
+        lattice, source.step_values, n_steps, backward)
+    ends, norms, f_nodes, node_states = [u.copy()], [ref], [], []
+    nodes, most = None, 0
+    with np.errstate(over="ignore"):
+        for k in range(n_steps):
+            f_vals, f_frac = step_field(k)
+            src_vals = src_frac = None
+            if executed is not None:
+                vals, frac = executed(k)
+                src_vals = None if vals is None else -vals
+                src_frac = (lambda q, frac=frac: -frac(q))
+            before = solver.iterates
+            nodes = solver.solve(u, t_init + dt * k, dt, f_frac, src_frac,
+                                 f_vals=f_vals, src_vals=src_vals,
+                                 start=nodes)
+            most = max(most, solver.iterates - before)
+            f_nodes.append(np.array(f_vals(nodes) if callable(f_vals)
+                                    else f_vals))
+            node_states.append(nodes.copy())
+            u = nodes[-1].copy()
+            ends.append(u)
+            norms.append(math.sqrt(np.vdot(u, u).real))
+    ex = slice(None, None, -1) if backward else slice(None)
+    norms = np.array(norms[ex])
+    stats = PropagationStats(n_steps, solver.iterates, solver.stalls,
+                             solver.bisections, most,
+                             float(np.abs(norms - ref).max()),
+                             solver.truncation)
+    return SteppedRun(np.array(ends[ex]), np.array(node_states)[ex, ex],
+                      norms, np.array(f_nodes)[ex, ex], stats)

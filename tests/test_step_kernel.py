@@ -1,7 +1,8 @@
 """The per-iterate step kernel: GridSystem.h_apply against its dense H0,
 StepSolver.picard against the unfolded fixed-point loop, the eigenbasis
-step against the same step cut into sub-steps, and the start predicted
-from the previous step against the constant start."""
+step against the same step cut into sub-steps, the start predicted
+from the previous step against the constant start and at every node count,
+and _run's in-place stepping loop against a plain loop of solves."""
 
 import dataclasses
 import math
@@ -18,11 +19,16 @@ from specdrive.system import (
     dense_h0, diagonalize, hcl_dipole, morse_potential,
 )
 from specdrive.dynamics import (
-    HGSource, PropagatorConfig, StepSolver, default_propagator_config,
-    hg_source_signal, propagate_backward, propagate_forward,
+    HGSource, PropagatorConfig, StepSolver, _FieldEval,
+    _run, default_propagator_config, hg_source_signal, propagate_backward,
+    propagate_forward,
 )
 from specdrive.functionals import FunctionalConfig
-from specdrive.optimizers import OptimizerConfig, Problem, optimize_krotov
+from specdrive.optimizers import (
+    OptimizerConfig, Problem, _alpha_at_nodes, _ImmediateField, _KernelField,
+    optimize_krotov,
+)
+from oracles import stepped_run
 
 RULE = chebyshev_rule(9)
 HCL_MASS = 1785.0
@@ -619,3 +625,133 @@ def test_grid_krotov_is_monotone_and_agrees_in_either_layout():
     assert np.abs(j_b - j_a).max() <= 1e-10
     assert a.propagations == b.propagations
     assert_same_run(a.trajectory, b.trajectory, d)
+
+
+# dynamics._run writes each converged step's nodes straight into the
+# trajectory, takes the step ends from them after the loop, passes each
+# step end's norm on as the next solve's stop scale and takes a fixed
+# field's node values from its lattice.  oracles.stepped_run is the same
+# propagation as a plain loop of solves that copies what they return.  Each
+# case gives _run's arguments (system, field, start state, grid, config,
+# backward, source), built anew per run, as a sweep's field has state.
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def two_level():
+    system = build_level_system([1.0, 2.0], SX)
+    grid = TimeGrid(10.0, 65)
+    return system, grid, np.array([1.0, 0.0], dtype=complex)
+
+
+def forward_rows():
+    # 16 steps of 9 nodes leave most steps unresolved: 47 bisections
+    system, grid, psi0 = two_level()
+    field = _FieldEval(0.2 * np.cos(grid.nodes), grid)
+    return (system, field, psi0, grid, PropagatorConfig(16, RULE, 1e-10),
+            False, None)
+
+
+def hg_costate_columns():
+    # the benchmark guess's HG costate on its 64-step lattice, whose steps
+    # are bisected and held at the depth that converged
+    real, grid = hcl_eigen_level(64), TimeGrid(2000.0, 1025)
+    field = bench_form_guess(real.energies, grid)
+    w10 = float(real.energies[1] - real.energies[0])
+    f_o = make_filter(FilterSpec.gaussian(
+        2.0 * w10, 1.0 / (3.0 * field.grid.dw) ** 2), field.grid)
+    allowed = (np.arange(64) <= 5).astype(float)
+    o_a = allowed[:, None] * real.target * allowed
+    config = PropagatorConfig(64, RULE, 1e-6)
+    forward = propagate_forward(real, field, np.eye(64, dtype=complex)[0],
+                                config)
+    source = HGSource(forward, hg_source_signal(forward, o_a, f_o), o_a,
+                      1.0 - allowed)
+    return (real, _FieldEval(field), forward.final_state, grid, config,
+            True, source)
+
+
+def krotov_sweep(backward):
+    system, grid, psi0 = two_level()
+    config = PropagatorConfig(64, RULE, 1e-9)
+    partner = propagate_forward(system, 0.2 * np.cos(grid.nodes), psi0,
+                                config, grid=grid)
+    field = _ImmediateField(system, partner, -1.0 if backward else 1.0,
+                            _alpha_at_nodes(0.5, grid))
+    start = 0.3 * partner.final_state if backward else psi0
+    return system, field, start, grid, config, backward, None
+
+
+def degani_sweep():
+    # a kernel sweep whose front sample follows the swept state's upper
+    # population
+    system, grid, psi0 = two_level()
+    work = np.full(grid.n_t, 0.2)
+
+    def solve(i, end):
+        work[i] = 0.2 + 0.5 * abs(end[1]) ** 2
+        return work[i]
+
+    return (system, _KernelField(work, solve), psi0, grid,
+            PropagatorConfig(grid.n_t - 1, RULE, 1e-9), False, None)
+
+
+IN_PLACE_RUNS = {
+    "forward-rows": forward_rows,
+    "hg-costate-columns": hg_costate_columns,
+    "krotov-forward": lambda: krotov_sweep(False),
+    "krotov-backward": lambda: krotov_sweep(True),
+    "degani": degani_sweep,
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_RUNS))
+def test_run_writes_in_place_what_a_loop_of_solves_returns(name,
+                                                           monkeypatch):
+    args = IN_PLACE_RUNS[name]()
+    lengths = []  # the step length of every picard call of _run
+    picard = StepSolver.picard
+
+    def recording(self, *call):
+        lengths.append(call[3])
+        return picard(self, *call)
+
+    monkeypatch.setattr(StepSolver, "picard", recording)
+    run = _run(*args)
+    monkeypatch.undo()
+    ref = stepped_run(*IN_PLACE_RUNS[name]())
+    for key in ("boundary_states", "node_states", "norms", "field_nodes"):
+        assert np.array_equal(getattr(run, key), getattr(ref, key)), key
+    assert run.stats == ref.stats
+    if args[5]:  # a backward step ends at its first node in absolute order
+        assert np.array_equal(run.node_states[:, 0],
+                              run.boundary_states[:-1])
+    else:
+        assert np.array_equal(run.node_states[:, -1],
+                              run.boundary_states[1:])
+    if name in ("forward-rows", "hg-costate-columns"):
+        assert run.stats.bisections >= 47
+    if name == "hg-costate-columns":
+        assert StepSolver(args[0], RULE, 1.0)._cols
+        # held steps bisect without a solve at full length
+        full = sum(1 for dt in lengths if abs(dt) == run.dt_step)
+        assert full < run.stats.steps
+
+
+@pytest.mark.parametrize("n_c", [9, 13, 17, 25, 29, 33])
+def test_predicted_start_is_bounded_for_every_node_count(n_c):
+    # the start extrapolates the previous step's Chebyshev series cut at
+    # degree 8, so 29 and 33 nodes (a division by zero in the full-degree
+    # Lagrange basis, then PropagationError) run like the others
+    system, grid, psi0 = two_level()
+    field = 0.2 * np.cos(grid.nodes)
+    ref = propagate_forward(system, field, psi0, PropagatorConfig(
+        512, RULE, 1e-13), grid=grid).final_state
+    rule = chebyshev_rule(n_c)
+    traj = propagate_forward(system, field, psi0,
+                             PropagatorConfig(64, rule, 1e-10), grid=grid)
+    assert np.linalg.norm(traj.final_state - ref) <= 10 * 1e-10
+    # no PropagationError, and no RuntimeWarning (an error under pytest)
+    coarse = propagate_forward(system, field, psi0,
+                               PropagatorConfig(16, rule, 1e-10), grid=grid)
+    assert np.all(np.isfinite(coarse.boundary_states))
