@@ -14,7 +14,8 @@ reference norm if that is larger.  Each step of a run after the first
 starts from the previous step's node polynomial, extrapolated over one
 more step (as in the semi-global propagator): on the benchmark's searched
 lattices a step then takes about 2.0-2.3 iterates (ladder-qn-time), 2.8
-(hcl-hg-relax's final forward run) and 4 (s2s-krotov's sweeps).
+(hcl-hg-relax's final forward run) and 3.6 (s2s-krotov's sweeps, on 13
+nodes and steps twice as long, with a chord step on their field).
 Since H0 is exact and the field is exact at any node time, one step may
 span r field-grid intervals (Schaefer, Tal-Ezer & Kosloff, J. Comput.
 Phys. 343, 368 (2017)): the node lattice is then coarser than the field
@@ -507,11 +508,30 @@ class StepSolver:
     the previous step's nodes, a full step starts from their extrapolation
     (see picard): on the benchmark's searched lattices about 2.0-2.3
     iterates per step (ladder-qn-time), 2.8 (hcl-hg-relax's final forward
-    run) and 4 (s2s-krotov's sweeps).  iterates, stalls and bisections count
+    run) and 3.6 (s2s-krotov's sweeps on 13 x 32: 914 iterates, where plain
+    iteration took 1,804 on 9 x 64).  iterates, stalls and bisections count
     this solver's work, truncation holds the largest estimate of any
     converged solve, and unresolved the deepest bisection that any estimate
     above zeta_step called for, kept or not, over the solver's whole run
     (0 while every estimate passed; nothing resets it).
+
+    An immediate-update field eps = Im<u|w> (Krotov's; optimizers._NodeField
+    carries its weights w) is real-linear in the iterate, and recomputing it
+    from every iterate slows the coupled (state, field) map: the field's
+    feedback enters its contraction.  picard therefore takes a chord
+    (fixed-Jacobian Newton) step on the field.  With J the (n_c x n_c) real
+    response of Im<u'|w> to the field eps that takes the iterate u to u'
+    (see _chord_matrix), each iterate moves the field by
+    eps <- eps + K (Im<u|w> - eps), K = (I - J)^{-1}, instead of
+    eps <- Im<u|w>.  The fixed point is the same, and the contraction is
+    left to the state: the final forward sweep of the tests' two-level
+    Krotov problem on 9 x 64 takes 2.3 iterates per step for plain
+    iteration's 4.0.  K is built at the start iterate of a step and kept
+    for the following steps of the same length; a solve that takes more
+    than 3 iterates, or stalls, drops it, and the next solve builds it
+    anew (built for every step instead, an s2s-krotov operation took 22 ms
+    for 18 ms, min of 25 on a 2-CPU x86 host).  A bare h_apply system has
+    no coupling matrix for J and iterates plainly.
 
     The iterate c is kept in one of two layouts, picked here once from the
     system.  Node rows, (n_c, dim), take the coupling product u (-M)^T in
@@ -527,7 +547,8 @@ class StepSolver:
     in columns, so nothing outside the solver sees it.  The extrapolation
     and merge matrices and the truncation row are built once per (node
     set, layout) and shared read-only (_node_tables).  Krotov's field reads
-    the node rows as Im<u|w>, one vecdot (optimizers._node_field).  The
+    the node rows as Im<u|w>, one vecdot (optimizers._NodeField), and its
+    chord matrix is built from the same products in either layout.  The
     products of two 2-D arrays go through ndarray.dot, which at these sizes
     skips about half a microsecond of matmul's dispatch per call, with the
     same result.
@@ -556,6 +577,7 @@ class StepSolver:
         self._top, self._extrap, self._halves = _node_tables(
             self.s.tobytes(), self._cols)
         self._last = (None, None, None)  # last returned nodes, c, step
+        self._chord = None  # (step length, K) of an Im<u|w> field; picard
         self._hold = self._held = self._deep = 0  # see solve
         self._rejected = False
         self.iterates = self.stalls = self.bisections = self.unresolved = 0
@@ -564,7 +586,10 @@ class StepSolver:
         self.spread = 0.0 if energies is None else float(np.ptp(energies))
         # c = c0 - i dt Q conj(ph) H_I(ph c) + the source part: H_I = -eps M
         # as weight * (-M u), weight = eps conj(ph); a bare system has E = 0.
-        # _couple(u, weight, q) is q applied to that product
+        # _couple(u, weight, q) is q applied to that product, and
+        # _minus_m(u) the product -M u alone (None without a coupling
+        # matrix), for the chord step of picard
+        self._minus_m = None
         if energies is None:
             self._weight = lambda f, ph_bar: f
             self._couple = lambda u, f, q: q.dot(system.h_apply(u, f))
@@ -578,14 +603,17 @@ class StepSolver:
 
             self._weight = lambda f, ph_bar: ph_bar * f
             self._couple = couple
+            self._minus_m = lambda u: minus_m.dot(u.view(float)).view(complex)
         else:
             minus_m = -coupling.astype(complex)  # no cast per iterate
             self._weight = lambda f, ph_bar: f[:, None] * ph_bar
             if minus_m.ndim == 1:  # a diagonal coupling
                 self._couple = lambda u, w, q: q.dot(w * (u * minus_m))
+                self._minus_m = lambda u: u * minus_m
             else:  # u (-M)^T, the transposed view kept once
                 m_t = minus_m.T
                 self._couple = lambda u, w, q: q.dot(w * u.dot(m_t))
+                self._minus_m = lambda u: u.dot(m_t)
         self._to_rows = _transpose if self._cols else _same
 
     def _layout(self, rows):
@@ -628,7 +656,11 @@ class StepSolver:
         per iterate, in order, with the iterate's node states as rows, and
         _run calls it once more on the converged nodes;
         a field that carries state from one call to the next (the kernel
-        sweep's secant on its front sample) relies on that order.
+        sweep's secant on its front sample) relies on that order.  A field
+        with weights, an Im<u|w> (see the class), is iterated with the
+        chord step on the field; one with settled(tol), the kernel sweep's
+        front row, stops only once that also holds at zeta_step, besides
+        the stop on the step end's change.
         Without start the iteration starts from the constant c(tau) = c0.
         start is the node states of the step of the same length just before
         this one: the iteration then starts from their node polynomial in
@@ -658,8 +690,19 @@ class StepSolver:
             c = (c_prev.dot(self._extrap) if cols
                  else self._extrap.dot(c_prev)) * ph_end
             end_prev = c[last_node]
-        update = f_vals if callable(f_vals) else None
-        weight = None if update is not None else self._weight(f_vals, ph_bar)
+        update = settled = chord = eps = None
+        if callable(f_vals):
+            update, weight = f_vals, None
+            settled = getattr(update, "settled", None)
+            w = getattr(update, "weights", None)
+            if w is not None and self._minus_m is not None:
+                kept = self._chord
+                if kept is None or kept[0] != dt:
+                    kept = self._chord = dt, self._chord_matrix(
+                        ph * c, w, ph, ph_bar, q)
+                chord = kept[1]
+        else:
+            weight = self._weight(f_vals, ph_bar)
         if norm is None:
             norm = math.sqrt(np.vdot(u0, u0).real)
         scale = max(norm, self.floor)
@@ -668,14 +711,22 @@ class StepSolver:
         for n in range(1, self.max_picard + 1):
             u = ph * c
             if update is not None:
-                weight = self._weight(update(to_rows(u)), ph_bar)
+                f = update(to_rows(u))
+                if chord is not None:
+                    if eps is not None:  # the chord step on the field
+                        f = eps + chord.dot(f - eps)
+                    eps = f
+                weight = self._weight(f, ph_bar)
             c = couple(u, weight, q)
             c += base
             end = c[last_node]
             diff = end - end_prev
             delta = math.sqrt(np.vdot(diff, diff).real)
             end_prev = end
-            if delta <= stop:
+            if delta <= stop and (settled is None
+                                  or settled(self.zeta_step)):
+                if n > 3:  # K has gone stale: the next solve builds it
+                    self._chord = None
                 self.iterates += n
                 top = c.dot(self._top) if cols else self._top.dot(c)
                 self.estimate = math.sqrt(np.vdot(top, top).real) / scale
@@ -691,7 +742,20 @@ class StepSolver:
                 break
         self.iterates += n
         self.stalls += 1
+        self._chord = None
         return None
+
+    def _chord_matrix(self, u, w, ph, ph_bar, q):
+        """K = (I - J)^-1 of the field Im<u|w> at the iterate u, in the
+        layout, with w the weights as node rows.  One iterate maps the
+        field eps to c' = base + Q (eps conj(ph) v), v = -M u, and
+        Im<ph c'|w> responds to eps by J = Im(conj(Q) * ((conj(ph) w)
+        (ph conj(v))^T)), which is real and (n_c x n_c)."""
+        a = ph_bar * self._layout(w)
+        b = ph * np.conj(self._minus_m(u))
+        jac = (np.conj(self._layout(q)) * (a.T.dot(b) if self._cols
+                                           else a.dot(b.T))).imag
+        return np.linalg.inv(np.eye(len(jac)) - jac)
 
     def solve(self, u0, t0, dt, f_frac, src_frac=None, f_vals=None,
               src_vals=None, depth=0, start=None, hold=0, norm=None,
@@ -1101,9 +1165,10 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     kept = 1e3 * max(n_steps, n_int) * ref
     nodes = None
     most = 0  # the most iterates one step took
-    # a diverging iterate overflows the norm; picard's finiteness test
-    # rejects the step, so the overflow itself needs no warning
-    with np.errstate(over="ignore"):
+    # a diverging iterate overflows the norm and then turns NaN; picard's
+    # finiteness test rejects the step as a stall, so neither needs a
+    # warning
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             f_vals, f_frac = step_field(k)
             src_vals, src_frac = step_source(k)

@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import (
-    FilterSpec, RealSignal, Spectrum, dct1, endpoint_factors, make_filter,
+    FilterSpec, RealSignal, Spectrum, chebyshev_rule, dct1, endpoint_factors,
+    make_filter,
 )
 from .system import apply_mu, rotate_operator
 from .dynamics import (
@@ -80,6 +81,9 @@ _METHODS = ("naive", "relaxation", "gradient", "quasi-newton", "krotov",
             "krotov-filtered", "degani")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Chebyshev nodes per step of the searched lattice of an Im<u|w> sweep
+# scheme (_Run.sweep_lattice)
+_SWEEP_NODES = 13
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,16 @@ class _Run:
     support, and a step's nodes integrate a bin's cosine up to
     omega h = pi.  A time-form update carries the band of its costate's
     lattice, omega_j h <= pi (see _lattice_band), so a time-form run
-    searches from the longest lattice.
+    searches from the longest lattice.  The Krotov schemes, whose sweeps
+    take the chord step on their field Im<u|w> (dynamics.StepSolver), search
+    lattices of _SWEEP_NODES = 13 nodes from half of _long_steps instead
+    (sweep_lattice), with the same redo and floor: with the field's
+    feedback out of the iteration, the longer steps pay (s2s-krotov: 13 x
+    32 for 9 x 64, its sweeps' iterates 1,804 -> 914).  That needs a step
+    of the half to span at most a phase of pi of the Bohr spread; a grid
+    too coarse for that (the tests' n_t = 65 two-level problem, whose half
+    lattice takes steps of 5) keeps 9 nodes from _long_steps.  The kernel
+    scheme's field is not an Im<u|w> and keeps the floor lattice.
     """
 
     def __init__(self, problem, config):
@@ -361,6 +374,18 @@ class _Run:
         steps = min(steps, self.floor)
         cls = _Searched if steps < self.floor else PropagatorConfig
         self.prop = cls(**(vars(self.prop) | {"steps": steps}))
+
+    def sweep_lattice(self):
+        """Search the lattice of the Im<u|w> sweeps (Krotov's) instead:
+        _SWEEP_NODES nodes per step, from half of _long_steps, where a step
+        of that half spans at most a phase of pi of the Bohr spread.
+        Otherwise, and under a given propagator, the lattice stays."""
+        steps, grid = self.prop.steps, self.problem.grid
+        spread = float(np.ptp(self.system.eigen()[0]))
+        if (self.problem.propagator is None and steps % 2 == 0
+                and spread * grid.T <= math.pi * (steps // 2)):
+            self.prop = replace(self.prop, rule=chebyshev_rule(_SWEEP_NODES))
+            self._move(steps // 2)
 
     def _launch(self, propagate):
         """propagate(config) on the run's lattice; None if a forward run
@@ -536,10 +561,18 @@ def _alpha_at_nodes(alpha, grid):
     return _FieldEval(a, grid)
 
 
-def _node_field(w):
-    """The field Im<u|w> at each node of the iterate u: one vecdot, which
-    conjugates u."""
-    return lambda u: np.vecdot(u, w).imag
+class _NodeField:
+    """The field Im<u|w> at each node of the iterate u (node rows): one
+    vecdot, which conjugates u.  It carries its weights w, node rows too,
+    since the field is real-linear in u through them:
+    dynamics.StepSolver.picard takes its chord step on the field from
+    them."""
+
+    def __init__(self, w):
+        self.weights = w
+
+    def __call__(self, u):
+        return np.vecdot(u, self.weights).imag
 
 
 class _ImmediateField(_ForwardSource):
@@ -568,7 +601,7 @@ class _ImmediateField(_ForwardSource):
 
         def field(k):
             w, frac = step(k)
-            return _node_field(w), lambda q: _node_field(frac(q))
+            return _NodeField(w), lambda q: _NodeField(frac(q))
 
         return field
 
@@ -590,6 +623,7 @@ def _krotov_step(run, config, filt_values=None):
                          "time-dependent targets only")
     system, grid = run.system, run.problem.grid
     alpha = _alpha_at_nodes(cfg.alpha, grid)
+    run.sweep_lattice()
 
     def step(field, traj, br):
         traj_t = None
@@ -617,11 +651,14 @@ def optimize_krotov(problem, config=None, on_row=None):
     """Immediate-update iteration: the backward sweep recomputes the field
     from the stored forward states node by node, the forward sweep from the
     stored costate, so every propagation uses the newest field available.
-    Monotonic in exact arithmetic for final-time and time-dependent targets
-    without a StateRestriction.  With forbidden states J can fall: the
-    first-order update lacks the second-order term that the concave cost
-    -int <P_f> needs (three-level ladder with level 2 forbidden, alpha =
-    0.5: J -1.562 -> -0.739 -> -5.093).
+    Each sweep step solves the state and its field eps = Im<u|w> together,
+    with a chord step on the field (see dynamics.StepSolver), and a run
+    without a propagator searches 13-node lattices from half of the
+    longest one (see _Run).  Monotonic in exact arithmetic for final-time
+    and time-dependent targets without a StateRestriction.  With forbidden
+    states J can fall: the first-order update lacks the second-order term
+    that the concave cost -int <P_f> needs (three-level ladder with level 2
+    forbidden, alpha = 0.5: J -1.562 -> -0.739 -> -5.093).
     """
     config = config or OptimizerConfig(method="krotov")
     return _drive(problem, config, on_row, "krotov", _krotov_step)
@@ -668,10 +705,13 @@ class _KernelField:
     Every call with a node iterate u solves the front row with u[-1].  The
     first two calls take x to that solve; later ones take a secant step on
     its residual, since the row's gain passes one on coarse grids, where
-    plain repetition diverges.  The front row couples the whole interval,
-    so a step cannot be bisected.  Since its samples and its secant are
-    defined per execution step, it keeps its own order, not
-    dynamics._executed's."""
+    plain repetition diverges.  The field's settled(tol) holds once that
+    residual, val - x against the x that gave u, is within
+    tol max(1, |val|): picard stops on it as well as on the step end's
+    change, so no step ends with its front sample unsettled.  The front
+    row couples the whole interval, so a step cannot be bisected.  Since
+    its samples and its secant are defined per execution step, it keeps
+    its own order, not dynamics._executed's."""
 
     def __init__(self, work, solve):
         self.work, self.solve = work, solve
@@ -687,18 +727,21 @@ class _KernelField:
                 else (k, k + 1)
             a = work[known]
             x = x_prev = r_prev = None
+            residual = math.inf
 
             def field(u):
-                nonlocal x, x_prev, r_prev
+                nonlocal x, x_prev, r_prev, residual
                 val = x_next = solve(front, u[-1])
                 if x is not None:  # else u is the predicted start
                     r = val - x
+                    residual = abs(r) / max(1.0, abs(val))
                     if x_prev is not None and r != r_prev:
                         x_next = x - r * (x - x_prev) / (r - r_prev)
                     x_prev, r_prev = x, r
                 x = x_next
                 return (1.0 - s) * a + s * x
 
+            field.settled = lambda tol: residual <= tol
             return field, halves
 
         return step
