@@ -21,9 +21,9 @@ span r field-grid intervals (Schaefer, Tal-Ezer & Kosloff, J. Comput.
 Phys. 343, 368 (2017)): the node lattice is then coarser than the field
 grid, and every reader of grid-time states goes through the steps' node
 polynomials.  A converged step measures its own truncation error, the top
-Chebyshev coefficient of c(tau), as that propagator does, and is bisected
-when the estimate exceeds the stop, or when its iteration stalls; after
-either, the following steps start at the depth that converged.
+Chebyshev coefficient of c(tau), as that propagator does, and is halved
+when the estimate exceeds the stop, or when its iteration stalls, each
+half again by the same rule.
 A run changes basis in one place, _run: a system whose H0 is a matrix is
 stepped as its eigen_system(), the level system (E, V^dagger mu V,
 V^dagger O V), with the start state and the source mapped into it by
@@ -57,10 +57,6 @@ _PHASE_SPAN = 0.7
 # Bohr spread nothing else would bound its step against the field's own
 # time scale, which only the grid reflects.
 _LONG_INTERVALS = 16
-# Forward steps per read of a source at a fraction set (_ForwardSource):
-# a bisected costate's pieces read their set in blocks of this many steps,
-# which bounds the waste of a lone bisected step at this many per-step reads.
-_SOURCE_BLOCK = 16
 # Highest Chebyshev degree of a predicted step start (_node_tables): the
 # previous step's series cut there extrapolates with ||X||_inf below 9e5
 # at any node count, where the full degree n_c - 1 grows past 1e17 by 25
@@ -453,37 +449,28 @@ def _half(frac, lo):
 
 
 @functools.lru_cache(maxsize=None)
-def _node_tables(s_bytes, cols):
-    """StepSolver's tables of the nodes s in its layout, shared read-only:
-    the top Chebyshev coefficient row; X, node values of a step -> their
-    Chebyshev series of degree min(n_c - 1, _START_DEGREE) at 1 + s, over
-    the next step of the same length (up to that degree the Lagrange basis
-    of s at 1 + s itself); and the Lagrange bases of s at the parent's
-    nodes in each half (2s for s <= 1/2, 2s - 1 above, for _merge).
-    Complex, so that their products with the complex iterate cast
-    nothing."""
-    s = np.frombuffer(s_bytes)
-    n_c = len(s)
-    if n_c <= _START_DEGREE + 1:
-        extrap = _lagrange(s, 1.0 + s)
-    else:  # chebyshev_rule's node values -> coefficients matrix, its rows
-        # up to _START_DEGREE, read at y = -1 - 2s (tau = 1 + s)
-        j, h = np.arange(n_c), endpoint_factors(n_c)
-        amat = (2.0 / (n_c - 1)) * np.cos(
-            np.outer(j, j) * math.pi / (n_c - 1)) / np.outer(h, h)
-        extrap = np.polynomial.chebyshev.chebvander(
-            -1.0 - 2.0 * s, _START_DEGREE) @ amat[:_START_DEGREE + 1]
+def _node_tables(n_c, cols):
+    """StepSolver's tables of chebyshev_rule(n_c)'s nodes s in its layout,
+    shared read-only: the top Chebyshev coefficient row, the rule's last
+    amat row; X, node values of a step -> their Chebyshev series of degree
+    min(n_c - 1, _START_DEGREE) at 1 + s, over the next step of the same
+    length; and the Lagrange bases of s at the parent's nodes in each half
+    (2s for s <= 1/2, 2s - 1 above, for _merge).  Complex, so that their
+    products with the complex iterate cast nothing."""
+    rule = chebyshev_rule(n_c)
+    s, amat = rule.s, rule.amat
+    degree = min(n_c - 1, _START_DEGREE)
+    # the series' rows up to degree, read at y = -1 - 2s (tau = 1 + s)
+    extrap = np.polynomial.chebyshev.chebvander(
+        -1.0 - 2.0 * s, degree) @ amat[:degree + 1]
 
     def frozen(rows):  # complex, read-only, in the layout (a view)
         rows = rows.astype(complex)
         rows.flags.writeable = False
         return rows.T if cols else rows
 
-    # node values -> their top (degree n_c - 1) Chebyshev coefficient
-    top = frozen((-1.0) ** np.arange(n_c)
-                 / (endpoint_factors(n_c) * (n_c - 1)))
     left = s <= 0.5
-    return top, frozen(extrap), (
+    return frozen(amat[-1]), frozen(extrap), (
         frozen(_lagrange(s, 2.0 * s[left])),
         frozen(_lagrange(s, 2.0 * s[~left] - 1.0)))
 
@@ -502,9 +489,9 @@ class StepSolver:
     within zeta, and a costate that starts below the forward run's norm is
     scaled by that norm, its floor.  A converged step's truncation
     estimate is the norm of the top Chebyshev coefficient of its c(tau)
-    over the same scale; a step is bisected, up to max_halvings times,
-    while that estimate exceeds zeta_step or its iteration stalls, and the
-    steps after it start at the depth that converged (see solve).  Given
+    over the same scale; a step is halved, up to max_halvings times,
+    while that estimate exceeds zeta_step or its iteration stalls, and
+    each step is first solved at its full length (see solve).  Given
     the previous step's nodes, a full step starts from their extrapolation
     (see picard): on the benchmark's searched lattices about 2.0-2.3
     iterates per step (ladder-qn-time), 2.8 (hcl-hg-relax's final forward
@@ -546,7 +533,7 @@ class StepSolver:
     _last follow the layout; node states enter and leave as rows, (ph c)^T
     in columns, so nothing outside the solver sees it.  The extrapolation
     and merge matrices and the truncation row are built once per (node
-    set, layout) and shared read-only (_node_tables).  Krotov's field reads
+    count, layout) and shared read-only (_node_tables).  Krotov's field reads
     the node rows as Im<u|w>, one vecdot (optimizers._NodeField), and its
     chord matrix is built from the same products in either layout.  The
     products of two 2-D arrays go through ndarray.dot, which at these sizes
@@ -575,11 +562,9 @@ class StepSolver:
                       and not np.imag(coupling).any())
         self._end = (slice(None), -1) if self._cols else -1  # the last node
         self._top, self._extrap, self._halves = _node_tables(
-            self.s.tobytes(), self._cols)
-        self._last = (None, None, None)  # last returned nodes, c, step
+            rule.n_c, self._cols)
+        self._last = (None, None)  # the last returned nodes and their c
         self._chord = None  # (step length, K) of an Im<u|w> field; picard
-        self._hold = self._held = self._deep = 0  # see solve
-        self._rejected = False
         self.iterates = self.stalls = self.bisections = self.unresolved = 0
         self.estimate = self.truncation = 0.0
         self.energies = energies
@@ -670,9 +655,9 @@ class StepSolver:
         returned last, their c is kept.  norm is ||u0||, if the caller has
         it (_run takes it of every step end), and out a (n_c, dim) array
         for the converged node states, which are then written there and out
-        is returned; both are passed by a run's full steps only, with their
-        start.  A converged solve leaves its truncation estimate in estimate
-        (see the class).
+        is returned; both are passed by a run's full steps only.  A
+        converged solve leaves its truncation estimate in estimate (see the
+        class).
         """
         ph, ph_bar, q, dq, ph_end = self._table(dt)
         to_rows = self._to_rows
@@ -685,7 +670,7 @@ class StepSolver:
         base = c if src is None else c + self._apply(
             dq, ph_bar * self._layout(src))
         if start is not None:
-            last, c_last, _ = self._last
+            last, c_last = self._last
             c_prev = c_last if start is last else ph_bar * self._layout(start)
             c = (c_prev.dot(self._extrap) if cols
                  else self._extrap.dot(c_prev)) * ph_end
@@ -736,7 +721,7 @@ class StepSolver:
                     out = to_rows(ph * c)
                 else:
                     np.multiply(ph, c, out=to_rows(out))
-                self._last = (out, c, dt)
+                self._last = (out, c)
                 return out
             if not math.isfinite(delta):  # NaN and inf miss the stop
                 break
@@ -758,8 +743,7 @@ class StepSolver:
         return np.linalg.inv(np.eye(len(jac)) - jac)
 
     def solve(self, u0, t0, dt, f_frac, src_frac=None, f_vals=None,
-              src_vals=None, depth=0, start=None, hold=0, norm=None,
-              out=None):
+              src_vals=None, depth=0, start=None, norm=None, out=None):
         """The step [t0, t0 + dt]; t0 serves only error messages.
         f_vals/src_vals, when given, are the field and source at this
         step's own nodes; f_frac(q) and src_frac(q) give them at fractions q
@@ -768,77 +752,47 @@ class StepSolver:
         field may be a function of the node iterate (see picard), and so
         may what f_frac returns.  start, the previous step's nodes, seeds
         picard (see there); bisected halves start from the constant.  norm,
-        ||u0||, and out, an array for the node states, go with start to the
-        step's solve at full length (see picard): a step that converges
-        there returns out, one that is bisected returns its merged nodes in
-        a new array, and its pieces take their own norms.
+        ||u0||, and out, an array for the node states, go to the step's
+        solve at full length (see picard): a step that converges there
+        returns out, one that is bisected returns its merged nodes in a new
+        array, and its pieces take their own norms.
 
-        A converged step whose truncation estimate exceeds zeta_step is
-        not resolved by its node polynomial: unresolved keeps the deepest
-        bisection that would start, and the step is bisected like a stalled
-        one.  Some steps are kept whatever their estimate (truncation
-        reports them): a step without f_frac, which has no pieces; a step
-        whose field is a function of the node iterate, since that field is
-        read off the step's own nodes once the sweep is over, which halves
-        would not resolve; and a step at max_halvings whose Bohr spread
-        times |dt| is within _PHASE_SPAN.  A stall there, or a step at
-        max_halvings still longer than that, raises PropagationError.
-
-        A step that is unresolved, or that stalls although given a start,
-        sets the depth that the steps after it are held at: they bisect
-        down to it without a solve at the lengths above, and each piece
-        starts from the one before it.  Every max_picard-th held step tries
-        the full length again, and returns to the held depth if that fails:
-        a failed try costs up to max_picard iterates, and holding a step
-        that no longer needs it costs at least one."""
-        retry = False
-        if start is not None and not depth and self._hold:
-            self._held += 1
-            if self._held < self.max_picard:
-                hold = self._hold
-            else:
-                self._held, retry = 0, True
-        if depth >= hold:
-            if f_vals is None:
-                f_vals = f_frac(self.s)
-            if src_vals is None and src_frac is not None:
-                src_vals = src_frac(self.s)
-            u = (self.picard(u0, f_vals, src_vals, dt) if start is None
-                 else self.picard(u0, f_vals, src_vals, dt, start, norm, out))
-            if u is not None and self.estimate > self.zeta_step:
-                self.unresolved = max(self.unresolved, depth + 1)
-                if not (f_frac is None or callable(f_vals) or (
-                        depth >= self.max_halvings
-                        and self.spread * abs(dt) <= _PHASE_SPAN)):
-                    u, self._rejected = None, True
-            if u is not None:
-                if not depth:
-                    self._hold = 0
-                return u
-            self._deep = max(self._deep, depth + 1)
-            if retry:  # back to the held depth at once
-                hold = self._hold
+        A step whose solve stalls is halved, and each half is solved by the
+        same rule.  A converged step whose truncation estimate exceeds
+        zeta_step is not resolved by its node polynomial: unresolved keeps
+        the deepest bisection that would start, and the step is halved like
+        a stalled one.  Some steps are kept whatever their estimate
+        (truncation reports them): a step without f_frac, which has no
+        pieces; a step whose field is a function of the node iterate, since
+        that field is read off the step's own nodes once the sweep is over,
+        which halves would not resolve; and a step at max_halvings whose
+        Bohr spread times |dt| is within _PHASE_SPAN.  A stall there, or a
+        step at max_halvings still longer than that, raises
+        PropagationError."""
+        if f_vals is None:
+            f_vals = f_frac(self.s)
+        if src_vals is None and src_frac is not None:
+            src_vals = src_frac(self.s)
+        u = self.picard(u0, f_vals, src_vals, dt, start, norm, out)
+        if u is not None and self.estimate > self.zeta_step:
+            self.unresolved = max(self.unresolved, depth + 1)
+            if not (f_frac is None or callable(f_vals) or (
+                    depth >= self.max_halvings
+                    and self.spread * abs(dt) <= _PHASE_SPAN)):
+                u = None
+        if u is not None:
+            return u
         if depth >= self.max_halvings:
             raise PropagationError(
                 f"step at t={t0:.6g} failed to converge after "
                 f"{self.max_halvings} bisections")
         self.bisections += 1
         half = 0.5 * dt
-        held = depth < hold
-        last, _, last_dt = self._last
         left = self.solve(u0, t0, half, _half(f_frac, 0.0),
-                          _half(src_frac, 0.0), depth=depth + 1,
-                          start=last if held and last_dt == half else None,
-                          hold=hold)
+                          _half(src_frac, 0.0), depth=depth + 1)
         right = self.solve(left[-1], t0 + half, half, _half(f_frac, 0.5),
-                           _half(src_frac, 0.5), depth=depth + 1,
-                           start=left if held else None, hold=hold)
-        out = self._merge(u0, left, right, half)
-        if not depth:  # the deepest failure sets the depth of the next steps
-            if start is not None or self._rejected:
-                self._hold = max(hold, self._deep)
-            self._deep, self._rejected = 0, False
-        return out
+                           _half(src_frac, 0.5), depth=depth + 1)
+        return self._merge(u0, left, right, half)
 
     def _merge(self, u0, left, right, half):
         """The parent step's node values from its halves' node polynomials,
@@ -1004,9 +958,8 @@ class Trajectory:
         that do not depend on the step, L(q), e^{iEhs} and e^{-iEhq}, are
         built the first time a fraction set is read and kept, keyed by its
         fractions, O(len(q) (n_c + dim)) each; the pieces of a bisected
-        backward run read the same few sets at every step, in blocks of
-        steps (see _ForwardSource).  The basis is applied to the result
-        only."""
+        backward run read the same few sets at every step (see
+        _ForwardSource).  The basis is applied to the result only."""
         out = self._stored_between(q, steps)
         return out if self._basis is None else out @ self._basis.T
 
@@ -1075,10 +1028,10 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
     (_executed maps both), and the arrays, node states included, are filled
     from the end to keep absolute-time order.  Every step after the first
     starts its Picard solve from the previous step's nodes (see
-    StepSolver.picard), with the norm of its start state, which the drift
-    guard takes anyway, as its stop scale, and writes its converged nodes
-    into its row of node_states; only a first or bisected step's nodes are
-    copied there.  The step ends are the node rows' execution-order last
+    StepSolver.picard).  Every step takes the norm of its start state,
+    which the drift guard takes anyway, as its stop scale, and writes its
+    converged nodes into its row of node_states; only a bisected step's
+    nodes are copied there.  The step ends are the node rows' execution-order last
     nodes, filled in one slice after the loop, and a fixed field's node
     values are its node lattice; a field of the node iterate is read off
     each step's converged nodes.  A run
@@ -1177,7 +1130,7 @@ def _run(system, field, u_init, grid, config, backward=False, source=None):
             nodes = solver.solve(u, t_init + dt * k, dt, f_frac, src_frac,
                                  f_vals=f_vals, src_vals=src_vals,
                                  start=nodes, norm=nn, out=slot)
-            if nodes is not slot:  # the first step, or a bisected one
+            if nodes is not slot:  # a bisected step
                 slot[...] = nodes
             took = solver.iterates - before
             if took > most:
@@ -1306,24 +1259,18 @@ class _ForwardSource:
     asked for, from the forward run's stored nodes mapped by its basis (its
     node_states is not read, so not kept); step_values(k) is its row k.
     step_values(k, s) gives the source at the fractions s of forward step
-    k, the pieces of a bisected backward step.  It reads the fraction set
-    for the block of _SOURCE_BLOCK forward steps that holds k in one
-    between_nodes and one _values call, with the scalar part from
-    scalar.on_lattice (a _FieldEval, or None for a source without one),
-    and keeps only the latest block per set: a backward run, which reads
-    the steps in order, reads each block once, a set holds one block, and
-    a lone bisected step wastes at most the block's other steps.  Callers
-    must not write to the returned rows.  Each source supplies
-    _values(psi, k, s): the source at the states psi, one per row, at the
-    fractions s of the steps k (an index or a slice of steps, the rows then
-    step by step).
+    k, the pieces of a bisected backward step: one between_nodes and one
+    _values call, with the scalar part from scalar.on_lattice (a
+    _FieldEval, or None for a source without one).  Callers must not write
+    to the returned rows.  Each source supplies _values(psi, k, s): the
+    source at the states psi, one per row, at the fractions s of the steps
+    k (an index or a slice of steps, the rows then step by step).
     """
 
     def __init__(self, forward, scalar):
         self.forward = forward
         self._scalar = scalar
         self._lattice = None
-        self._blocks = {}  # fraction bytes -> (first step, block values)
 
     def node_values(self):
         if self._lattice is None:
@@ -1337,20 +1284,7 @@ class _ForwardSource:
     def step_values(self, k, s=None):
         if s is None:
             return self.node_values()[k]
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        key, first = s.tobytes(), k - k % _SOURCE_BLOCK
-        kept = self._blocks.get(key)
-        if kept is None or kept[0] != first:
-            kept = self._blocks[key] = first, self._read_block(first, s)
-        return kept[1][k - first]
-
-    def _read_block(self, first, s):
-        """The source at the fractions s of the block of steps from first
-        on, (steps, len(s), dim)."""
-        steps = slice(first, min(first + _SOURCE_BLOCK, self.forward.n_steps))
-        psi = self.forward.between_nodes(s, steps)
-        return self._values(psi.reshape(-1, psi.shape[-1]), steps,
-                            s).reshape(psi.shape)
+        return self._values(self.forward.between_nodes(s, k), k, s)
 
     def _scalar_at(self, k, s):
         """The scalar part at the fractions s of the steps k, one column."""

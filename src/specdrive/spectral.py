@@ -248,15 +248,17 @@ class ChebyshevRule:
 
     y holds the node offsets cos(k*pi/(n_c-1)) running from 1 down to -1;
     node k of a step [a, a+dt] sits at a + (dt/2)*(1-y_k).  w are the
-    quadrature weights (integral over the step = dt * sum_k w_k g_k), and
-    qmat is the cumulative matrix: integral from the step start to node k
-    = dt * (qmat @ g)[k].  Its last row equals w.
+    quadrature weights (integral over the step = dt * sum_k w_k g_k),
+    amat maps node values to their Chebyshev coefficients (g(y) =
+    sum_m (amat @ g)[m] T_m(y)), and qmat is the cumulative matrix: integral
+    from the step start to node k = dt * (qmat @ g)[k].  Its last row
+    equals w.
     """
 
     n_c: int
     y: np.ndarray
     w: np.ndarray
-    h: np.ndarray
+    amat: np.ndarray
     qmat: np.ndarray
 
     @property
@@ -299,7 +301,7 @@ def chebyshev_rule(n_c):
         p_one[mm] = -1.0 / (mm**2 - 1.0)
     emat = p_one[None, :] - p_nodes
     qmat = 0.5 * (emat @ amat)
-    return ChebyshevRule(n_c, y, w, h, qmat)
+    return ChebyshevRule(n_c, y, w, amat, qmat)
 
 
 def step_node_times(T, n_steps, rule):

@@ -207,7 +207,7 @@ def stepped_run(system, field, u_init, grid, config, backward=False,
         lattice, source.step_values, n_steps, backward)
     ends, norms, f_nodes, node_states = [u.copy()], [ref], [], []
     nodes, most = None, 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             f_vals, f_frac = step_field(k)
             src_vals = src_frac = None

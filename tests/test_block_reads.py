@@ -1,13 +1,11 @@
 """Reads that cost only what their result needs, each against the read it
 replaces, bitwise: <O_a> on its allowed block (_expectation_spectrum), one
 <O_a> build per scored forward run, the band analysis on the columns of its
-live bands (component_spectra), a bisected costate's source in blocks of
-forward steps (_ForwardSource.step_values), and a source lattice built
-without keeping the forward run's mapped nodes.  Each runs on the
-benchmark's 64-point Morse/HCl grid and on a 64-point Toda grid, with the
-benchmark's form of the harmonic-generation problem: forbidden states above
-L = 5, a hat-sech penalty filter at omega_10 and a Gaussian target filter at
-2 omega_10."""
+live bands (component_spectra), and a source lattice built without keeping
+the forward run's mapped nodes.  Each runs on the benchmark's 64-point
+Morse/HCl grid and on a 64-point Toda grid, with the benchmark's form of the
+harmonic-generation problem: forbidden states above L = 5, a hat-sech
+penalty filter at omega_10 and a Gaussian target filter at 2 omega_10."""
 
 import functools
 
@@ -17,9 +15,8 @@ import pytest
 from specdrive import dynamics, optimizers
 from specdrive.analysis import component_spectra, hermitian_components
 from specdrive.dynamics import (
-    _SOURCE_BLOCK, HGSource, PropagatorConfig, _block_expectation,
-    _expectation_spectrum, hg_source_signal, propagate_backward,
-    propagate_forward,
+    HGSource, PropagatorConfig, _block_expectation, _expectation_spectrum,
+    hg_source_signal, propagate_backward, propagate_forward,
 )
 from specdrive.functionals import FunctionalConfig, prepare_context
 from specdrive.optimizers import OptimizerConfig, Problem, optimize_relaxation
@@ -82,11 +79,6 @@ def level_run(name, steps, n_t=1025):
     return problem, level, ctx, traj
 
 
-def hg_source(ctx, traj):
-    return HGSource(traj, hg_source_signal(traj, ctx.o_a_map, ctx.f_o),
-                    ctx.o_a_map, ctx.p_f_map)
-
-
 @pytest.mark.parametrize("steps", [1024, 64], ids=["r1", "r16"])
 @pytest.mark.parametrize("name", GRIDS)
 def test_expectation_spectrum_reads_the_allowed_block(name, steps):
@@ -129,56 +121,6 @@ def test_band_spectra_read_the_columns_of_their_live_bands(name, steps):
             if n > L:
                 assert not want.any()
             assert np.array_equal(spectrum.values, want)
-
-
-@pytest.mark.parametrize("name", GRIDS)
-def test_bisected_costate_reads_its_source_in_blocks(name):
-    """Every piece read of a costate that bisects, on 64 steps, against the
-    per-step read at the piece's fractions; some fraction set is read on
-    both sides of a block boundary, and each set keeps one block."""
-    problem, level, ctx, traj = level_run(name, 64)
-    src = hg_source(ctx, traj)
-    reads, step_values = [], src.step_values
-
-    def recorded(k, s=None):
-        out = step_values(k, s)
-        if s is not None:
-            reads.append((k, np.array(s), out.copy()))
-        return out
-
-    src.step_values = recorded
-    chi = propagate_backward(level, problem.guess, src,
-                             np.zeros(N_GRID, dtype=complex),
-                             PropagatorConfig(64, RULE, 1e-6))
-    assert chi.stats.bisections > 0
-    steps_of = {}
-    for k, s, got in reads:
-        want = src._values(traj.between_nodes(s, k), k, s)
-        assert np.array_equal(got, want)
-        steps_of.setdefault(s.tobytes(), set()).add(k)
-    assert any(b - 1 in ks and b in ks for ks in steps_of.values()
-               for b in range(_SOURCE_BLOCK, 64, _SOURCE_BLOCK))
-    assert all(len(block) == _SOURCE_BLOCK
-               for _, block in src._blocks.values())
-
-
-@pytest.mark.parametrize("name", GRIDS)
-def test_source_blocks_on_a_lattice_shorter_than_a_block(name):
-    """On 8 steps of 16 grid intervals each, the pieces one and two
-    halvings deep read as a backward run reads them (step by step from T,
-    at 1 - their fractions) against the per-step read: the one block holds
-    the 8 steps."""
-    _, _, ctx, traj = level_run(name, 8, n_t=129)
-    src = hg_source(ctx, traj)
-    s = traj.s_nodes
-    for depth in (1, 2):
-        for j in range(2 ** depth):
-            frac = 1.0 - (j + s) / 2 ** depth
-            for k in reversed(range(8)):
-                want = src._values(traj.between_nodes(frac, k), k, frac)
-                assert np.array_equal(src.step_values(k, frac), want)
-    assert len(src._blocks) == 6
-    assert all(len(block) == 8 for _, block in src._blocks.values())
 
 
 @pytest.mark.parametrize("name", GRIDS)

@@ -243,9 +243,9 @@ def test_unresolved_step_is_bisected_by_its_truncation_estimate(monkeypatch):
     seen = []
     picard = StepSolver.picard
 
-    def recording(self, u0, f_vals, src, dt):
-        seen.append(dt)
-        return picard(self, u0, f_vals, src, dt)
+    def recording(self, *args):
+        seen.append(args[3])
+        return picard(self, *args)
 
     monkeypatch.setattr(StepSolver, "picard", recording)
     solver = StepSolver(system, RULE, 1e-11)
@@ -573,13 +573,16 @@ def test_solver_tables_are_shared_per_node_set_and_layout():
                 table[0] = 0.0
 
 
-@pytest.mark.parametrize("steps, iterates", [(64, 338), (128, 341)])
+@pytest.mark.parametrize("steps, iterates", [(64, 423), (128, 341)])
 def test_hg_costate_with_changing_norm_matches_tight_run(steps, iterates):
     # an HG costate from chi(T) = psi(T), whose norm the source moves from 1
     # to 1.0008, on the searched lattices of the benchmark's HCl guess (the
-    # 64-step one bisects 56 steps): the stop scaled by each solve's start
+    # 64-step one bisects 24 steps): the stop scaled by each solve's start
     # norm holds it within 1e-10 of a tight run in no more iterates than
-    # the step-end norm took (the counts given)
+    # the step-end norm took (the counts given).  Every step is solved at
+    # full length first and halved, recursively, only where that solve
+    # fails its estimate, so on 64 steps each bisected step also pays its
+    # full-length solve
     real, _, _, field, _, _, _ = layout_forward_runs()
     w10 = float(real.energies[1] - real.energies[0])
     f_o = make_filter(FilterSpec.gaussian(
@@ -645,7 +648,7 @@ def two_level():
 
 
 def forward_rows():
-    # 16 steps of 9 nodes leave most steps unresolved: 47 bisections
+    # 16 steps of 9 nodes leave most steps unresolved: 27 bisections
     system, grid, psi0 = two_level()
     field = _FieldEval(0.2 * np.cos(grid.nodes), grid)
     return (system, field, psi0, grid, PropagatorConfig(16, RULE, 1e-10),
@@ -653,8 +656,8 @@ def forward_rows():
 
 
 def hg_costate_columns():
-    # the benchmark guess's HG costate on its 64-step lattice, whose steps
-    # are bisected and held at the depth that converged
+    # the benchmark guess's HG costate on its 64-step lattice, which
+    # bisects 24 of its steps
     real, grid = hcl_eigen_level(64), TimeGrid(2000.0, 1025)
     field = bench_form_guess(real.energies, grid)
     w10 = float(real.energies[1] - real.energies[0])
@@ -706,19 +709,9 @@ IN_PLACE_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(IN_PLACE_RUNS))
-def test_run_writes_in_place_what_a_loop_of_solves_returns(name,
-                                                           monkeypatch):
+def test_run_writes_in_place_what_a_loop_of_solves_returns(name):
     args = IN_PLACE_RUNS[name]()
-    lengths = []  # the step length of every picard call of _run
-    picard = StepSolver.picard
-
-    def recording(self, *call):
-        lengths.append(call[3])
-        return picard(self, *call)
-
-    monkeypatch.setattr(StepSolver, "picard", recording)
     run = _run(*args)
-    monkeypatch.undo()
     ref = stepped_run(*IN_PLACE_RUNS[name]())
     for key in ("boundary_states", "node_states", "norms", "field_nodes"):
         assert np.array_equal(getattr(run, key), getattr(ref, key)), key
@@ -729,13 +722,11 @@ def test_run_writes_in_place_what_a_loop_of_solves_returns(name,
     else:
         assert np.array_equal(run.node_states[:, -1],
                               run.boundary_states[1:])
-    if name in ("forward-rows", "hg-costate-columns"):
-        assert run.stats.bisections >= 47
+    bisected = {"forward-rows": 27, "hg-costate-columns": 24}
+    if name in bisected:
+        assert run.stats.bisections >= bisected[name]
     if name == "hg-costate-columns":
         assert StepSolver(args[0], RULE, 1.0)._cols
-        # held steps bisect without a solve at full length
-        full = sum(1 for dt in lengths if abs(dt) == run.dt_step)
-        assert full < run.stats.steps
 
 
 @pytest.mark.parametrize("n_c", [9, 13, 17, 25, 29, 33])
